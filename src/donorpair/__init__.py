@@ -17,8 +17,9 @@ from .pulses import (GATES, GateSpec, PulseSpec, design_gate,
                      two_pi_k_omega)
 from .dynamics import (DriveOperators, REGISTER_OPS, StepSizeError,
                        evolve_pulse, integrate_lab_frame, pulse_propagator,
-                       relax_electrons, rotating_hamiltonian)
+                       relax_electrons, relax_electrons_adjoint,
+                       rotating_hamiltonian)
 from .protocols import (DisplacementDistribution, EnsembleConfig,
                         EnsembleResult, ProtocolRun, ensemble_init,
-                        run_ee_cnot, run_initialization, sweep_gate_error,
-                        sweep_neighbor_displacement)
+                        protocol_form, run_ee_cnot, run_initialization,
+                        sweep_gate_error, sweep_neighbor_displacement)

@@ -122,6 +122,15 @@ def _geometry(args: argparse.Namespace, file_cfg: dict) -> DeviceGeometry:
     )
 
 
+def _nominal_geometry(args: argparse.Namespace, file_cfg: dict) -> DeviceGeometry:
+    """Geometry of a command that draws or sweeps the displacements itself."""
+    given = [k for k in ("m1", "m2") if _resolve(args, file_cfg, k, None) is not None]
+    if given:
+        raise ValidityError(f"{args.command} sets the displacements itself; "
+                            f"drop {', '.join('--' + k for k in given)}")
+    return _geometry(args, file_cfg)
+
+
 def _emit(rows: list[dict], header: list[str], args, file_cfg, resolved: dict) -> None:
     fmt = _resolve(args, file_cfg, "format", "csv")
     out = _resolve(args, file_cfg, "out", None)
@@ -248,26 +257,31 @@ def cmd_ensemble(args, file_cfg) -> None:
     seed = _resolve(args, file_cfg, "seed", 0)
     threads = _resolve(args, file_cfg, "threads", os.cpu_count() or 1)
     k_e = _resolve(args, file_cfg, "K", DEFAULT_K_ELECTRON)
+    geometry = _nominal_geometry(args, file_cfg)
     rows = []
     for kn in kns:
         for law in laws:
             config = EnsembleConfig(num_chains=chains, num_realizations=realizations,
-                                    law=law, k_e=k_e, k_n=kn, seed=seed, threads=threads)
+                                    law=law, k_e=k_e, k_n=kn, seed=seed, threads=threads,
+                                    geometry=geometry)
             result = ensemble_init(config)
             rows.append({"K_n": kn, "law": law,
                          "mean_P": result.mean_error, "stderr": result.stderr})
     resolved = {"chains": chains, "realizations": realizations, "laws": laws,
-                "Kn": kns, "K_e": k_e, "seed": seed, "threads": threads}
+                "Kn": kns, "K_e": k_e, "seed": seed, "threads": threads,
+                "geometry": dataclasses.asdict(geometry)}
     _emit(rows, ["K_n", "law", "mean_P", "stderr"], args, file_cfg, resolved)
 
 
 def cmd_ee_cnot(args, file_cfg) -> None:
     k = _resolve(args, file_cfg, "K", 1)
+    geometry = _nominal_geometry(args, file_cfg)
     rows = []
     for m in range(-4, 5):
-        p_e = run_ee_cnot(DEFAULT_GEOMETRY.displaced(m1=m), k_prime=k)
+        p_e = run_ee_cnot(geometry.displaced(m1=m), k_prime=k)
         rows.append({"m": m, "P_e": p_e})
-    _emit(rows, ["m", "P_e"], args, file_cfg, {"K_prime": k})
+    _emit(rows, ["m", "P_e"], args, file_cfg,
+          {"K_prime": k, "geometry": dataclasses.asdict(geometry)})
 
 
 COMMANDS = {

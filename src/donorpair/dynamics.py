@@ -88,37 +88,34 @@ def evolve_pulse(state: np.ndarray, h0: np.ndarray, pulse: PulseSpec,
 
 # -- electron relaxation ----------------------------------------------------
 
-def _damping_kraus(spin: str) -> tuple[np.ndarray, np.ndarray]:
-    keep = np.zeros((2, 2), dtype=complex)
-    keep[1, 1] = 1.0              # electron ground state is bit 1
-    decay = np.zeros((2, 2), dtype=complex)
-    decay[1, 0] = 1.0
-    k0 = [np.eye(2, dtype=complex)] * 4
-    k1 = [np.eye(2, dtype=complex)] * 4
-    pos = reg.SPINS.index(spin)
-    k0[pos] = keep
-    k1[pos] = decay
-    out0, out1 = k0[0], k1[0]
-    for m0, m1 in zip(k0[1:], k1[1:]):
-        out0 = np.kron(out0, m0)
-        out1 = np.kron(out1, m1)
-    return out0, out1
-
-
-_KRAUS = {spin: _damping_kraus(spin) for spin in reg.ELECTRON_SPINS}
+# Register axes with the two electron bits fused: (n2, e, n1), e = 2*e2 + e1.
+_FUSED = (2, 4, 2, 2, 4, 2)
+_E_GROUND = 3                     # e2 = e1 = 1, the electron ground state
+_E_ALL = np.arange(4)
 
 
 def relax_electrons(rho: np.ndarray) -> np.ndarray:
     """Complete amplitude damping of both electrons onto their ground state.
 
-    Trace preserving; the reduced state of the two nuclear spins is exactly
-    unchanged (the channel acts on the electron factors only).
+    Traces out both electrons and places the nuclear reduced state at
+    e2 = e1 = 1. Trace preserving; the reduced state of the two nuclear
+    spins is exactly unchanged.
     """
-    out = rho
-    for spin in reg.ELECTRON_SPINS:
-        k0, k1 = _KRAUS[spin]
-        out = k0 @ out @ k0.conj().T + k1 @ out @ k1.conj().T
-    return out
+    t = rho.reshape(_FUSED)
+    out = np.zeros(_FUSED, dtype=complex)
+    out[:, _E_GROUND, :, :, _E_GROUND, :] = t[:, _E_ALL, :, :, _E_ALL, :].sum(axis=0)
+    return out.reshape(rho.shape)
+
+
+def relax_electrons_adjoint(obs: np.ndarray) -> np.ndarray:
+    """Heisenberg-picture adjoint of `relax_electrons`: 1_e (x) <gg|O|gg>_e.
+
+    tr(relax_electrons(rho) @ O) == tr(rho @ relax_electrons_adjoint(O)).
+    """
+    t = obs.reshape(_FUSED)
+    out = np.zeros(_FUSED, dtype=complex)
+    out[:, _E_ALL, :, :, _E_ALL, :] = t[:, _E_GROUND, :, :, _E_GROUND, :]
+    return out.reshape(obs.shape)
 
 
 def validate_density(rho: np.ndarray, tol: float = NORM_TOL) -> None:

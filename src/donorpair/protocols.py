@@ -8,6 +8,14 @@ pulses), so reported errors isolate the pulse physics from basis admixture.
 Ensemble runs draw independent displacements and initial states per chain
 from counter-based random streams, so results are reproducible bit for bit
 at any parallelism.
+
+The protocol is linear in the initial state, so an ensemble chain never
+runs it: its error is 1 - a^H M a for its four initial amplitudes a, where
+the 4x4 Hermitian M = protocol_form(setup) is the target projector carried
+back through PROTOCOL_ORDER in the Heisenberg picture. M depends only on
+the displacement pair and the pulses, so it is built once per distinct
+(m1, m2). run_initialization is the Schroedinger-picture reference that
+records the population after every step.
 """
 from __future__ import annotations
 
@@ -17,7 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import DEFAULT_CONSTANTS, PhysicalConstants
-from .dynamics import pulse_propagator, relax_electrons
+from .dynamics import (pulse_propagator, relax_electrons,
+                       relax_electrons_adjoint)
 from .geometry import DEFAULT_GEOMETRY, DeviceGeometry
 from .pulses import (DEFAULT_K_ELECTRON, DEFAULT_K_NUCLEAR, GATES, PulseSpec,
                      design_gate)
@@ -198,30 +207,41 @@ def run_initialization(geometry: DeviceGeometry,
 
     run = ProtocolRun(geometry=geometry, k_e=k_e, k_n=k_n)
     psi = setup.spectrum.eigenvectors @ amps
-    psi = setup.propagators["a"] @ psi
-    if record:
-        run.steps.append(("a", 1.0 - abs(np.vdot(eigenstate(setup, TARGET_STATE), psi)) ** 2))
-    psi = setup.propagators["b"] @ psi
     rho = np.outer(psi, psi.conj())
-    if record:
-        run.steps.append(("b", 1.0 - _target_population(setup, rho)))
-    rho = relax_electrons(rho)
-    if record:
-        run.steps.append(("relax", 1.0 - _target_population(setup, rho)))
-    rho = setup.propagators["c"] @ rho @ setup.propagators["c"].conj().T
-    if record:
-        run.steps.append(("c", 1.0 - _target_population(setup, rho)))
-    rho = setup.propagators["d"] @ rho @ setup.propagators["d"].conj().T
-    if record:
-        run.steps.append(("d", 1.0 - _target_population(setup, rho)))
-    rho = relax_electrons(rho)
+    for step in PROTOCOL_ORDER:
+        if step == "relax":
+            rho = relax_electrons(rho)
+        else:
+            u = setup.propagators[step]
+            rho = u @ rho @ u.conj().T
+        if record:
+            run.steps.append((step, 1.0 - _target_population(setup, rho)))
     run.final_error = 1.0 - _target_population(setup, rho)
     if record:
-        run.steps.append(("relax", run.final_error))
         for name in ("a", "b", "c", "d"):
             p, q = GATES[name].resonant
             run.pulse_fidelities[name] = 1.0 - transfer_error(setup, name, p, q)
     return run
+
+
+def protocol_form(setup: ChainSetup) -> np.ndarray:
+    """4x4 Hermitian M with final error 1 - a^H M a for initial amplitudes a.
+
+    `a` holds amplitudes on the INIT_SUPPORT eigenstates. The target
+    projector is carried backwards through PROTOCOL_ORDER in the Heisenberg
+    picture: a pulse U maps O -> U^H O U, a relaxation applies the channel's
+    adjoint. M is O restricted to the initial manifold.
+    """
+    t = eigenstate(setup, TARGET_STATE)
+    obs = np.outer(t, t.conj())
+    for step in reversed(PROTOCOL_ORDER):
+        if step == "relax":
+            obs = relax_electrons_adjoint(obs)
+        else:
+            u = setup.propagators[step]
+            obs = u.conj().T @ obs @ u
+    v = setup.spectrum.eigenvectors[:, list(INIT_SUPPORT)]
+    return v.conj().T @ obs @ v
 
 
 # -- electron-electron CNOT ---------------------------------------------------
@@ -253,12 +273,16 @@ class EnsembleConfig:
     k_n: int = DEFAULT_K_NUCLEAR
     seed: int = 0
     threads: int = 1
+    geometry: DeviceGeometry = DEFAULT_GEOMETRY
 
     def __post_init__(self) -> None:
         if self.num_chains < 1 or self.num_realizations < 1:
             raise ValueError("chain and realization counts must be positive")
         if self.law not in LAW_CODES:
             raise ValueError(f"unknown displacement law {self.law!r}")
+        if self.geometry.m1 != 0 or self.geometry.m2 != 0:
+            raise ValueError("ensemble geometry must be nominal (m1 = m2 = 0); "
+                             "chains draw their own displacements")
 
 
 @dataclass(frozen=True)
@@ -274,11 +298,15 @@ def _chain_rng(config: EnsembleConfig, realization: int, chain: int) -> np.rando
         [config.seed, LAW_CODES[config.law], config.k_n, config.k_e, realization, chain])
 
 
-def _run_realization(config: EnsembleConfig, realization: int) -> float:
-    """Mean protocol error over the chains of one realization."""
-    pulses = design_protocol_pulses(config.k_e, config.k_n)
+def _run_realization(config: EnsembleConfig, realization: int,
+                     pulses: dict[str, PulseSpec],
+                     forms: dict[tuple[int, int], np.ndarray]) -> float:
+    """Mean protocol error over the chains of one realization.
+
+    `forms` caches protocol_form per displacement pair (m1, m2) and is
+    filled as pairs are drawn.
+    """
     dist = DisplacementDistribution(config.law)
-    setups: dict[tuple[int, int], ChainSetup] = {}
     total = 0.0
     for chain in range(config.num_chains):
         rng = _chain_rng(config, realization, chain)
@@ -286,19 +314,10 @@ def _run_realization(config: EnsembleConfig, realization: int) -> float:
         m2 = dist.sample(rng)
         amps = haar_amplitudes(rng)
         key = (m1, m2)
-        if key not in setups:
-            setups[key] = setup_chain(DEFAULT_GEOMETRY.displaced(m1, m2), pulses)
-        total += _fast_protocol_error(setups[key], amps)
+        if key not in forms:
+            forms[key] = protocol_form(setup_chain(config.geometry.displaced(m1, m2), pulses))
+        total += 1.0 - np.vdot(amps, forms[key] @ amps).real
     return total / config.num_chains
-
-
-def _fast_protocol_error(setup: ChainSetup, amps4: np.ndarray) -> float:
-    psi = setup.spectrum.eigenvectors[:, list(INIT_SUPPORT)] @ amps4
-    psi = setup.propagators["b"] @ (setup.propagators["a"] @ psi)
-    rho = relax_electrons(np.outer(psi, psi.conj()))
-    u = setup.propagators["d"] @ setup.propagators["c"]
-    rho = relax_electrons(u @ rho @ u.conj().T)
-    return 1.0 - _target_population(setup, rho)
 
 
 def ensemble_init(config: EnsembleConfig) -> EnsembleResult:
@@ -306,14 +325,19 @@ def ensemble_init(config: EnsembleConfig) -> EnsembleResult:
 
     Chains are independent; each derives its random stream from (seed, law,
     K, realization, chain), so the result does not depend on scheduling.
+    Each chain costs one quadratic form 1 - a^H M a, with M = protocol_form
+    of its displacement pair, built once per pair and reused.
     """
+    pulses = design_protocol_pulses(config.k_e, config.k_n,
+                                    geometry_nominal=config.geometry)
     realizations = list(range(config.num_realizations))
     if config.threads > 1:
         with cf.ProcessPoolExecutor(max_workers=config.threads) as pool:
             means = list(pool.map(_realization_worker,
-                                  [(config, r) for r in realizations]))
+                                  [(config, r, pulses) for r in realizations]))
     else:
-        means = [_run_realization(config, r) for r in realizations]
+        forms: dict[tuple[int, int], np.ndarray] = {}
+        means = [_run_realization(config, r, pulses, forms) for r in realizations]
     means_arr = np.array(means)
     stderr = (means_arr.std(ddof=1) / np.sqrt(len(means)) if len(means) > 1 else 0.0)
     return EnsembleResult(config=config,
@@ -322,6 +346,6 @@ def ensemble_init(config: EnsembleConfig) -> EnsembleResult:
                           realization_means=tuple(float(x) for x in means_arr))
 
 
-def _realization_worker(args: tuple[EnsembleConfig, int]) -> float:
-    config, realization = args
-    return _run_realization(config, realization)
+def _realization_worker(args: tuple[EnsembleConfig, int, dict[str, PulseSpec]]) -> float:
+    config, realization, pulses = args
+    return _run_realization(config, realization, pulses, {})

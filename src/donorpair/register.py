@@ -11,8 +11,6 @@ import numpy as np
 
 DIM = 16
 SPINS = ("n2", "e2", "e1", "n1")      # kron order, most significant bit first
-ELECTRON_SPINS = ("e1", "e2")
-NUCLEAR_SPINS = ("n1", "n2")
 
 _SZ = np.diag([0.5, -0.5]).astype(complex)
 _SP = np.array([[0, 1], [0, 0]], dtype=complex)   # raising: |1> -> |0>

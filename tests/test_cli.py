@@ -128,6 +128,21 @@ class TestEnsemble:
         assert header == "K_n,law,mean_P,stderr"
         assert row.startswith("2000,A,")
 
+    def test_geometry_flags_change_output(self, capsys):
+        args = self.ARGS + ["--threads", "1"]
+        _, nominal, _ = run_cli(args, capsys)
+        code, moved, _ = run_cli(args + ["--N0", "48", "--format", "json"], capsys)
+        assert code == 0
+        doc = json.loads(moved)
+        assert doc["config"]["geometry"]["n0"] == 48
+        assert repr(doc["rows"][0]["mean_P"]) not in nominal
+
+    def test_displacement_flags_rejected(self, capsys):
+        code, out, err = run_cli(self.ARGS + ["--m1", "1"], capsys)
+        assert code == 3
+        assert out == ""
+        assert "--m1" in err
+
 
 class TestEeCnot:
     def test_table(self, capsys):
@@ -138,6 +153,19 @@ class TestEeCnot:
         values = {int(l.split(",")[0]): float(l.split(",")[1]) for l in lines[1:]}
         assert values[0] < 1e-3
         assert values[-1] > 0.5
+
+    def test_geometry_flags_change_output(self, capsys):
+        _, nominal, _ = run_cli(["ee-cnot"], capsys)
+        code, moved, _ = run_cli(["ee-cnot", "--N0", "48"], capsys)
+        assert code == 0
+        assert moved.split("\n")[0] == "m,P_e"
+        assert moved != nominal
+
+    def test_displacement_flags_rejected(self, capsys):
+        code, out, err = run_cli(["ee-cnot", "--m2", "-1"], capsys)
+        assert code == 3
+        assert out == ""
+        assert "--m2" in err
 
 
 class TestConfigFile:

@@ -8,7 +8,7 @@ from donorpair import (DEFAULT_GEOMETRY, GATES, REGISTER_OPS, DriveOperators,
                        pulse_propagator, rabi_probability, relax_electrons,
                        rotating_hamiltonian)
 from donorpair.constants import DEFAULT_CONSTANTS, TWO_PI
-from donorpair.dynamics import validate_density
+from donorpair.dynamics import relax_electrons_adjoint, validate_density
 from donorpair.geometry import EffectiveParams
 from donorpair.pulses import PulseSpec
 from donorpair import register as reg
@@ -162,6 +162,20 @@ class TestRelaxation:
         twice = relax_electrons(once)
         assert np.abs(once - twice).max() <= 1e-14
         validate_density(once)
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_adjoint_duality(self, seed):
+        # tr(Phi(rho) X) == tr(rho Phi^dagger(X)) for every state and observable
+        rng = np.random.default_rng(seed)
+        m = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+        rho = m @ m.conj().T
+        rho /= np.trace(rho).real
+        h = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+        x = h + h.conj().T
+        lhs = np.trace(relax_electrons(rho) @ x)
+        rhs = np.trace(rho @ relax_electrons_adjoint(x))
+        assert abs(lhs - rhs) <= 1e-12
 
 
 def _scaled_params(scale: float) -> EffectiveParams:

@@ -6,9 +6,8 @@ from donorpair import (DEFAULT_GEOMETRY, DisplacementDistribution,
                        EnsembleConfig, ensemble_init, run_ee_cnot,
                        run_initialization, sweep_gate_error,
                        sweep_neighbor_displacement)
-from donorpair.protocols import (INIT_SUPPORT, _chain_rng, _fast_protocol_error,
-                                 design_protocol_pulses, haar_amplitudes,
-                                 setup_chain)
+from donorpair.protocols import (INIT_SUPPORT, _chain_rng, design_protocol_pulses,
+                                 haar_amplitudes, protocol_form, setup_chain)
 
 # Frozen cross-implementation values (independent prototype of the same
 # model run ahead of this package; tolerances cover BLAS-level variation).
@@ -149,20 +148,46 @@ class TestEnsemble:
             rng = _chain_rng(config, 0, chain)
             m1, m2 = dist.sample(rng), dist.sample(rng)
             amps = haar_amplitudes(rng)
-            setup = setup_chain(DEFAULT_GEOMETRY.displaced(m1, m2), pulses)
-            total += _fast_protocol_error(setup, amps)
+            form = protocol_form(setup_chain(DEFAULT_GEOMETRY.displaced(m1, m2), pulses))
+            total += 1.0 - np.vdot(amps, form @ amps).real
         assert result.mean_error == pytest.approx(total / config.num_chains, rel=1e-12)
 
-    def test_fast_path_matches_full_protocol(self):
+    def test_protocol_form_matches_full_protocol(self):
         pulses = design_protocol_pulses(1, 5000)
         setup = setup_chain(DEFAULT_GEOMETRY.displaced(m1=1), pulses)
-        amps = haar_amplitudes(np.random.default_rng(3))
-        fast = _fast_protocol_error(setup, amps)
-        full16 = np.zeros(16, dtype=complex)
-        full16[list(INIT_SUPPORT)] = amps
-        run = run_initialization(DEFAULT_GEOMETRY.displaced(m1=1), k_e=1, k_n=5000,
-                                 initial=full16, pulses=pulses, record=False)
-        assert fast == pytest.approx(run.final_error, rel=1e-10)
+        form = protocol_form(setup)
+        assert np.abs(form - form.conj().T).max() <= 1e-14
+        rng = np.random.default_rng(3)
+        for _ in range(3):
+            amps = haar_amplitudes(rng)
+            full16 = np.zeros(16, dtype=complex)
+            full16[list(INIT_SUPPORT)] = amps
+            run = run_initialization(DEFAULT_GEOMETRY.displaced(m1=1), k_e=1, k_n=5000,
+                                     initial=full16, pulses=pulses, record=False)
+            assert 1.0 - np.vdot(amps, form @ amps).real == pytest.approx(
+                run.final_error, rel=1e-10)
+
+    def test_mean_matches_exact_expectation(self):
+        # The Haar average of 1 - a^H M a is 1 - tr(M)/4, so the law mean is a
+        # finite sum over the 81 displacement pairs.
+        config = EnsembleConfig(num_chains=500, num_realizations=8, law="B",
+                                k_e=1, k_n=2000, seed=11, threads=1)
+        r = DisplacementDistribution(config.law).r
+        prob = {0: 1.0 - sum(r)}
+        for mag, rm in enumerate(r, start=1):
+            prob[mag] = prob[-mag] = rm / 2
+        pulses = design_protocol_pulses(config.k_e, config.k_n)
+        exact = 0.0
+        for m1 in range(-4, 5):
+            for m2 in range(-4, 5):
+                form = protocol_form(setup_chain(DEFAULT_GEOMETRY.displaced(m1, m2), pulses))
+                exact += prob[m1] * prob[m2] * (1.0 - np.trace(form).real / 4)
+        result = ensemble_init(config)
+        assert abs(result.mean_error - exact) <= 5 * result.stderr
+
+    def test_geometry_must_be_nominal(self):
+        with pytest.raises(ValueError):
+            EnsembleConfig(geometry=DEFAULT_GEOMETRY.displaced(m1=1))
 
     def test_errors_in_unit_interval(self):
         r = ensemble_init(SMALL)
