@@ -131,6 +131,13 @@ def _nominal_geometry(args: argparse.Namespace, file_cfg: dict) -> DeviceGeometr
     return _geometry(args, file_cfg)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _emit(rows: list[dict], header: list[str], args, file_cfg, resolved: dict) -> None:
     fmt = _resolve(args, file_cfg, "format", "csv")
     out = _resolve(args, file_cfg, "out", None)
@@ -236,16 +243,17 @@ def cmd_design(args, file_cfg) -> None:
 
 
 def cmd_sweep(args, file_cfg) -> None:
-    geometry = _geometry(args, file_cfg)
+    geometry = _nominal_geometry(args, file_cfg)
     default_k = "1,2,3,4" if args.gate == "a" else "700,2000,5000,10000,30000"
     k_raw = _resolve(args, file_cfg, "K", default_k)
     k_list = [int(x) for x in str(k_raw).split(",") if x]
     table = sweep_gate_error(args.gate, range(-4, 5), tuple(k_list),
                              displaced_atom=args.displaced_atom,
-                             geometry_nominal=geometry.displaced(0, 0))
+                             geometry_nominal=geometry)
     rows = [{"m": m, "K": k, "P": table[(m, k)]}
             for k in k_list for m in range(-4, 5)]
-    resolved = {"gate": args.gate, "K": k_list, "displaced_atom": args.displaced_atom}
+    resolved = {"gate": args.gate, "K": k_list, "displaced_atom": args.displaced_atom,
+                "geometry": dataclasses.asdict(geometry)}
     _emit(rows, ["m", "K", "P"], args, file_cfg, resolved)
 
 
@@ -255,7 +263,7 @@ def cmd_ensemble(args, file_cfg) -> None:
     chains = _resolve(args, file_cfg, "chains", 2000)
     realizations = _resolve(args, file_cfg, "realizations", 8)
     seed = _resolve(args, file_cfg, "seed", 0)
-    threads = _resolve(args, file_cfg, "threads", os.cpu_count() or 1)
+    threads = _resolve(args, file_cfg, "threads", _usable_cpus())
     k_e = _resolve(args, file_cfg, "K", DEFAULT_K_ELECTRON)
     geometry = _nominal_geometry(args, file_cfg)
     rows = []

@@ -9,9 +9,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.constants as sc
 
 TWO_PI = 2.0 * np.pi
+
+# SI 2019 defines e and h exactly; epsilon_0 is the CODATA 2022 value.
+_ELEMENTARY_CHARGE = 1.602176634e-19   # C
+_PLANCK = 6.62607015e-34               # J*s
+_EPSILON_0 = 8.8541878188e-12          # F/m
 
 # Effective Bohr radius of the donor electron in silicon:
 # a_B = kappa * (M / M*) * a_B0, with M*/M = 0.19 and a_B0 the hydrogen value.
@@ -38,7 +42,7 @@ class PhysicalConstants:
     lattice_step_a0: float = 7.68e-10         # donor placement step along the chain
     bohr_radius_ab: float = field(default_factory=_effective_bohr_radius)
     kappa: float = _KAPPA
-    coulomb_prefactor: float = sc.e**2 / (4 * np.pi * sc.epsilon_0)  # J*m
+    coulomb_prefactor: float = _ELEMENTARY_CHARGE**2 / (4 * np.pi * _EPSILON_0)  # J*m
 
     def __post_init__(self) -> None:
         for name in ("gamma_e", "gamma_n", "hyperfine_a", "lattice_step_a0",
@@ -52,7 +56,7 @@ class PhysicalConstants:
 
 DEFAULT_CONSTANTS = PhysicalConstants()
 
-HBAR = sc.hbar
+HBAR = _PLANCK / TWO_PI
 
 
 def cycles(omega: float) -> float:

@@ -28,11 +28,6 @@ def _embed(op: np.ndarray, spin: str) -> np.ndarray:
     return out
 
 
-def spin_vector(spin: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(Sx, Sy, Sz) of one register spin embedded in the 16-dim space."""
-    return (_embed(_SX, spin), _embed(_SY, spin), _embed(_SZ, spin))
-
-
 SX = {s: _embed(_SX, s) for s in SPINS}
 SY = {s: _embed(_SY, s) for s in SPINS}
 SZ = {s: _embed(_SZ, s) for s in SPINS}
@@ -44,11 +39,17 @@ FZ = sum(SZ.values())
 FZ_DIAG = np.real(np.diag(FZ)).copy()
 
 
-def spin_dot(s1: str, s2: str) -> np.ndarray:
-    """Scalar coupling S_1 . S_2 between two register spins."""
-    a = spin_vector(s1)
-    b = spin_vector(s2)
-    return a[0] @ b[0] + a[1] @ b[1] + a[2] @ b[2]
+def _dot(s1: str, s2: str) -> np.ndarray:
+    """Read-only scalar coupling S_1 . S_2 between two register spins."""
+    out = SX[s1] @ SX[s2] + SY[s1] @ SY[s2] + SZ[s1] @ SZ[s2]
+    out.flags.writeable = False
+    return out
+
+
+# the spin-spin couplings of H0; only their prefactors change between chains
+HYPERFINE_1 = _dot("e1", "n1")
+HYPERFINE_2 = _dot("e2", "n2")
+EXCHANGE = _dot("e1", "e2")
 
 
 def bits(index: int) -> tuple[int, int, int, int]:

@@ -43,8 +43,8 @@ def build_h0(params: EffectiveParams) -> np.ndarray:
          + params.gamma_e * params.b2 * reg.SZ["e2"]
          - params.gamma_n * params.b1 * reg.SZ["n1"]
          - params.gamma_n * params.b2 * reg.SZ["n2"]
-         + params.a * (reg.spin_dot("e1", "n1") + reg.spin_dot("e2", "n2"))
-         + params.j * reg.spin_dot("e1", "e2"))
+         + params.a * (reg.HYPERFINE_1 + reg.HYPERFINE_2)
+         + params.j * reg.EXCHANGE)
     return h
 
 

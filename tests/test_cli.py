@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -115,6 +116,28 @@ class TestSweep:
         assert code == 0
         assert len(out.strip().split("\n")) == 10
 
+    def test_geometry_in_resolved_config(self, capsys):
+        code, out, _ = run_cli(["sweep", "--gate", "a", "--K", "1", "--N0", "48",
+                                "--format", "json"], capsys)
+        assert code == 0
+        geometry = json.loads(out)["config"]["geometry"]
+        assert geometry["n0"] == 48
+        assert geometry["m1"] == geometry["m2"] == 0
+
+    def test_displacement_flags_rejected(self, capsys):
+        code, out, err = run_cli(["sweep", "--gate", "a", "--m1", "2"], capsys)
+        assert code == 3
+        assert out == ""
+        assert "--m1" in err
+
+    def test_displacement_config_keys_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"m2": -3}))
+        code, out, err = run_cli(["--config", str(cfg), "sweep", "--gate", "b"], capsys)
+        assert code == 3
+        assert out == ""
+        assert "--m2" in err
+
 
 class TestEnsemble:
     ARGS = ["ensemble", "--chains", "40", "--realizations", "2", "--law", "A",
@@ -142,6 +165,21 @@ class TestEnsemble:
         assert code == 3
         assert out == ""
         assert "--m1" in err
+
+    def test_threads_default_counts_usable_cpus(self, monkeypatch, capsys):
+        args = ["ensemble", "--chains", "4", "--realizations", "1", "--law", "none",
+                "--Kn", "2000", "--format", "json"]
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+        code, out, _ = run_cli(args, capsys)
+        assert code == 0
+        assert json.loads(out)["config"]["threads"] == 1
+        # without an affinity mask the machine's CPU count is the fallback
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        code, out, _ = run_cli(args, capsys)
+        assert code == 0
+        assert json.loads(out)["config"]["threads"] == 1
 
 
 class TestEeCnot:

@@ -1,8 +1,12 @@
 import dataclasses
+import math
+import subprocess
+import sys
 
 import pytest
 
-from donorpair.constants import DEFAULT_CONSTANTS, TWO_PI, PhysicalConstants, angular, cycles
+from donorpair.constants import (DEFAULT_CONSTANTS, HBAR, TWO_PI, PhysicalConstants,
+                                 angular, cycles)
 
 
 def test_effective_bohr_radius_matches_accepted_value():
@@ -34,3 +38,18 @@ def test_gyromagnetic_ratios():
 def test_angular_cycles_roundtrip():
     assert angular(cycles(1.234e9)) == pytest.approx(1.234e9, rel=1e-15)
     assert cycles(TWO_PI) == pytest.approx(1.0)
+
+
+def test_si_constants_pinned():
+    # e and h are exact in SI 2019; epsilon_0 is CODATA 2022
+    assert HBAR == 6.62607015e-34 / (2 * math.pi)
+    assert DEFAULT_CONSTANTS.coulomb_prefactor == (
+        1.602176634e-19**2 / (4 * math.pi * 8.8541878188e-12))
+
+
+def test_cli_import_does_not_load_scipy():
+    code = ("import sys, donorpair.cli; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True)
+    assert proc.stdout.strip() == "[]"

@@ -26,6 +26,12 @@ def _flip_flop_oracle() -> np.ndarray:
     return out
 
 
+def _coupling_oracle(s1: str, s2: str) -> np.ndarray:
+    """S_1 . S_2 = Sz Sz + (S+ S- + S- S+)/2, from raising/lowering ops."""
+    return (reg.SZ[s1] @ reg.SZ[s2]
+            + (reg.RAISE[s1] @ reg.LOWER[s2] + reg.LOWER[s1] @ reg.RAISE[s2]) / 2)
+
+
 class TestHamiltonian:
     def test_hermitian_and_real(self, default_params):
         h = build_h0(default_params)
@@ -52,6 +58,16 @@ class TestHamiltonian:
         h_no_j = build_h0(p_diagless)
         off = h_no_j - np.diag(np.diag(h_no_j))
         assert np.allclose(off, oracle, atol=1e-6)
+
+    @pytest.mark.parametrize("coupling, s1, s2", [
+        (reg.HYPERFINE_1, "e1", "n1"),
+        (reg.HYPERFINE_2, "e2", "n2"),
+        (reg.EXCHANGE, "e1", "e2"),
+    ])
+    def test_couplings_match_ladder_operator_form(self, coupling, s1, s2):
+        np.testing.assert_allclose(coupling, _coupling_oracle(s1, s2), rtol=0, atol=1e-15)
+        with pytest.raises(ValueError):
+            coupling[0, 0] = 1.0
 
     def test_block_structure_in_total_projection(self, default_params):
         h = build_h0(default_params)
