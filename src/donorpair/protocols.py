@@ -13,13 +13,16 @@ The protocol is linear in the initial state, so an ensemble chain never
 runs it: its error is 1 - a^H M a for its four initial amplitudes a, where
 the 4x4 Hermitian M = protocol_form(setup) is the target projector carried
 back through PROTOCOL_ORDER in the Heisenberg picture. M depends only on
-the displacement pair and the pulses, so it is built once per distinct
-(m1, m2). run_initialization is the Schroedinger-picture reference that
-records the population after every step.
+the displacement pair and the pulses, so it is solved once per process for
+each (geometry, pulses) and shared by every realization, law and call.
+run_initialization is the Schroedinger-picture reference that records the
+population after every step.
 """
 from __future__ import annotations
 
 import concurrent.futures as cf
+import functools
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -280,6 +283,8 @@ class EnsembleConfig:
             raise ValueError("chain and realization counts must be positive")
         if self.law not in LAW_CODES:
             raise ValueError(f"unknown displacement law {self.law!r}")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if self.geometry.m1 != 0 or self.geometry.m2 != 0:
             raise ValueError("ensemble geometry must be nominal (m1 = m2 = 0); "
                              "chains draw their own displacements")
@@ -293,29 +298,61 @@ class EnsembleResult:
     realization_means: tuple[float, ...]
 
 
-def _chain_rng(config: EnsembleConfig, realization: int, chain: int) -> np.random.Generator:
-    return np.random.default_rng(
-        [config.seed, LAW_CODES[config.law], config.k_n, config.k_e, realization, chain])
+def _uint32_words(n: int) -> list[int]:
+    """Little-endian 32-bit words of n >= 0, as numpy's seeding splits a Python int."""
+    words = [n & 0xFFFFFFFF]
+    n >>= 32
+    while n:
+        words.append(n & 0xFFFFFFFF)
+        n >>= 32
+    return words
+
+
+def _chain_rngs(config: EnsembleConfig, realization: int) -> Iterator[np.random.Generator]:
+    """One generator per chain of a realization, in chain order.
+
+    Each stream is default_rng([seed, law code, k_n, k_e, realization, chain])
+    bit for bit: the entropy words of the fixed prefix are split once and the
+    chain index fills the last word, which skips numpy's per-int coercion.
+    """
+    prefix = [config.seed, LAW_CODES[config.law], config.k_n, config.k_e, realization]
+    entropy = np.array([w for x in prefix for w in _uint32_words(x)] + [0], dtype=np.uint32)
+    for chain in range(config.num_chains):
+        entropy[-1] = chain
+        yield np.random.default_rng(entropy)
+
+
+@functools.lru_cache(maxsize=1024)
+def _pair_form(geometry: DeviceGeometry,
+               pulses: tuple[tuple[str, PulseSpec], ...]) -> np.ndarray:
+    """Read-only protocol_form of one displaced chain under the given pulses.
+
+    Holds the CLI's default grid (4 K_n values x 81 displacement pairs) at
+    about 1 KB per entry.
+    """
+    form = protocol_form(setup_chain(geometry, dict(pulses)))
+    form.flags.writeable = False
+    return form
 
 
 def _run_realization(config: EnsembleConfig, realization: int,
-                     pulses: dict[str, PulseSpec],
-                     forms: dict[tuple[int, int], np.ndarray]) -> float:
+                     pulses: dict[str, PulseSpec]) -> float:
     """Mean protocol error over the chains of one realization.
 
-    `forms` caches protocol_form per displacement pair (m1, m2) and is
-    filled as pairs are drawn.
+    Forms come from _pair_form; the local dict spares hashing the geometry
+    and pulses on every chain.
     """
     dist = DisplacementDistribution(config.law)
+    pulse_items = tuple(pulses.items())
+    forms: dict[tuple[int, int], np.ndarray] = {}
     total = 0.0
-    for chain in range(config.num_chains):
-        rng = _chain_rng(config, realization, chain)
+    for rng in _chain_rngs(config, realization):
         m1 = dist.sample(rng)
         m2 = dist.sample(rng)
         amps = haar_amplitudes(rng)
         key = (m1, m2)
         if key not in forms:
-            forms[key] = protocol_form(setup_chain(config.geometry.displaced(m1, m2), pulses))
+            forms[key] = _pair_form(config.geometry.displaced(m1, m2), pulse_items)
         total += 1.0 - np.vdot(amps, forms[key] @ amps).real
     return total / config.num_chains
 
@@ -326,26 +363,23 @@ def ensemble_init(config: EnsembleConfig) -> EnsembleResult:
     Chains are independent; each derives its random stream from (seed, law,
     K, realization, chain), so the result does not depend on scheduling.
     Each chain costs one quadratic form 1 - a^H M a, with M = protocol_form
-    of its displacement pair, built once per pair and reused.
+    of its displacement pair, solved once per process and pulse set. The
+    pool starts no more workers than there are realizations, and none when
+    that is one.
     """
     pulses = design_protocol_pulses(config.k_e, config.k_n,
                                     geometry_nominal=config.geometry)
-    realizations = list(range(config.num_realizations))
-    if config.threads > 1:
-        with cf.ProcessPoolExecutor(max_workers=config.threads) as pool:
-            means = list(pool.map(_realization_worker,
-                                  [(config, r, pulses) for r in realizations]))
+    realizations = range(config.num_realizations)
+    workers = min(config.threads, config.num_realizations)
+    if workers > 1:
+        with cf.ProcessPoolExecutor(max_workers=workers) as pool:
+            means = list(pool.map(functools.partial(_run_realization, config, pulses=pulses),
+                                  realizations))
     else:
-        forms: dict[tuple[int, int], np.ndarray] = {}
-        means = [_run_realization(config, r, pulses, forms) for r in realizations]
+        means = [_run_realization(config, r, pulses) for r in realizations]
     means_arr = np.array(means)
     stderr = (means_arr.std(ddof=1) / np.sqrt(len(means)) if len(means) > 1 else 0.0)
     return EnsembleResult(config=config,
                           mean_error=float(means_arr.mean()),
                           stderr=float(stderr),
                           realization_means=tuple(float(x) for x in means_arr))
-
-
-def _realization_worker(args: tuple[EnsembleConfig, int, dict[str, PulseSpec]]) -> float:
-    config, realization, pulses = args
-    return _run_realization(config, realization, pulses, {})

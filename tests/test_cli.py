@@ -46,10 +46,10 @@ class TestJtable:
         assert code == 3
         assert "error" in err
 
-    def test_usage_error_exit_code(self):
+    def test_usage_error_exit_code(self, source_env):
         proc = subprocess.run(
             [sys.executable, "-m", "donorpair.cli", "jtable", "40"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=source_env)
         assert proc.returncode == 2
 
 
@@ -165,6 +165,13 @@ class TestEnsemble:
         assert code == 3
         assert out == ""
         assert "--m1" in err
+
+    def test_negative_seed_rejected(self, capsys):
+        code, out, err = run_cli(["ensemble", "--chains", "4", "--realizations", "1",
+                                  "--law", "none", "--Kn", "2000", "--seed", "-1"], capsys)
+        assert code == 3
+        assert out == ""
+        assert "seed" in err
 
     def test_threads_default_counts_usable_cpus(self, monkeypatch, capsys):
         args = ["ensemble", "--chains", "4", "--realizations", "1", "--law", "none",

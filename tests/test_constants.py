@@ -47,9 +47,9 @@ def test_si_constants_pinned():
         1.602176634e-19**2 / (4 * math.pi * 8.8541878188e-12))
 
 
-def test_cli_import_does_not_load_scipy():
+def test_cli_import_does_not_load_scipy(source_env):
     code = ("import sys, donorpair.cli; "
             "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          check=True)
+                          check=True, env=source_env)
     assert proc.stdout.strip() == "[]"

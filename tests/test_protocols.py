@@ -1,13 +1,17 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from donorpair import protocols
 from donorpair import (DEFAULT_GEOMETRY, DisplacementDistribution,
                        EnsembleConfig, ensemble_init, run_ee_cnot,
                        run_initialization, sweep_gate_error,
                        sweep_neighbor_displacement)
-from donorpair.protocols import (INIT_SUPPORT, _chain_rng, design_protocol_pulses,
-                                 haar_amplitudes, protocol_form, setup_chain)
+from donorpair.protocols import (INIT_SUPPORT, LAW_CODES, _chain_rngs, _pair_form,
+                                 design_protocol_pulses, haar_amplitudes,
+                                 protocol_form, setup_chain)
 
 # Frozen cross-implementation values (independent prototype of the same
 # model run ahead of this package; tolerances cover BLAS-level variation).
@@ -144,13 +148,61 @@ class TestEnsemble:
         pulses = design_protocol_pulses(config.k_e, config.k_n)
         dist = DisplacementDistribution(config.law)
         total = 0.0
-        for chain in range(config.num_chains):
-            rng = _chain_rng(config, 0, chain)
+        for rng in _chain_rngs(config, 0):
             m1, m2 = dist.sample(rng), dist.sample(rng)
             amps = haar_amplitudes(rng)
             form = protocol_form(setup_chain(DEFAULT_GEOMETRY.displaced(m1, m2), pulses))
             total += 1.0 - np.vdot(amps, form @ amps).real
         assert result.mean_error == pytest.approx(total / config.num_chains, rel=1e-12)
+
+    @given(seed=st.integers(0, 2**70), law=st.sampled_from(sorted(LAW_CODES)),
+           k_n=st.integers(1, 2**40), k_e=st.integers(1, 2**33),
+           realization=st.integers(0, 2**36), chain=st.integers(0, 40))
+    @settings(max_examples=60, deadline=None)
+    def test_chain_streams_match_list_seeding(self, seed, law, k_n, k_e, realization, chain):
+        config = EnsembleConfig(num_chains=chain + 1, law=law, k_e=k_e, k_n=k_n, seed=seed)
+        rng = next(itertools.islice(_chain_rngs(config, realization), chain, None))
+        ref = np.random.default_rng([seed, LAW_CODES[law], k_n, k_e, realization, chain])
+        assert all(rng.random() == ref.random() for _ in range(3))
+        assert (rng.normal(size=8) == ref.normal(size=8)).all()
+
+    def test_single_realization_runs_without_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+        config = EnsembleConfig(num_chains=4, num_realizations=1, threads=3)
+        monkeypatch.setattr(protocols.cf, "ProcessPoolExecutor", no_pool)
+        threaded = ensemble_init(config)
+        serial = ensemble_init(EnsembleConfig(num_chains=4, num_realizations=1, threads=1))
+        assert threaded.realization_means == serial.realization_means
+
+    def test_pair_forms_solved_once_per_process(self, monkeypatch):
+        built = []
+
+        def counting_setup_chain(geometry, pulses, *args, **kwargs):
+            built.append((geometry.m1, geometry.m2))
+            return setup_chain(geometry, pulses, *args, **kwargs)
+
+        monkeypatch.setattr(protocols, "setup_chain", counting_setup_chain)
+        _pair_form.cache_clear()
+        ensemble_init(EnsembleConfig(num_chains=300, num_realizations=2, law="A",
+                                     k_e=1, k_n=2000, seed=1))
+        seen = set(built)
+        assert seen and len(built) == len(seen)
+        built.clear()
+        ensemble_init(EnsembleConfig(num_chains=300, num_realizations=2, law="B",
+                                     k_e=1, k_n=2000, seed=2))
+        assert not seen & set(built)
+        built.clear()
+        # other pulses never hit forms solved for K_n = 2000
+        ensemble_init(EnsembleConfig(num_chains=20, num_realizations=1, law="none",
+                                     k_e=1, k_n=5000, seed=1))
+        assert built == [(0, 0)]
+
+    def test_pair_form_is_read_only(self):
+        pulses = design_protocol_pulses(1, 2000)
+        form = _pair_form(DEFAULT_GEOMETRY.displaced(1, -1), tuple(pulses.items()))
+        with pytest.raises(ValueError):
+            form[0, 0] = 0.0
 
     def test_protocol_form_matches_full_protocol(self):
         pulses = design_protocol_pulses(1, 5000)
@@ -199,3 +251,5 @@ class TestEnsemble:
             EnsembleConfig(num_chains=0)
         with pytest.raises(ValueError):
             EnsembleConfig(law="Z")
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            EnsembleConfig(seed=-1)
