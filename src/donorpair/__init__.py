@@ -20,6 +20,7 @@ from .dynamics import (DriveOperators, REGISTER_OPS, StepSizeError,
                        relax_electrons, relax_electrons_adjoint,
                        rotating_hamiltonian)
 from .protocols import (DisplacementDistribution, EnsembleConfig,
-                        EnsembleResult, ProtocolRun, ensemble_init,
-                        protocol_form, run_ee_cnot, run_initialization,
-                        sweep_gate_error, sweep_neighbor_displacement)
+                        EnsembleResult, ProtocolRun, ensemble_grid,
+                        ensemble_init, protocol_form, run_ee_cnot,
+                        run_initialization, sweep_gate_error,
+                        sweep_neighbor_displacement)

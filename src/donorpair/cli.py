@@ -21,7 +21,7 @@ from . import __version__
 from .constants import TWO_PI
 from .exchange import exchange_table
 from .geometry import DEFAULT_GEOMETRY, DeviceGeometry
-from .protocols import (EnsembleConfig, ensemble_init, run_ee_cnot,
+from .protocols import (EnsembleConfig, ensemble_grid, run_ee_cnot,
                         sweep_gate_error)
 from .pulses import (DEFAULT_K_ELECTRON, DEFAULT_K_NUCLEAR, GATES,
                      design_gate, displacement_detuning, leading_order_design)
@@ -266,15 +266,13 @@ def cmd_ensemble(args, file_cfg) -> None:
     threads = _resolve(args, file_cfg, "threads", _usable_cpus())
     k_e = _resolve(args, file_cfg, "K", DEFAULT_K_ELECTRON)
     geometry = _nominal_geometry(args, file_cfg)
-    rows = []
-    for kn in kns:
-        for law in laws:
-            config = EnsembleConfig(num_chains=chains, num_realizations=realizations,
-                                    law=law, k_e=k_e, k_n=kn, seed=seed, threads=threads,
-                                    geometry=geometry)
-            result = ensemble_init(config)
-            rows.append({"K_n": kn, "law": law,
-                         "mean_P": result.mean_error, "stderr": result.stderr})
+    configs = [EnsembleConfig(num_chains=chains, num_realizations=realizations,
+                              law=law, k_e=k_e, k_n=kn, seed=seed, threads=threads,
+                              geometry=geometry)
+               for kn in kns for law in laws]
+    rows = [{"K_n": r.config.k_n, "law": r.config.law,
+             "mean_P": r.mean_error, "stderr": r.stderr}
+            for r in ensemble_grid(configs)]
     resolved = {"chains": chains, "realizations": realizations, "laws": laws,
                 "Kn": kns, "K_e": k_e, "seed": seed, "threads": threads,
                 "geometry": dataclasses.asdict(geometry)}

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import concurrent.futures as cf
 import functools
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,6 +39,7 @@ INIT_SUPPORT = (6, 7, 14, 15)     # electrons relaxed, nuclei arbitrary
 TARGET_STATE = 15
 
 LAW_CODES = {"none": 0, "A": 1, "B": 2}
+MAX_CHAINS = 2**32   # chain indices fill one 32-bit entropy word
 
 
 @dataclass(frozen=True)
@@ -281,6 +282,9 @@ class EnsembleConfig:
     def __post_init__(self) -> None:
         if self.num_chains < 1 or self.num_realizations < 1:
             raise ValueError("chain and realization counts must be positive")
+        if self.num_chains > MAX_CHAINS:
+            # a larger chain index would take two entropy words in default_rng
+            raise ValueError(f"num_chains must be at most 2**32 = {MAX_CHAINS}")
         if self.law not in LAW_CODES:
             raise ValueError(f"unknown displacement law {self.law!r}")
         if self.seed < 0:
@@ -298,28 +302,117 @@ class EnsembleResult:
     realization_means: tuple[float, ...]
 
 
+# numpy's SeedSequence (numpy/random/bit_generator.pyx: hashmix, mix,
+# mix_entropy, generate_state) and PCG64 seeding (numpy/random/src/pcg64:
+# pcg64_set_seed -> pcg_setseq_128_srandom_r), whose streams NEP 19 keeps
+# stable. The functions below take Python ints or uint32 arrays, which wrap
+# modulo 2**32 on their own; the masks only bound the Python ints.
+_POOL_SIZE = 4
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_XSHIFT = 16
+_MASK32 = 0xFFFFFFFF
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645   # PCG_DEFAULT_MULTIPLIER_128
+_MASK128 = (1 << 128) - 1
+_CHAIN_BLOCK = 1024   # chains seeded per batch; bounds memory at any num_chains
+
+
 def _uint32_words(n: int) -> list[int]:
     """Little-endian 32-bit words of n >= 0, as numpy's seeding splits a Python int."""
-    words = [n & 0xFFFFFFFF]
+    words = [n & _MASK32]
     n >>= 32
     while n:
-        words.append(n & 0xFFFFFFFF)
+        words.append(n & _MASK32)
         n >>= 32
     return words
 
 
+def _hashmix(value, hash_const: int, mult: int = _MULT_A):
+    """SeedSequence's hashmix; returns the hashed value and the next constant."""
+    value = value ^ hash_const
+    hash_const = hash_const * mult & _MASK32
+    value = value * hash_const & _MASK32
+    return value ^ (value >> _XSHIFT), hash_const
+
+
+def _mix(x, y):
+    r = ((_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32)) & _MASK32
+    return r ^ (r >> _XSHIFT)
+
+
+def _mix_words(pool: list, words, hash_const: int) -> tuple[list, int]:
+    """Mix entropy words past the pool size into every pool word, as mix_entropy does."""
+    for word in words:
+        for i in range(_POOL_SIZE):
+            hashed, hash_const = _hashmix(word, hash_const)
+            pool[i] = _mix(pool[i], hashed)
+    return pool, hash_const
+
+
+def _prefix_pool(words: list[int]) -> tuple[list[int], int]:
+    """SeedSequence pool after mixing entropy `words` (at least the pool size).
+
+    Also returns the hash constant the next entropy word starts from; its
+    sequence depends only on how many words came before, not on their values.
+    """
+    hash_const = _INIT_A
+    pool = []
+    for word in words[:_POOL_SIZE]:
+        hashed, hash_const = _hashmix(word, hash_const)
+        pool.append(hashed)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                hashed, hash_const = _hashmix(pool[src], hash_const)
+                pool[dst] = _mix(pool[dst], hashed)
+    return _mix_words(pool, words[_POOL_SIZE:], hash_const)
+
+
+def _pcg_seeds(pool: list[int], hash_const: int, chains: np.ndarray) -> list[list[int]]:
+    """generate_state(4, uint64) of every chain word appended to the prefix pool.
+
+    Returns the four uint64 state words as lists of Python ints, one entry
+    per chain: PCG64 takes the first two as the high and low halves of its
+    128-bit seed and the last two as those of its stream increment.
+    """
+    chain_pool, _ = _mix_words(list(pool), [chains], hash_const)
+    words = []
+    hash_const = _INIT_B
+    for i in range(2 * _POOL_SIZE):
+        word, hash_const = _hashmix(chain_pool[i % _POOL_SIZE], hash_const, _MULT_B)
+        words.append(word.astype(np.uint64))
+    return [(words[2 * k] | words[2 * k + 1] << 32).tolist() for k in range(4)]
+
+
 def _chain_rngs(config: EnsembleConfig, realization: int) -> Iterator[np.random.Generator]:
-    """One generator per chain of a realization, in chain order.
+    """Each chain's generator of a realization, in chain order.
 
     Each stream is default_rng([seed, law code, k_n, k_e, realization, chain])
-    bit for bit: the entropy words of the fixed prefix are split once and the
-    chain index fills the last word, which skips numpy's per-int coercion.
+    bit for bit. The prefix words are mixed into the SeedSequence pool once;
+    the chain word and the PCG64 seeding run over a block of chains at a
+    time. Every chain reuses one Generator whose state is set in place, so a
+    yielded generator is only valid until the next one is requested.
     """
     prefix = [config.seed, LAW_CODES[config.law], config.k_n, config.k_e, realization]
-    entropy = np.array([w for x in prefix for w in _uint32_words(x)] + [0], dtype=np.uint32)
-    for chain in range(config.num_chains):
-        entropy[-1] = chain
-        yield np.random.default_rng(entropy)
+    pool, hash_const = _prefix_pool([w for x in prefix for w in _uint32_words(x)])
+    bit_generator = np.random.PCG64()
+    rng = np.random.Generator(bit_generator)
+    state = {"bit_generator": "PCG64", "state": {"state": 0, "inc": 0},
+             "has_uint32": 0, "uinteger": 0}
+    pcg = state["state"]
+    for start in range(0, config.num_chains, _CHAIN_BLOCK):
+        chains = np.arange(start, min(start + _CHAIN_BLOCK, config.num_chains), dtype=np.uint32)
+        for s_hi, s_lo, i_hi, i_lo in zip(*_pcg_seeds(pool, hash_const, chains)):
+            # srandom_r: inc = 2 * initseq + 1; state = 0, step, add seed, step
+            inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+            pcg["inc"] = inc
+            pcg["state"] = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
+            bit_generator.state = state
+            yield rng
 
 
 @functools.lru_cache(maxsize=1024)
@@ -363,23 +456,37 @@ def ensemble_init(config: EnsembleConfig) -> EnsembleResult:
     Chains are independent; each derives its random stream from (seed, law,
     K, realization, chain), so the result does not depend on scheduling.
     Each chain costs one quadratic form 1 - a^H M a, with M = protocol_form
-    of its displacement pair, solved once per process and pulse set. The
-    pool starts no more workers than there are realizations, and none when
-    that is one.
+    of its displacement pair, solved once per process and pulse set.
     """
-    pulses = design_protocol_pulses(config.k_e, config.k_n,
-                                    geometry_nominal=config.geometry)
-    realizations = range(config.num_realizations)
-    workers = min(config.threads, config.num_realizations)
+    return ensemble_grid([config])[0]
+
+
+def ensemble_grid(configs: Sequence[EnsembleConfig]) -> list[EnsembleResult]:
+    """ensemble_init of every config, with all realizations in one process pool.
+
+    Pool workers keep their pair forms from one config to the next. The pool
+    starts no more workers than the largest min(threads, num_realizations)
+    of the configs, and none when that is one.
+    """
+    tasks = []
+    for config in configs:
+        pulses = design_protocol_pulses(config.k_e, config.k_n,
+                                        geometry_nominal=config.geometry)
+        tasks += [(config, r, pulses) for r in range(config.num_realizations)]
+    workers = max(min(c.threads, c.num_realizations) for c in configs)
     if workers > 1:
         with cf.ProcessPoolExecutor(max_workers=workers) as pool:
-            means = list(pool.map(functools.partial(_run_realization, config, pulses=pulses),
-                                  realizations))
+            means = list(pool.map(_run_realization, *zip(*tasks)))
     else:
-        means = [_run_realization(config, r, pulses) for r in realizations]
-    means_arr = np.array(means)
-    stderr = (means_arr.std(ddof=1) / np.sqrt(len(means)) if len(means) > 1 else 0.0)
-    return EnsembleResult(config=config,
-                          mean_error=float(means_arr.mean()),
-                          stderr=float(stderr),
-                          realization_means=tuple(float(x) for x in means_arr))
+        means = [_run_realization(*task) for task in tasks]
+    results = []
+    for config in configs:
+        means_arr = np.array(means[:config.num_realizations])
+        del means[:config.num_realizations]
+        stderr = (means_arr.std(ddof=1) / np.sqrt(len(means_arr))
+                  if len(means_arr) > 1 else 0.0)
+        results.append(EnsembleResult(config=config,
+                                      mean_error=float(means_arr.mean()),
+                                      stderr=float(stderr),
+                                      realization_means=tuple(float(x) for x in means_arr)))
+    return results

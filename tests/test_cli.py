@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from donorpair import cli, protocols
 from donorpair.cli import main
 from donorpair.exchange import exchange_table
 
@@ -172,6 +173,34 @@ class TestEnsemble:
         assert code == 3
         assert out == ""
         assert "seed" in err
+
+    def test_chain_limit_rejected(self, monkeypatch, capsys):
+        def no_run(configs):
+            raise AssertionError("chains ran before the limit was checked")
+        monkeypatch.setattr(cli, "ensemble_grid", no_run)
+        code, out, err = run_cli(["ensemble", "--chains", str(2**32 + 1), "--realizations", "1",
+                                  "--law", "none", "--Kn", "2000"], capsys)
+        assert code == 3
+        assert out == ""
+        assert "num_chains" in err
+
+    def test_one_pool_per_run(self, monkeypatch, capsys):
+        pools = []
+        real_pool = protocols.cf.ProcessPoolExecutor
+
+        def counting_pool(*args, **kwargs):
+            pools.append(kwargs)
+            return real_pool(*args, **kwargs)
+
+        args = ["ensemble", "--chains", "30", "--realizations", "2", "--law", "A,B",
+                "--Kn", "700,2000", "--seed", "7"]
+        monkeypatch.setattr(protocols.cf, "ProcessPoolExecutor", counting_pool)
+        _, pooled, _ = run_cli(args + ["--threads", "2"], capsys)
+        assert pools == [{"max_workers": 2}]
+        _, serial, _ = run_cli(args + ["--threads", "1"], capsys)
+        assert len(pools) == 1
+        assert pooled == serial
+        assert len(pooled.strip().split("\n")) == 5
 
     def test_threads_default_counts_usable_cpus(self, monkeypatch, capsys):
         args = ["ensemble", "--chains", "4", "--realizations", "1", "--law", "none",

@@ -166,6 +166,44 @@ class TestEnsemble:
         assert all(rng.random() == ref.random() for _ in range(3))
         assert (rng.normal(size=8) == ref.normal(size=8)).all()
 
+    def test_realization_streams_match_list_seeding(self):
+        # every chain of one realization, across seeding blocks; a varying
+        # number of 32- and 64-bit draws per chain shows that the reused
+        # generator carries no state from one chain into the next
+        config = EnsembleConfig(num_chains=2000, law="A", k_n=2000, seed=2**40 + 7)
+        prefix = [config.seed, LAW_CODES[config.law], config.k_n, config.k_e, 3]
+        chains = 0
+        for chain, rng in enumerate(_chain_rngs(config, 3)):
+            ref = np.random.default_rng(prefix + [chain])
+            size32, size64 = chain % 3, chain % 5 + 1
+            assert (rng.integers(2**32, size=size32, dtype=np.uint32)
+                    == ref.integers(2**32, size=size32, dtype=np.uint32)).all()
+            assert (rng.random(size64) == ref.random(size64)).all()
+            chains += 1
+        assert chains == config.num_chains
+
+    def test_realization_mean_matches_list_seeded_reference(self):
+        # same order and arithmetic as _run_realization, but streams from
+        # default_rng(list) and forms solved here, outside _pair_form
+        config = EnsembleConfig(num_chains=1000, num_realizations=1, law="B",
+                                k_e=1, k_n=2000, seed=13)
+        pulses = design_protocol_pulses(config.k_e, config.k_n)
+        dist = DisplacementDistribution(config.law)
+        forms = {}
+        total = 0.0
+        for chain in range(config.num_chains):
+            rng = np.random.default_rng([config.seed, LAW_CODES[config.law],
+                                         config.k_n, config.k_e, 0, chain])
+            m1 = dist.sample(rng)
+            m2 = dist.sample(rng)
+            amps = haar_amplitudes(rng)
+            if (m1, m2) not in forms:
+                forms[m1, m2] = protocol_form(
+                    setup_chain(DEFAULT_GEOMETRY.displaced(m1, m2), pulses))
+            total += 1.0 - np.vdot(amps, forms[m1, m2] @ amps).real
+        assert len(forms) > 1
+        assert ensemble_init(config).realization_means[0] == total / config.num_chains
+
     def test_single_realization_runs_without_pool(self, monkeypatch):
         def no_pool(*args, **kwargs):
             raise AssertionError("a process pool was started")
@@ -253,3 +291,7 @@ class TestEnsemble:
             EnsembleConfig(law="Z")
         with pytest.raises(ValueError, match="seed must be non-negative"):
             EnsembleConfig(seed=-1)
+        # a chain index must fit one 32-bit entropy word; nothing is allocated here
+        assert EnsembleConfig(num_chains=2**32).num_chains == 2**32
+        with pytest.raises(ValueError, match="num_chains must be at most"):
+            EnsembleConfig(num_chains=2**32 + 1)
