@@ -131,6 +131,15 @@ def _nominal_geometry(args: argparse.Namespace, file_cfg: dict) -> DeviceGeometr
     return _geometry(args, file_cfg)
 
 
+def _list(args: argparse.Namespace, file_cfg: dict, key: str, default: str,
+          kind=str) -> list:
+    """Comma-separated option value as a list; an empty list is a validity error."""
+    values = [kind(x) for x in str(_resolve(args, file_cfg, key, default)).split(",") if x]
+    if not values:
+        raise ValidityError(f"--{key} lists no values")
+    return values
+
+
 def _usable_cpus() -> int:
     """CPUs this process may run on: its affinity mask where the OS has one."""
     if hasattr(os, "sched_getaffinity"):
@@ -245,8 +254,7 @@ def cmd_design(args, file_cfg) -> None:
 def cmd_sweep(args, file_cfg) -> None:
     geometry = _nominal_geometry(args, file_cfg)
     default_k = "1,2,3,4" if args.gate == "a" else "700,2000,5000,10000,30000"
-    k_raw = _resolve(args, file_cfg, "K", default_k)
-    k_list = [int(x) for x in str(k_raw).split(",") if x]
+    k_list = _list(args, file_cfg, "K", default_k, int)
     table = sweep_gate_error(args.gate, range(-4, 5), tuple(k_list),
                              displaced_atom=args.displaced_atom,
                              geometry_nominal=geometry)
@@ -258,8 +266,8 @@ def cmd_sweep(args, file_cfg) -> None:
 
 
 def cmd_ensemble(args, file_cfg) -> None:
-    laws = [x for x in str(_resolve(args, file_cfg, "law", "A,B,none")).split(",") if x]
-    kns = [int(x) for x in str(_resolve(args, file_cfg, "Kn", "700,2000,5000,10000")).split(",") if x]
+    laws = _list(args, file_cfg, "law", "A,B,none")
+    kns = _list(args, file_cfg, "Kn", "700,2000,5000,10000", int)
     chains = _resolve(args, file_cfg, "chains", 2000)
     realizations = _resolve(args, file_cfg, "realizations", 8)
     seed = _resolve(args, file_cfg, "seed", 0)

@@ -22,8 +22,6 @@ import numpy as np
 from .pulses import PulseSpec, species_rabi
 from . import register as reg
 
-NORM_TOL = 1e-9
-
 
 class StepSizeError(ValueError):
     """Integrator step does not resolve the fastest Hamiltonian scale."""
@@ -116,15 +114,6 @@ def relax_electrons_adjoint(obs: np.ndarray) -> np.ndarray:
     out = np.zeros(_FUSED, dtype=complex)
     out[:, _E_ALL, :, :, _E_ALL, :] = t[:, _E_GROUND, :, :, _E_GROUND, :]
     return out.reshape(obs.shape)
-
-
-def validate_density(rho: np.ndarray, tol: float = NORM_TOL) -> None:
-    if np.linalg.norm(rho - rho.conj().T) > tol:
-        raise ValueError("density matrix is not Hermitian")
-    if abs(np.trace(rho).real - 1.0) > tol:
-        raise ValueError("density matrix trace differs from 1")
-    if np.linalg.eigvalsh(rho).min() < -tol:
-        raise ValueError("density matrix has a negative eigenvalue")
 
 
 # -- lab-frame reference integrator -----------------------------------------

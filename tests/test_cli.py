@@ -117,6 +117,12 @@ class TestSweep:
         assert code == 0
         assert len(out.strip().split("\n")) == 10
 
+    def test_empty_k_list_rejected(self, capsys):
+        code, out, err = run_cli(["sweep", "--gate", "a", "--K", ","], capsys)
+        assert code == 3
+        assert out == ""
+        assert "--K lists no values" in err
+
     def test_geometry_in_resolved_config(self, capsys):
         code, out, _ = run_cli(["sweep", "--gate", "a", "--K", "1", "--N0", "48",
                                 "--format", "json"], capsys)
@@ -173,6 +179,27 @@ class TestEnsemble:
         assert code == 3
         assert out == ""
         assert "seed" in err
+
+    @pytest.mark.parametrize("option", ["--law", "--Kn"])
+    def test_empty_list_rejected(self, option, capsys):
+        args = ["ensemble", "--chains", "4", "--realizations", "1", "--law", "none",
+                "--Kn", "2000"]
+        args[args.index(option) + 1] = ","
+        code, out, err = run_cli(args, capsys)
+        assert code == 3
+        assert out == ""
+        assert f"{option} lists no values" in err
+
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_non_positive_threads_rejected(self, threads, monkeypatch, capsys):
+        def no_run(configs):
+            raise AssertionError("chains ran with a non-positive thread count")
+        monkeypatch.setattr(cli, "ensemble_grid", no_run)
+        code, out, err = run_cli(["ensemble", "--chains", "4", "--realizations", "1",
+                                  "--law", "none", "--Kn", "2000", "--threads", threads], capsys)
+        assert code == 3
+        assert out == ""
+        assert "threads must be positive" in err
 
     def test_chain_limit_rejected(self, monkeypatch, capsys):
         def no_run(configs):

@@ -8,7 +8,7 @@ from donorpair import (DEFAULT_GEOMETRY, GATES, REGISTER_OPS, DriveOperators,
                        pulse_propagator, rabi_probability, relax_electrons,
                        rotating_hamiltonian)
 from donorpair.constants import DEFAULT_CONSTANTS, TWO_PI
-from donorpair.dynamics import relax_electrons_adjoint, validate_density
+from donorpair.dynamics import relax_electrons_adjoint
 from donorpair.geometry import EffectiveParams
 from donorpair.pulses import PulseSpec
 from donorpair import register as reg
@@ -161,7 +161,10 @@ class TestRelaxation:
         once = relax_electrons(rho)
         twice = relax_electrons(once)
         assert np.abs(once - twice).max() <= 1e-14
-        validate_density(once)
+        # the relaxed state is a density matrix
+        assert np.linalg.norm(once - once.conj().T) <= 1e-9
+        assert abs(np.trace(once).real - 1.0) <= 1e-9
+        assert np.linalg.eigvalsh(once).min() >= -1e-9
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)

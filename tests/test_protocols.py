@@ -6,11 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from donorpair import protocols
 from donorpair import (DEFAULT_GEOMETRY, DisplacementDistribution,
-                       EnsembleConfig, ensemble_init, run_ee_cnot,
+                       EnsembleConfig, ensemble_grid, ensemble_init, run_ee_cnot,
                        run_initialization, sweep_gate_error,
                        sweep_neighbor_displacement)
-from donorpair.protocols import (INIT_SUPPORT, LAW_CODES, _chain_rngs, _pair_form,
-                                 design_protocol_pulses, haar_amplitudes,
+from donorpair.protocols import (INIT_SUPPORT, LAW_CODES, _chain_errors, _chain_rngs,
+                                 _pair_form, design_protocol_pulses,
                                  protocol_form, setup_chain)
 
 # Frozen cross-implementation values (independent prototype of the same
@@ -22,6 +22,18 @@ FROZEN_SWEEP_B = {(0, 2000): 1.150459e-1, (0, 10000): 4.4727e-4,
 FROZEN_INIT = {(0, 2000): 1.065123e-1, (0, 10000): 4.890101e-4,
                (-1, 10000): 8.521113e-2}
 FROZEN_EE = {0: 1.7628e-4, -1: 0.94433, +1: 0.97316}
+
+
+def haar_amplitudes(rng: np.random.Generator, n: int = 4) -> np.ndarray:
+    """Uniformly random normalized complex amplitude vector (reference draw)."""
+    z = rng.normal(size=n) + 1j * rng.normal(size=n)
+    return z / np.linalg.norm(z)
+
+
+def random_forms(rng: np.random.Generator, n: int) -> np.ndarray:
+    """n random 4x4 Hermitian matrices with spectrum in [0, 1], like protocol forms."""
+    q, _ = np.linalg.qr(rng.normal(size=(n, 4, 4)) + 1j * rng.normal(size=(n, 4, 4)))
+    return (q * rng.uniform(0.0, 1.0, size=(n, 1, 4))) @ q.conj().transpose(0, 2, 1)
 
 
 class TestSweeps:
@@ -183,8 +195,9 @@ class TestEnsemble:
         assert chains == config.num_chains
 
     def test_realization_mean_matches_list_seeded_reference(self):
-        # same order and arithmetic as _run_realization, but streams from
-        # default_rng(list) and forms solved here, outside _pair_form
+        # same draws, kernel and summation order as _run_realization, but
+        # streams from default_rng(list), forms solved here, outside _pair_form,
+        # and the kernel called one chain at a time
         config = EnsembleConfig(num_chains=1000, num_realizations=1, law="B",
                                 k_e=1, k_n=2000, seed=13)
         pulses = design_protocol_pulses(config.k_e, config.k_n)
@@ -196,13 +209,53 @@ class TestEnsemble:
                                          config.k_n, config.k_e, 0, chain])
             m1 = dist.sample(rng)
             m2 = dist.sample(rng)
-            amps = haar_amplitudes(rng)
+            normals = rng.normal(size=8)
             if (m1, m2) not in forms:
                 forms[m1, m2] = protocol_form(
                     setup_chain(DEFAULT_GEOMETRY.displaced(m1, m2), pulses))
-            total += 1.0 - np.vdot(amps, forms[m1, m2] @ amps).real
+            total += _chain_errors(forms[m1, m2][None], normals[None])[0]
         assert len(forms) > 1
         assert ensemble_init(config).realization_means[0] == total / config.num_chains
+
+    def test_grid_cells_use_their_own_forms(self):
+        # both cells draw only the pair (0, 0), under different pulses, in one
+        # process: neither may see the other's form
+        configs = [EnsembleConfig(num_chains=50, num_realizations=2, law="none",
+                                  k_e=1, k_n=k_n, seed=3) for k_n in (2000, 5000)]
+        dist = DisplacementDistribution("none")
+        for config, result in zip(configs, ensemble_grid(configs)):
+            pulses = design_protocol_pulses(config.k_e, config.k_n)
+            form = protocol_form(setup_chain(DEFAULT_GEOMETRY, pulses))
+            for realization, mean in enumerate(result.realization_means):
+                total = 0.0
+                for rng in _chain_rngs(config, realization):
+                    assert dist.sample(rng) == dist.sample(rng) == 0
+                    amps = haar_amplitudes(rng)
+                    total += 1.0 - np.vdot(amps, form @ amps).real
+                assert mean == pytest.approx(total / config.num_chains, rel=1e-12)
+
+    @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 70), split=st.integers(0, 70))
+    @settings(max_examples=40, deadline=None)
+    def test_chain_errors_kernel(self, seed, rows, split):
+        rng = np.random.default_rng(seed)
+        forms = random_forms(rng, rows)
+        normals = rng.normal(size=(rows, 8))
+        errors = _chain_errors(forms, normals)
+        # a row's error does not depend on its batch, its size or its place in it
+        for i in range(rows):
+            assert _chain_errors(forms[i:i + 1], normals[i:i + 1])[0] == errors[i]
+        order = rng.permutation(rows)
+        assert (_chain_errors(forms[order], normals[order]) == errors[order]).all()
+        split = min(split, rows)
+        parts = [_chain_errors(forms[:split], normals[:split]),
+                 _chain_errors(forms[split:], normals[split:])]
+        assert (np.concatenate(parts) == errors).all()
+        for i in range(rows):
+            z = normals[i, :4] + 1j * normals[i, 4:]
+            amps = z / np.linalg.norm(z)
+            want = 1.0 - np.vdot(amps, forms[i] @ amps).real
+            assert errors[i] == pytest.approx(want, rel=1e-12)
+        assert (errors >= -1e-12).all() and (errors <= 1.0 + 1e-12).all()
 
     def test_single_realization_runs_without_pool(self, monkeypatch):
         def no_pool(*args, **kwargs):
@@ -291,7 +344,14 @@ class TestEnsemble:
             EnsembleConfig(law="Z")
         with pytest.raises(ValueError, match="seed must be non-negative"):
             EnsembleConfig(seed=-1)
+        for threads in (0, -1):
+            with pytest.raises(ValueError, match="threads must be positive"):
+                EnsembleConfig(threads=threads)
         # a chain index must fit one 32-bit entropy word; nothing is allocated here
         assert EnsembleConfig(num_chains=2**32).num_chains == 2**32
         with pytest.raises(ValueError, match="num_chains must be at most"):
             EnsembleConfig(num_chains=2**32 + 1)
+
+    def test_empty_grid_rejected(self):
+        with pytest.raises(ValueError, match="at least one config"):
+            ensemble_grid([])
