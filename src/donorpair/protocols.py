@@ -5,9 +5,11 @@ be displaced. States are prepared and read out in the labelled eigenbasis of
 the chain actually being driven (stationary states are what survives between
 pulses), so reported errors isolate the pulse physics from basis admixture.
 
-Ensemble runs draw independent displacements and initial states per chain
-from counter-based random streams, so results are reproducible bit for bit
-at any parallelism.
+Each ensemble realization draws its chains' displacements and initial
+states from one random stream, seeded by (seed, law, K_n, K_e,
+realization), in fixed blocks of chains. A realization is the unit of work
+of the process pool, so results are reproducible bit for bit at any
+parallelism.
 
 The protocol is linear in the initial state, so an ensemble chain never
 runs it: its error is 1 - a^H M a for its four initial amplitudes a, where
@@ -15,16 +17,15 @@ the 4x4 Hermitian M = protocol_form(setup) is the target projector carried
 back through PROTOCOL_ORDER in the Heisenberg picture. M depends only on
 the displacement pair and the pulses, so it is solved once per process for
 each (geometry, pulses) and shared by every realization, law and call.
-A chain only draws its displacement pair and eight normals z = x + iy;
-the errors 1 - Re(z^H M z) / (z^H z) (a = z / |z|) of a whole block of
-chains are then evaluated together with elementwise arithmetic, so each
+A chain is four uniforms (its displacement pair) and eight normals
+z = x + iy; the errors 1 - Re(z^H M z) / (z^H z) (a = z / |z|) of a whole
+block of chains are evaluated together with elementwise arithmetic, so each
 chain's error is the same whatever block it falls in.
 run_initialization is the Schroedinger-picture reference that records the
 population after every step.
 """
 from __future__ import annotations
 
-import concurrent.futures as cf
 import functools
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
@@ -43,7 +44,7 @@ INIT_SUPPORT = (6, 7, 14, 15)     # electrons relaxed, nuclei arbitrary
 TARGET_STATE = 15
 
 LAW_CODES = {"none": 0, "A": 1, "B": 2}
-MAX_CHAINS = 2**32   # chain indices fill one 32-bit entropy word
+MAX_CHAINS = 2**32   # largest num_chains accepted per realization
 
 
 @dataclass(frozen=True)
@@ -67,14 +68,17 @@ class DisplacementDistribution:
         if sum(self.r) > 1.0:
             raise ValueError("displacement probabilities sum beyond 1")
 
-    def sample(self, rng: np.random.Generator) -> int:
-        u = rng.random()
-        acc = 0.0
-        for mag, prob in enumerate(self.r, start=1):
-            acc += prob
-            if u < acc:
-                return mag if rng.random() < 0.5 else -mag
-        return 0
+    def displacements(self, magnitude: np.ndarray, sign: np.ndarray) -> np.ndarray:
+        """Signed displacements m from uniforms in [0, 1), elementwise.
+
+        |m| is the first k with magnitude < r_1 + ... + r_k (the partial
+        sums added in order), or 0 if there is none; a sign uniform below
+        0.5 makes m positive.
+        """
+        thresholds = np.cumsum(self.r)
+        k = np.searchsorted(thresholds, magnitude, side="right")
+        mag = np.where(k < thresholds.size, k + 1, 0)
+        return np.where(sign < 0.5, mag, -mag)
 
 
 @dataclass
@@ -281,7 +285,6 @@ class EnsembleConfig:
         if self.num_chains < 1 or self.num_realizations < 1:
             raise ValueError("chain and realization counts must be positive")
         if self.num_chains > MAX_CHAINS:
-            # a larger chain index would take two entropy words in default_rng
             raise ValueError(f"num_chains must be at most 2**32 = {MAX_CHAINS}")
         if self.law not in LAW_CODES:
             raise ValueError(f"unknown displacement law {self.law!r}")
@@ -302,117 +305,30 @@ class EnsembleResult:
     realization_means: tuple[float, ...]
 
 
-# numpy's SeedSequence (numpy/random/bit_generator.pyx: hashmix, mix,
-# mix_entropy, generate_state) and PCG64 seeding (numpy/random/src/pcg64:
-# pcg64_set_seed -> pcg_setseq_128_srandom_r), whose streams NEP 19 keeps
-# stable. The functions below take Python ints or uint32 arrays, which wrap
-# modulo 2**32 on their own; the masks only bound the Python ints.
-_POOL_SIZE = 4
-_INIT_A = 0x43B0D7E5
-_MULT_A = 0x931E8875
-_INIT_B = 0x8B51F9DD
-_MULT_B = 0x58F38DED
-_MIX_MULT_L = 0xCA01F9DD
-_MIX_MULT_R = 0x4973F715
-_XSHIFT = 16
-_MASK32 = 0xFFFFFFFF
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645   # PCG_DEFAULT_MULTIPLIER_128
-_MASK128 = (1 << 128) - 1
-_CHAIN_BLOCK = 1024   # chains seeded and evaluated per batch; bounds memory at any num_chains
+_CHAIN_BLOCK = 1024   # chains drawn and evaluated per batch; bounds memory at any num_chains
 
 
-def _uint32_words(n: int) -> list[int]:
-    """Little-endian 32-bit words of n >= 0, as numpy's seeding splits a Python int."""
-    words = [n & _MASK32]
-    n >>= 32
-    while n:
-        words.append(n & _MASK32)
-        n >>= 32
-    return words
+def _chain_draws(config: EnsembleConfig,
+                 realization: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Pair index and eight normals of each chain of a realization, a block at a time.
 
-
-def _hashmix(value, hash_const: int, mult: int = _MULT_A):
-    """SeedSequence's hashmix; returns the hashed value and the next constant."""
-    value = value ^ hash_const
-    hash_const = hash_const * mult & _MASK32
-    value = value * hash_const & _MASK32
-    return value ^ (value >> _XSHIFT), hash_const
-
-
-def _mix(x, y):
-    r = ((_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32)) & _MASK32
-    return r ^ (r >> _XSHIFT)
-
-
-def _mix_words(pool: list, words, hash_const: int) -> tuple[list, int]:
-    """Mix entropy words past the pool size into every pool word, as mix_entropy does."""
-    for word in words:
-        for i in range(_POOL_SIZE):
-            hashed, hash_const = _hashmix(word, hash_const)
-            pool[i] = _mix(pool[i], hashed)
-    return pool, hash_const
-
-
-def _prefix_pool(words: list[int]) -> tuple[list[int], int]:
-    """SeedSequence pool after mixing entropy `words` (at least the pool size).
-
-    Also returns the hash constant the next entropy word starts from; its
-    sequence depends only on how many words came before, not on their values.
+    The realization's one stream, default_rng([seed, law code, k_n, k_e,
+    realization]), is drawn in blocks of _CHAIN_BLOCK chains: first a
+    (block, 4) array of uniforms (m1 magnitude, m2 magnitude, m1 sign, m2
+    sign), then a (block, 8) array of normals. The last block is drawn in
+    full as well and cut to the chains that exist, so a chain's draws depend
+    only on the stream and its index, not on num_chains. A pair index is
+    (m1 + 4) * 9 + (m2 + 4).
     """
-    hash_const = _INIT_A
-    pool = []
-    for word in words[:_POOL_SIZE]:
-        hashed, hash_const = _hashmix(word, hash_const)
-        pool.append(hashed)
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                hashed, hash_const = _hashmix(pool[src], hash_const)
-                pool[dst] = _mix(pool[dst], hashed)
-    return _mix_words(pool, words[_POOL_SIZE:], hash_const)
-
-
-def _pcg_seeds(pool: list[int], hash_const: int, chains: np.ndarray) -> list[list[int]]:
-    """generate_state(4, uint64) of every chain word appended to the prefix pool.
-
-    Returns the four uint64 state words as lists of Python ints, one entry
-    per chain: PCG64 takes the first two as the high and low halves of its
-    128-bit seed and the last two as those of its stream increment.
-    """
-    chain_pool, _ = _mix_words(list(pool), [chains], hash_const)
-    words = []
-    hash_const = _INIT_B
-    for i in range(2 * _POOL_SIZE):
-        word, hash_const = _hashmix(chain_pool[i % _POOL_SIZE], hash_const, _MULT_B)
-        words.append(word.astype(np.uint64))
-    return [(words[2 * k] | words[2 * k + 1] << 32).tolist() for k in range(4)]
-
-
-def _chain_rngs(config: EnsembleConfig, realization: int) -> Iterator[np.random.Generator]:
-    """Each chain's generator of a realization, in chain order.
-
-    Each stream is default_rng([seed, law code, k_n, k_e, realization, chain])
-    bit for bit. The prefix words are mixed into the SeedSequence pool once;
-    the chain word and the PCG64 seeding run over a block of chains at a
-    time. Every chain reuses one Generator whose state is set in place, so a
-    yielded generator is only valid until the next one is requested.
-    """
-    prefix = [config.seed, LAW_CODES[config.law], config.k_n, config.k_e, realization]
-    pool, hash_const = _prefix_pool([w for x in prefix for w in _uint32_words(x)])
-    bit_generator = np.random.PCG64()
-    rng = np.random.Generator(bit_generator)
-    state = {"bit_generator": "PCG64", "state": {"state": 0, "inc": 0},
-             "has_uint32": 0, "uinteger": 0}
-    pcg = state["state"]
+    dist = DisplacementDistribution(config.law)
+    rng = np.random.default_rng([config.seed, LAW_CODES[config.law],
+                                 config.k_n, config.k_e, realization])
     for start in range(0, config.num_chains, _CHAIN_BLOCK):
-        chains = np.arange(start, min(start + _CHAIN_BLOCK, config.num_chains), dtype=np.uint32)
-        for s_hi, s_lo, i_hi, i_lo in zip(*_pcg_seeds(pool, hash_const, chains)):
-            # srandom_r: inc = 2 * initseq + 1; state = 0, step, add seed, step
-            inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-            pcg["inc"] = inc
-            pcg["state"] = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
-            bit_generator.state = state
-            yield rng
+        uniforms = rng.random((_CHAIN_BLOCK, 4))
+        normals = rng.standard_normal((_CHAIN_BLOCK, 8))
+        n = min(_CHAIN_BLOCK, config.num_chains - start)
+        m = dist.displacements(uniforms[:n, :2], uniforms[:n, 2:])
+        yield (m[:, 0] + 4) * 9 + (m[:, 1] + 4), normals[:n]
 
 
 @functools.lru_cache(maxsize=1024)
@@ -454,46 +370,34 @@ def _run_realization(config: EnsembleConfig, realization: int,
                      pulses: dict[str, PulseSpec]) -> float:
     """Mean protocol error over the chains of one realization.
 
-    Each chain draws its displacement pair and eight normals from its own
-    stream; the errors are then evaluated by _chain_errors once per seeding
-    block and added in chain order. Forms sit in a table of the 81 pairs,
-    index (m1 + 4) * 9 + (m2 + 4), filled from _pair_form when a block first
-    draws a pair.
+    The errors of each block of _chain_draws are evaluated by _chain_errors
+    and added in chain order. Forms sit in a table of the 81 pairs, filled
+    from _pair_form when a block first draws a pair.
     """
-    dist = DisplacementDistribution(config.law)
     pulse_items = tuple(pulses.items())
     table = np.empty((81, 4, 4), dtype=complex)
     solved: set[int] = set()
-    pairs = np.empty(_CHAIN_BLOCK, dtype=np.intp)
-    normals = np.empty((_CHAIN_BLOCK, 8))
-    last = config.num_chains - 1
     total = 0.0
-    for chain, rng in enumerate(_chain_rngs(config, realization)):
-        i = chain % _CHAIN_BLOCK
-        m1 = dist.sample(rng)
-        m2 = dist.sample(rng)
-        pairs[i] = (m1 + 4) * 9 + (m2 + 4)
-        rng.standard_normal(out=normals[i])
-        if i == _CHAIN_BLOCK - 1 or chain == last:
-            block = pairs[:i + 1]
-            new = set(block.tolist()) - solved   # np.unique would add 1.6 MB of peak RSS
-            for pair in new:
-                m1, m2 = divmod(pair, 9)
-                table[pair] = _pair_form(config.geometry.displaced(m1 - 4, m2 - 4),
-                                         pulse_items)
-            solved |= new
-            for error in _chain_errors(table[block], normals[:i + 1]).tolist():
-                total += error
+    for pairs, normals in _chain_draws(config, realization):
+        new = set(pairs.tolist()) - solved   # np.unique would add 1.6 MB of peak RSS
+        for pair in new:
+            m1, m2 = divmod(pair, 9)
+            table[pair] = _pair_form(config.geometry.displaced(m1 - 4, m2 - 4), pulse_items)
+        solved |= new
+        for error in _chain_errors(table[pairs], normals).tolist():
+            total += error
     return total / config.num_chains
 
 
 def ensemble_init(config: EnsembleConfig) -> EnsembleResult:
     """Initialization error averaged over an ensemble of displaced chains.
 
-    Chains are independent; each derives its random stream from (seed, law,
-    K, realization, chain), so the result does not depend on scheduling.
-    Each chain costs one quadratic form 1 - a^H M a, with M = protocol_form
-    of its displacement pair, solved once per process and pulse set.
+    Chains are independent. Each realization draws its chains in blocks
+    from one stream seeded by (seed, law, K_n, K_e, realization), so a
+    chain's draws depend only on those and its index, and the result does
+    not depend on scheduling. Each chain costs one quadratic form
+    1 - a^H M a, with M = protocol_form of its displacement pair, solved
+    once per process and pulse set.
     """
     return ensemble_grid([config])[0]
 
@@ -514,7 +418,8 @@ def ensemble_grid(configs: Sequence[EnsembleConfig]) -> list[EnsembleResult]:
         tasks += [(config, r, pulses) for r in range(config.num_realizations)]
     workers = max(min(c.threads, c.num_realizations) for c in configs)
     if workers > 1:
-        with cf.ProcessPoolExecutor(max_workers=workers) as pool:
+        from concurrent.futures import ProcessPoolExecutor   # serial runs skip its import
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             means = list(pool.map(_run_realization, *zip(*tasks)))
     else:
         means = [_run_realization(*task) for task in tasks]

@@ -1,10 +1,14 @@
+import functools
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import donorpair
-from donorpair import DEFAULT_GEOMETRY, compute_spectrum, effective_params
+from donorpair import (DEFAULT_GEOMETRY, DisplacementDistribution, compute_spectrum,
+                       effective_params, protocol_form)
+from donorpair.protocols import design_protocol_pulses, setup_chain
 
 
 @pytest.fixture(scope="session")
@@ -23,3 +27,28 @@ def source_env():
     src = str(Path(donorpair.__file__).resolve().parents[1])
     paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     return {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+
+
+@pytest.fixture(scope="session")
+def exact_law_mean():
+    """exact_law_mean(k_n, law): exact ensemble mean error at K_e = 1, nominal geometry.
+
+    The Haar average of a chain's error 1 - a^H M a is 1 - tr(M)/4, with
+    M = protocol_form of its pair (m1, m2), so a law's mean is the finite sum
+    Sum P(m1) P(m2) (1 - tr M / 4) over the 81 displacement pairs.
+    """
+    @functools.cache
+    def pair_errors(k_n):
+        pulses = design_protocol_pulses(1, k_n)
+        return {(m1, m2): 1.0 - np.trace(protocol_form(
+                    setup_chain(DEFAULT_GEOMETRY.displaced(m1, m2), pulses))).real / 4
+                for m1 in range(-4, 5) for m2 in range(-4, 5)}
+
+    def exact(k_n, law):
+        r = DisplacementDistribution(law).r
+        prob = {0: 1.0 - sum(r)}
+        for mag, rm in enumerate(r, start=1):
+            prob[mag] = prob[-mag] = rm / 2
+        return sum(prob[m1] * prob[m2] * error for (m1, m2), error in pair_errors(k_n).items())
+
+    return exact

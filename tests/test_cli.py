@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import os
 import subprocess
@@ -5,7 +6,7 @@ import sys
 
 import pytest
 
-from donorpair import cli, protocols
+from donorpair import cli
 from donorpair.cli import main
 from donorpair.exchange import exchange_table
 
@@ -213,7 +214,7 @@ class TestEnsemble:
 
     def test_one_pool_per_run(self, monkeypatch, capsys):
         pools = []
-        real_pool = protocols.cf.ProcessPoolExecutor
+        real_pool = concurrent.futures.ProcessPoolExecutor
 
         def counting_pool(*args, **kwargs):
             pools.append(kwargs)
@@ -221,7 +222,7 @@ class TestEnsemble:
 
         args = ["ensemble", "--chains", "30", "--realizations", "2", "--law", "A,B",
                 "--Kn", "700,2000", "--seed", "7"]
-        monkeypatch.setattr(protocols.cf, "ProcessPoolExecutor", counting_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counting_pool)
         _, pooled, _ = run_cli(args + ["--threads", "2"], capsys)
         assert pools == [{"max_workers": 2}]
         _, serial, _ = run_cli(args + ["--threads", "1"], capsys)

@@ -1,15 +1,18 @@
+import concurrent.futures
 import itertools
+import subprocess
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from donorpair import protocols
 from donorpair import (DEFAULT_GEOMETRY, DisplacementDistribution,
                        EnsembleConfig, ensemble_grid, ensemble_init, run_ee_cnot,
                        run_initialization, sweep_gate_error,
                        sweep_neighbor_displacement)
-from donorpair.protocols import (INIT_SUPPORT, LAW_CODES, _chain_errors, _chain_rngs,
+from donorpair.protocols import (INIT_SUPPORT, LAW_CODES, _chain_draws, _chain_errors,
                                  _pair_form, design_protocol_pulses,
                                  protocol_form, setup_chain)
 
@@ -28,6 +31,35 @@ def haar_amplitudes(rng: np.random.Generator, n: int = 4) -> np.ndarray:
     """Uniformly random normalized complex amplitude vector (reference draw)."""
     z = rng.normal(size=n) + 1j * rng.normal(size=n)
     return z / np.linalg.norm(z)
+
+
+def scalar_displacement(r, magnitude: float, sign: float) -> int:
+    """One displacement by the per-draw rule: the first |m| whose running sum
+    of r exceeds the magnitude uniform, positive if the sign uniform is below 0.5."""
+    acc = 0.0
+    for mag, prob in enumerate(r, start=1):
+        acc += prob
+        if magnitude < acc:
+            return mag if sign < 0.5 else -mag
+    return 0
+
+
+def reference_chains(config: EnsembleConfig, realization: int):
+    """(m1, m2, eight normals) of each chain of a realization, in chain order.
+
+    Drawn here from default_rng([seed, law code, k_n, k_e, realization]) in
+    full blocks of 1024 chains, (1024, 4) uniforms and then (1024, 8) normals,
+    and mapped to displacements by scalar_displacement.
+    """
+    rng = np.random.default_rng([config.seed, LAW_CODES[config.law],
+                                 config.k_n, config.k_e, realization])
+    r = DisplacementDistribution(config.law).r
+    chains = 0
+    while chains < config.num_chains:
+        uniforms, normals = rng.random((1024, 4)), rng.standard_normal((1024, 8))
+        for u, g in zip(uniforms[:config.num_chains - chains], normals):
+            yield scalar_displacement(r, u[0], u[2]), scalar_displacement(r, u[1], u[3]), g
+            chains += 1
 
 
 def random_forms(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -121,12 +153,30 @@ class TestDistribution:
     def test_sampling_statistics(self):
         rng = np.random.default_rng(123)
         dist = DisplacementDistribution("A")
-        draws = np.array([dist.sample(rng) for _ in range(40000)])
+        uniforms = rng.random((40000, 2))
+        draws = dist.displacements(uniforms[:, 0], uniforms[:, 1])
         assert abs((draws == 0).mean() - 0.53125) < 0.01
         for mag in (1, 2, 3, 4):
             assert abs((np.abs(draws) == mag).mean() - 0.5 ** (mag + 1)) < 0.01
         signed = draws[draws != 0]
         assert abs((signed > 0).mean() - 0.5) < 0.02
+
+    @given(data=st.data(),
+           dist=st.one_of(st.sampled_from(sorted(LAW_CODES)).map(DisplacementDistribution),
+                          st.tuples(*[st.one_of(st.just(0.0), st.floats(0.0, 0.25))] * 4)
+                          .map(lambda r: DisplacementDistribution("A", r=r))))
+    @settings(max_examples=80)
+    def test_displacements_match_scalar_rule(self, data, dist):
+        # uniforms exactly on a cumulative threshold, or just below it, included
+        thresholds = list(itertools.accumulate(dist.r))
+        edges = thresholds + [float(np.nextafter(t, 0.0)) for t in thresholds]
+        unit = st.floats(0.0, 1.0, exclude_max=True)
+        mags = data.draw(st.lists(st.one_of(unit, st.sampled_from(edges)), min_size=1,
+                                  max_size=40))
+        signs = data.draw(st.lists(st.one_of(unit, st.just(0.5)), min_size=len(mags),
+                                   max_size=len(mags)))
+        got = dist.displacements(np.array(mags), np.array(signs))
+        assert got.tolist() == [scalar_displacement(dist.r, m, s) for m, s in zip(mags, signs)]
 
     @given(seed=st.integers(0, 2**31))
     @settings(max_examples=20)
@@ -158,58 +208,51 @@ class TestEnsemble:
                                 k_n=5000, seed=7, threads=1)
         result = ensemble_init(config)
         pulses = design_protocol_pulses(config.k_e, config.k_n)
-        dist = DisplacementDistribution(config.law)
         total = 0.0
-        for rng in _chain_rngs(config, 0):
-            m1, m2 = dist.sample(rng), dist.sample(rng)
-            amps = haar_amplitudes(rng)
+        for m1, m2, normals in reference_chains(config, 0):
+            amps = (normals[:4] + 1j * normals[4:]) / np.linalg.norm(normals)
             form = protocol_form(setup_chain(DEFAULT_GEOMETRY.displaced(m1, m2), pulses))
             total += 1.0 - np.vdot(amps, form @ amps).real
         assert result.mean_error == pytest.approx(total / config.num_chains, rel=1e-12)
 
     @given(seed=st.integers(0, 2**70), law=st.sampled_from(sorted(LAW_CODES)),
            k_n=st.integers(1, 2**40), k_e=st.integers(1, 2**33),
-           realization=st.integers(0, 2**36), chain=st.integers(0, 40))
-    @settings(max_examples=60, deadline=None)
-    def test_chain_streams_match_list_seeding(self, seed, law, k_n, k_e, realization, chain):
-        config = EnsembleConfig(num_chains=chain + 1, law=law, k_e=k_e, k_n=k_n, seed=seed)
-        rng = next(itertools.islice(_chain_rngs(config, realization), chain, None))
-        ref = np.random.default_rng([seed, LAW_CODES[law], k_n, k_e, realization, chain])
-        assert all(rng.random() == ref.random() for _ in range(3))
-        assert (rng.normal(size=8) == ref.normal(size=8)).all()
+           realization=st.integers(0, 2**36),
+           sizes=st.lists(st.integers(1, 2600), min_size=2, max_size=2, unique=True))
+    @example(seed=2**70, law="A", k_n=2000, k_e=1, realization=0, sizes=[1000, 1100])
+    @example(seed=5, law="B", k_n=700, k_e=2, realization=3, sizes=[1023, 1024])
+    @example(seed=0, law="A", k_n=2000, k_e=1, realization=1, sizes=[1024, 1025])
+    @example(seed=2**32 + 5, law="none", k_n=10000, k_e=1, realization=2, sizes=[1, 2049])
+    @settings(max_examples=30, deadline=None)
+    def test_chain_draws_do_not_depend_on_num_chains(self, seed, law, k_n, k_e, realization,
+                                                     sizes):
+        n1, n2 = sorted(sizes)
 
-    def test_realization_streams_match_list_seeding(self):
-        # every chain of one realization, across seeding blocks; a varying
-        # number of 32- and 64-bit draws per chain shows that the reused
-        # generator carries no state from one chain into the next
-        config = EnsembleConfig(num_chains=2000, law="A", k_n=2000, seed=2**40 + 7)
-        prefix = [config.seed, LAW_CODES[config.law], config.k_n, config.k_e, 3]
-        chains = 0
-        for chain, rng in enumerate(_chain_rngs(config, 3)):
-            ref = np.random.default_rng(prefix + [chain])
-            size32, size64 = chain % 3, chain % 5 + 1
-            assert (rng.integers(2**32, size=size32, dtype=np.uint32)
-                    == ref.integers(2**32, size=size32, dtype=np.uint32)).all()
-            assert (rng.random(size64) == ref.random(size64)).all()
-            chains += 1
-        assert chains == config.num_chains
+        def draws(num_chains):
+            config = EnsembleConfig(num_chains=num_chains, law=law, k_e=k_e, k_n=k_n,
+                                    seed=seed)
+            blocks = list(_chain_draws(config, realization))
+            return (np.concatenate([pairs for pairs, _ in blocks]),
+                    np.concatenate([normals for _, normals in blocks]))
+
+        pairs1, normals1 = draws(n1)
+        pairs2, normals2 = draws(n2)
+        assert pairs1.shape == (n1,) and normals1.shape == (n1, 8)
+        assert pairs2.shape == (n2,) and normals2.shape == (n2, 8)
+        assert (pairs1 == pairs2[:n1]).all()
+        assert (normals1 == normals2[:n1]).all()
 
     def test_realization_mean_matches_list_seeded_reference(self):
-        # same draws, kernel and summation order as _run_realization, but
-        # streams from default_rng(list), forms solved here, outside _pair_form,
-        # and the kernel called one chain at a time
+        # same draws, kernel and summation order as _run_realization, but the
+        # stream from default_rng(list) drawn here, displacements from the
+        # scalar rule, forms solved here, outside _pair_form, and the kernel
+        # called one chain at a time
         config = EnsembleConfig(num_chains=1000, num_realizations=1, law="B",
                                 k_e=1, k_n=2000, seed=13)
         pulses = design_protocol_pulses(config.k_e, config.k_n)
-        dist = DisplacementDistribution(config.law)
         forms = {}
         total = 0.0
-        for chain in range(config.num_chains):
-            rng = np.random.default_rng([config.seed, LAW_CODES[config.law],
-                                         config.k_n, config.k_e, 0, chain])
-            m1 = dist.sample(rng)
-            m2 = dist.sample(rng)
-            normals = rng.normal(size=8)
+        for m1, m2, normals in reference_chains(config, 0):
             if (m1, m2) not in forms:
                 forms[m1, m2] = protocol_form(
                     setup_chain(DEFAULT_GEOMETRY.displaced(m1, m2), pulses))
@@ -222,15 +265,14 @@ class TestEnsemble:
         # process: neither may see the other's form
         configs = [EnsembleConfig(num_chains=50, num_realizations=2, law="none",
                                   k_e=1, k_n=k_n, seed=3) for k_n in (2000, 5000)]
-        dist = DisplacementDistribution("none")
         for config, result in zip(configs, ensemble_grid(configs)):
             pulses = design_protocol_pulses(config.k_e, config.k_n)
             form = protocol_form(setup_chain(DEFAULT_GEOMETRY, pulses))
             for realization, mean in enumerate(result.realization_means):
                 total = 0.0
-                for rng in _chain_rngs(config, realization):
-                    assert dist.sample(rng) == dist.sample(rng) == 0
-                    amps = haar_amplitudes(rng)
+                for m1, m2, normals in reference_chains(config, realization):
+                    assert m1 == m2 == 0
+                    amps = (normals[:4] + 1j * normals[4:]) / np.linalg.norm(normals)
                     total += 1.0 - np.vdot(amps, form @ amps).real
                 assert mean == pytest.approx(total / config.num_chains, rel=1e-12)
 
@@ -261,10 +303,17 @@ class TestEnsemble:
         def no_pool(*args, **kwargs):
             raise AssertionError("a process pool was started")
         config = EnsembleConfig(num_chains=4, num_realizations=1, threads=3)
-        monkeypatch.setattr(protocols.cf, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         threaded = ensemble_init(config)
         serial = ensemble_init(EnsembleConfig(num_chains=4, num_realizations=1, threads=1))
         assert threaded.realization_means == serial.realization_means
+
+    def test_import_does_not_load_process_pool(self, source_env):
+        code = ("import sys, donorpair; "
+                "print(sorted(m for m in sys.modules if m.startswith('concurrent.futures')))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              check=True, env=source_env)
+        assert proc.stdout.strip() == "[]"
 
     def test_pair_forms_solved_once_per_process(self, monkeypatch):
         built = []
@@ -310,22 +359,11 @@ class TestEnsemble:
             assert 1.0 - np.vdot(amps, form @ amps).real == pytest.approx(
                 run.final_error, rel=1e-10)
 
-    def test_mean_matches_exact_expectation(self):
-        # The Haar average of 1 - a^H M a is 1 - tr(M)/4, so the law mean is a
-        # finite sum over the 81 displacement pairs.
+    def test_mean_matches_exact_expectation(self, exact_law_mean):
         config = EnsembleConfig(num_chains=500, num_realizations=8, law="B",
                                 k_e=1, k_n=2000, seed=11, threads=1)
-        r = DisplacementDistribution(config.law).r
-        prob = {0: 1.0 - sum(r)}
-        for mag, rm in enumerate(r, start=1):
-            prob[mag] = prob[-mag] = rm / 2
-        pulses = design_protocol_pulses(config.k_e, config.k_n)
-        exact = 0.0
-        for m1 in range(-4, 5):
-            for m2 in range(-4, 5):
-                form = protocol_form(setup_chain(DEFAULT_GEOMETRY.displaced(m1, m2), pulses))
-                exact += prob[m1] * prob[m2] * (1.0 - np.trace(form).real / 4)
         result = ensemble_init(config)
+        exact = exact_law_mean(config.k_n, config.law)
         assert abs(result.mean_error - exact) <= 5 * result.stderr
 
     def test_geometry_must_be_nominal(self):
@@ -347,7 +385,7 @@ class TestEnsemble:
         for threads in (0, -1):
             with pytest.raises(ValueError, match="threads must be positive"):
                 EnsembleConfig(threads=threads)
-        # a chain index must fit one 32-bit entropy word; nothing is allocated here
+        # at most 2**32 chains per realization; nothing is allocated here
         assert EnsembleConfig(num_chains=2**32).num_chains == 2**32
         with pytest.raises(ValueError, match="num_chains must be at most"):
             EnsembleConfig(num_chains=2**32 + 1)
