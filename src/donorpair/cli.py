@@ -97,10 +97,35 @@ def _load_config_file(path: str | None) -> dict:
     if not path:
         return {}
     data = json.loads(Path(path).read_text())
+    if not isinstance(data, dict):
+        raise ValidityError("the configuration file must hold one JSON object")
     unknown = set(data) - set(CONFIG_KEYS)
     if unknown:
         raise ValidityError(f"unknown configuration keys: {sorted(unknown)}")
     return data
+
+
+def _check_config_types(parser: argparse.ArgumentParser, command: str,
+                        file_cfg: dict) -> None:
+    """Reject a configuration value that the command's own flag could not give.
+
+    An int flag takes a JSON integer, a float flag any JSON number, and every
+    other flag a string (a comma list such as --Kn stays one string); a bool
+    is never a number. Keys without a flag in this command are left alone.
+    """
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {a.dest: a for a in sub.choices[command]._actions}
+    for key, value in file_cfg.items():
+        if key not in flags:
+            continue
+        kinds = {int: (int,), float: (int, float)}.get(flags[key].type, (str,))
+        if isinstance(value, bool) or not isinstance(value, kinds):
+            wanted = " or ".join(k.__name__ for k in kinds)
+            raise ValidityError(f"configuration key {key!r} must be {wanted}, "
+                                f"not {type(value).__name__}")
+        choices = flags[key].choices
+        if choices is not None and value not in choices:
+            raise ValidityError(f"configuration key {key!r} must be one of {sorted(choices)}")
 
 
 def _resolve(args: argparse.Namespace, file_cfg: dict, key: str, default):
@@ -313,6 +338,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         file_cfg = _load_config_file(args.config)
+        _check_config_types(parser, args.command, file_cfg)
         COMMANDS[args.command](args, file_cfg)
     except (ValidityError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

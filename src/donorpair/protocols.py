@@ -15,8 +15,12 @@ The protocol is linear in the initial state, so an ensemble chain never
 runs it: its error is 1 - a^H M a for its four initial amplitudes a, where
 the 4x4 Hermitian M = protocol_form(setup) is the target projector carried
 back through PROTOCOL_ORDER in the Heisenberg picture. M depends only on
-the displacement pair and the pulses, so it is solved once per process for
-each (geometry, pulses) and shared by every realization, law and call.
+the displacement pair and the pulses. The forms of every pair a law can
+draw sit in one read-only table per (nominal geometry, pulses, law
+support), solved once per process in a bounded cache; laws A and B share a
+table and law none solves only (0, 0). ensemble_grid solves its tables
+before any pool starts and hands each realization its table, so pool
+workers only draw and evaluate chains.
 A chain is four uniforms (its displacement pair) and eight normals
 z = x + iy; the errors 1 - Re(z^H M z) / (z^H z) (a = z / |z|) of a whole
 block of chains are evaluated together with elementwise arithmetic, so each
@@ -27,6 +31,7 @@ population after every step.
 from __future__ import annotations
 
 import functools
+import itertools
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 
@@ -67,6 +72,11 @@ class DisplacementDistribution:
             raise ValueError("displacement probabilities must be nonnegative")
         if sum(self.r) > 1.0:
             raise ValueError("displacement probabilities sum beyond 1")
+
+    @property
+    def magnitudes(self) -> tuple[int, ...]:
+        """Every |m| that displacements() may return: 0 and each m with r_m > 0."""
+        return (0,) + tuple(m for m, rm in enumerate(self.r, start=1) if rm > 0)
 
     def displacements(self, magnitude: np.ndarray, sign: np.ndarray) -> np.ndarray:
         """Signed displacements m from uniforms in [0, 1), elementwise.
@@ -331,17 +341,23 @@ def _chain_draws(config: EnsembleConfig,
         yield (m[:, 0] + 4) * 9 + (m[:, 1] + 4), normals[:n]
 
 
-@functools.lru_cache(maxsize=1024)
-def _pair_form(geometry: DeviceGeometry,
-               pulses: tuple[tuple[str, PulseSpec], ...]) -> np.ndarray:
-    """Read-only protocol_form of one displaced chain under the given pulses.
+@functools.lru_cache(maxsize=8)
+def _form_table(geometry: DeviceGeometry, pulses: tuple[tuple[str, PulseSpec], ...],
+                magnitudes: tuple[int, ...]) -> np.ndarray:
+    """Read-only (81, 4, 4) protocol_form of every pair a law can draw.
 
-    Holds the CLI's default grid (4 K_n values x 81 displacement pairs) at
-    about 1 KB per entry.
+    Row (m1 + 4) * 9 + (m2 + 4) holds the form of the chain displaced by
+    (m1, m2) from the nominal `geometry` under `pulses`, for |m1| and |m2| in
+    `magnitudes`; the other rows are NaN. The cache holds the CLI's default
+    grid (4 K_n values x 2 law supports) at about 21 KB per table.
     """
-    form = protocol_form(setup_chain(geometry, dict(pulses)))
-    form.flags.writeable = False
-    return form
+    table = np.full((81, 4, 4), np.nan, dtype=complex)
+    signed = sorted({s * m for m in magnitudes for s in (-1, 1)})
+    for m1, m2 in itertools.product(signed, signed):
+        setup = setup_chain(geometry.displaced(m1, m2), dict(pulses))
+        table[(m1 + 4) * 9 + (m2 + 4)] = protocol_form(setup)
+    table.flags.writeable = False
+    return table
 
 
 def _chain_errors(forms: np.ndarray, normals: np.ndarray) -> np.ndarray:
@@ -367,25 +383,19 @@ def _chain_errors(forms: np.ndarray, normals: np.ndarray) -> np.ndarray:
 
 
 def _run_realization(config: EnsembleConfig, realization: int,
-                     pulses: dict[str, PulseSpec]) -> float:
+                     table: np.ndarray) -> float:
     """Mean protocol error over the chains of one realization.
 
-    The errors of each block of _chain_draws are evaluated by _chain_errors
-    and added in chain order. Forms sit in a table of the 81 pairs, filled
-    from _pair_form when a block first draws a pair.
+    `table` is the realization's _form_table. The errors of each block of
+    _chain_draws are evaluated by _chain_errors and added one by one in
+    chain order: np.cumsum adds sequentially, and the running total is
+    carried into each block's first error.
     """
-    pulse_items = tuple(pulses.items())
-    table = np.empty((81, 4, 4), dtype=complex)
-    solved: set[int] = set()
     total = 0.0
     for pairs, normals in _chain_draws(config, realization):
-        new = set(pairs.tolist()) - solved   # np.unique would add 1.6 MB of peak RSS
-        for pair in new:
-            m1, m2 = divmod(pair, 9)
-            table[pair] = _pair_form(config.geometry.displaced(m1 - 4, m2 - 4), pulse_items)
-        solved |= new
-        for error in _chain_errors(table[pairs], normals).tolist():
-            total += error
+        errors = _chain_errors(table[pairs], normals)
+        errors[0] += total
+        total = float(np.cumsum(errors)[-1])
     return total / config.num_chains
 
 
@@ -396,8 +406,8 @@ def ensemble_init(config: EnsembleConfig) -> EnsembleResult:
     from one stream seeded by (seed, law, K_n, K_e, realization), so a
     chain's draws depend only on those and its index, and the result does
     not depend on scheduling. Each chain costs one quadratic form
-    1 - a^H M a, with M = protocol_form of its displacement pair, solved
-    once per process and pulse set.
+    1 - a^H M a, with M = protocol_form of its displacement pair, read from
+    a form table solved once per process for each pulse set and law support.
     """
     return ensemble_grid([config])[0]
 
@@ -405,9 +415,11 @@ def ensemble_init(config: EnsembleConfig) -> EnsembleResult:
 def ensemble_grid(configs: Sequence[EnsembleConfig]) -> list[EnsembleResult]:
     """ensemble_init of every config, with all realizations in one process pool.
 
-    Pool workers keep their pair forms from one config to the next. The pool
-    starts no more workers than the largest min(threads, num_realizations)
-    of the configs, and none when that is one.
+    Every config's form table is taken from the process cache (solved there
+    if missing) before the pool starts, and each task carries its table, so
+    pool workers solve no forms. The pool starts no more workers than the
+    largest min(threads, num_realizations) of the configs, and none when
+    that is one.
     """
     if not configs:
         raise ValueError("ensemble_grid needs at least one config")
@@ -415,7 +427,9 @@ def ensemble_grid(configs: Sequence[EnsembleConfig]) -> list[EnsembleResult]:
     for config in configs:
         pulses = design_protocol_pulses(config.k_e, config.k_n,
                                         geometry_nominal=config.geometry)
-        tasks += [(config, r, pulses) for r in range(config.num_realizations)]
+        table = _form_table(config.geometry, tuple(pulses.items()),
+                            DisplacementDistribution(config.law).magnitudes)
+        tasks += [(config, r, table) for r in range(config.num_realizations)]
     workers = max(min(c.threads, c.num_realizations) for c in configs)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor   # serial runs skip its import

@@ -299,3 +299,48 @@ class TestConfigFile:
         code, _, _ = run_cli(["jtable", "47", "48"], capsys)
         assert code == 0
         assert (tmp_path / "jtable.csv").exists()
+
+    @pytest.mark.parametrize("cfg, argv", [
+        ({"seed": 1.5}, ["ensemble"]),
+        ({"seed": True}, ["ensemble"]),
+        ({"threads": "2"}, ["ensemble"]),
+        ({"chains": None}, ["ensemble"]),
+        ({"N0": "47"}, ["spectrum"]),
+        ({"N0": "47"}, ["ensemble"]),
+        ({"K": "2"}, ["design", "--gate", "a"]),
+        ({"K": 2000}, ["sweep", "--gate", "b"]),
+        ({"Kn": [2000]}, ["ensemble"]),
+        ({"gradient_T_per_m": "1.3e5"}, ["spectrum"]),
+        ({"format": "xml"}, ["spectrum"]),
+    ])
+    def test_wrongly_typed_values_rejected(self, cfg, argv, tmp_path, monkeypatch, capsys):
+        def no_run(configs):
+            raise AssertionError("chains ran with a wrongly typed configuration")
+        monkeypatch.setattr(cli, "ensemble_grid", no_run)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = run_cli(["--config", str(path)] + argv, capsys)
+        assert code == 3
+        assert out == ""
+        assert f"configuration key {next(iter(cfg))!r}" in err
+
+    @pytest.mark.parametrize("document", [5, [1], "N0"])
+    def test_non_object_document_rejected(self, document, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(document))
+        code, out, err = run_cli(["--config", str(path), "spectrum"], capsys)
+        assert code == 3
+        assert out == ""
+        assert "one JSON object" in err
+
+    def test_well_typed_values_accepted(self, tmp_path, capsys):
+        # a float flag takes a JSON integer; comma-list flags take one string
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"gradient_T_per_m": 130000, "Kn": "2000", "law": "none",
+                                    "K": 1, "chains": 4, "realizations": 1, "seed": 0,
+                                    "threads": 1, "format": "json"}))
+        code, out, _ = run_cli(["--config", str(path), "ensemble"], capsys)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["config"]["Kn"] == [2000]
+        assert doc["config"]["geometry"]["gradient"] == 130000

@@ -1,5 +1,6 @@
 import concurrent.futures
 import itertools
+import os
 import subprocess
 import sys
 
@@ -13,7 +14,7 @@ from donorpair import (DEFAULT_GEOMETRY, DisplacementDistribution,
                        run_initialization, sweep_gate_error,
                        sweep_neighbor_displacement)
 from donorpair.protocols import (INIT_SUPPORT, LAW_CODES, _chain_draws, _chain_errors,
-                                 _pair_form, design_protocol_pulses,
+                                 _form_table, design_protocol_pulses,
                                  protocol_form, setup_chain)
 
 # Frozen cross-implementation values (independent prototype of the same
@@ -245,8 +246,8 @@ class TestEnsemble:
     def test_realization_mean_matches_list_seeded_reference(self):
         # same draws, kernel and summation order as _run_realization, but the
         # stream from default_rng(list) drawn here, displacements from the
-        # scalar rule, forms solved here, outside _pair_form, and the kernel
-        # called one chain at a time
+        # scalar rule, forms solved here, outside _form_table, the kernel
+        # called one chain at a time and the errors added by Python floats
         config = EnsembleConfig(num_chains=1000, num_realizations=1, law="B",
                                 k_e=1, k_n=2000, seed=13)
         pulses = design_protocol_pulses(config.k_e, config.k_n)
@@ -258,6 +259,19 @@ class TestEnsemble:
                     setup_chain(DEFAULT_GEOMETRY.displaced(m1, m2), pulses))
             total += _chain_errors(forms[m1, m2][None], normals[None])[0]
         assert len(forms) > 1
+        assert ensemble_init(config).realization_means[0] == total / config.num_chains
+
+    def test_errors_added_in_chain_order_across_blocks(self):
+        # three blocks, the last one partial: the mean is the Python float sum
+        # of every chain's error in chain order, divided once
+        config = EnsembleConfig(num_chains=2100, num_realizations=1, law="A",
+                                k_e=1, k_n=2000, seed=17)
+        pulses = design_protocol_pulses(config.k_e, config.k_n)
+        table = _form_table(config.geometry, tuple(pulses.items()), (0, 1, 2, 3, 4))
+        total = 0.0
+        for pairs, normals in _chain_draws(config, 0):
+            for error in _chain_errors(table[pairs], normals).tolist():
+                total += error
         assert ensemble_init(config).realization_means[0] == total / config.num_chains
 
     def test_grid_cells_use_their_own_forms(self):
@@ -315,7 +329,7 @@ class TestEnsemble:
                               check=True, env=source_env)
         assert proc.stdout.strip() == "[]"
 
-    def test_pair_forms_solved_once_per_process(self, monkeypatch):
+    def test_form_tables_solved_once_per_process(self, monkeypatch):
         built = []
 
         def counting_setup_chain(geometry, pulses, *args, **kwargs):
@@ -323,26 +337,47 @@ class TestEnsemble:
             return setup_chain(geometry, pulses, *args, **kwargs)
 
         monkeypatch.setattr(protocols, "setup_chain", counting_setup_chain)
-        _pair_form.cache_clear()
+        _form_table.cache_clear()
         ensemble_init(EnsembleConfig(num_chains=300, num_realizations=2, law="A",
                                      k_e=1, k_n=2000, seed=1))
         seen = set(built)
         assert seen and len(built) == len(seen)
         built.clear()
+        # law B has law A's support, so it shares A's table
         ensemble_init(EnsembleConfig(num_chains=300, num_realizations=2, law="B",
                                      k_e=1, k_n=2000, seed=2))
         assert not seen & set(built)
+        assert len(seen | set(built)) == 81
         built.clear()
         # other pulses never hit forms solved for K_n = 2000
         ensemble_init(EnsembleConfig(num_chains=20, num_realizations=1, law="none",
                                      k_e=1, k_n=5000, seed=1))
         assert built == [(0, 0)]
 
-    def test_pair_form_is_read_only(self):
+    def test_form_table_is_read_only(self):
         pulses = design_protocol_pulses(1, 2000)
-        form = _pair_form(DEFAULT_GEOMETRY.displaced(1, -1), tuple(pulses.items()))
+        table = _form_table(DEFAULT_GEOMETRY, tuple(pulses.items()), (0, 1))
         with pytest.raises(ValueError):
-            form[0, 0] = 0.0
+            table[(1 + 4) * 9 + (-1 + 4), 0, 0] = 0.0
+
+    def test_pool_workers_solve_no_forms(self, monkeypatch):
+        # K_n values no other test uses, so the parent solves both tables here;
+        # a worker that solved a form would raise
+        parent = os.getpid()
+
+        def parent_only_setup_chain(*args, **kwargs):
+            if os.getpid() != parent:
+                raise AssertionError("a pool worker solved a form")
+            return setup_chain(*args, **kwargs)
+
+        configs = [EnsembleConfig(num_chains=40, num_realizations=2, law=law,
+                                  k_e=1, k_n=k_n, seed=9, threads=threads)
+                   for threads in (2, 1) for law, k_n in (("A", 3100), ("none", 4100))]
+        monkeypatch.setattr(protocols, "setup_chain", parent_only_setup_chain)
+        pooled = ensemble_grid(configs[:2])
+        serial = ensemble_grid(configs[2:])
+        assert ([r.realization_means for r in pooled]
+                == [r.realization_means for r in serial])
 
     def test_protocol_form_matches_full_protocol(self):
         pulses = design_protocol_pulses(1, 5000)
