@@ -96,7 +96,12 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_config_file(path: str | None) -> dict:
     if not path:
         return {}
-    data = json.loads(Path(path).read_text())
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ValidityError(f"cannot read the configuration file {path!r}: "
+                            f"{exc.strerror or exc}") from exc
+    data = json.loads(text)
     if not isinstance(data, dict):
         raise ValidityError("the configuration file must hold one JSON object")
     unknown = set(data) - set(CONFIG_KEYS)

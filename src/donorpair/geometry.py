@@ -7,6 +7,7 @@ field at atom 1.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .constants import DEFAULT_CONSTANTS, TWO_PI, PhysicalConstants
@@ -32,6 +33,8 @@ class DeviceGeometry:
     m2: int = 0
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.gradient) and math.isfinite(self.mean_field_b)):
+            raise ValueError("gradient and mean field must be finite")
         if self.n0 < 1 or self.gradient <= 0 or self.mean_field_b <= 0:
             raise ValueError("n0, gradient and mean field must be positive")
         if abs(self.m1) > MAX_DISPLACEMENT or abs(self.m2) > MAX_DISPLACEMENT:

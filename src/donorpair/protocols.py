@@ -15,12 +15,13 @@ The protocol is linear in the initial state, so an ensemble chain never
 runs it: its error is 1 - a^H M a for its four initial amplitudes a, where
 the 4x4 Hermitian M = protocol_form(setup) is the target projector carried
 back through PROTOCOL_ORDER in the Heisenberg picture. M depends only on
-the displacement pair and the pulses. The forms of every pair a law can
-draw sit in one read-only table per (nominal geometry, pulses, law
-support), solved once per process in a bounded cache; laws A and B share a
-table and law none solves only (0, 0). ensemble_grid solves its tables
-before any pool starts and hands each realization its table, so pool
-workers only draw and evaluate chains.
+the displacement pair and the pulses, and Re(z^H M z) is a dot product of
+16 real coefficients of M with 16 quadratic features of z = x + iy. The
+coefficients of every pair a law can draw sit in one read-only (81, 16)
+table per (nominal geometry, pulses, law support), solved once per process
+in a bounded cache; laws A and B share a table and law none solves only
+(0, 0). ensemble_grid solves its tables before any pool starts and hands
+each realization its table, so pool workers only draw and evaluate chains.
 A chain is four uniforms (its displacement pair) and eight normals
 z = x + iy; the errors 1 - Re(z^H M z) / (z^H z) (a = z / |z|) of a whole
 block of chains are evaluated together with elementwise arithmetic, so each
@@ -341,55 +342,75 @@ def _chain_draws(config: EnsembleConfig,
         yield (m[:, 0] + 4) * 9 + (m[:, 1] + 4), normals[:n]
 
 
+_PAIRS = tuple(itertools.combinations(range(4), 2))   # the six (j, k) with j < k
+
+
+def _form_coefficients(form: np.ndarray) -> np.ndarray:
+    """The 16 real coefficients c of a 4x4 Hermitian M (or a stack of them).
+
+    Re(z^H M z) = c . f(z) with c = [M_jj (4), 2 Re M_jk (6), -2 Im M_jk (6)]
+    and f = [x_j^2 + y_j^2, x_j x_k + y_j y_k, x_j y_k - y_j x_k] for
+    z = x + iy and (j, k) in _PAIRS order.
+    """
+    j, k = np.transpose(_PAIRS)
+    upper = form[..., j, k]
+    return np.concatenate([np.diagonal(form, axis1=-2, axis2=-1).real,
+                           2.0 * upper.real, -2.0 * upper.imag], axis=-1)
+
+
 @functools.lru_cache(maxsize=8)
 def _form_table(geometry: DeviceGeometry, pulses: tuple[tuple[str, PulseSpec], ...],
                 magnitudes: tuple[int, ...]) -> np.ndarray:
-    """Read-only (81, 4, 4) protocol_form of every pair a law can draw.
+    """Read-only (81, 16) _form_coefficients of every pair a law can draw.
 
-    Row (m1 + 4) * 9 + (m2 + 4) holds the form of the chain displaced by
-    (m1, m2) from the nominal `geometry` under `pulses`, for |m1| and |m2| in
-    `magnitudes`; the other rows are NaN. The cache holds the CLI's default
-    grid (4 K_n values x 2 law supports) at about 21 KB per table.
+    Row (m1 + 4) * 9 + (m2 + 4) holds the coefficients of protocol_form for
+    the chain displaced by (m1, m2) from the nominal `geometry` under
+    `pulses`, for |m1| and |m2| in `magnitudes`; the other rows are NaN.
+    The cache holds the CLI's default grid (4 K_n values x 2 law supports)
+    at about 10 KB per table.
     """
-    table = np.full((81, 4, 4), np.nan, dtype=complex)
+    table = np.full((81, 16), np.nan)
     signed = sorted({s * m for m in magnitudes for s in (-1, 1)})
     for m1, m2 in itertools.product(signed, signed):
         setup = setup_chain(geometry.displaced(m1, m2), dict(pulses))
-        table[(m1 + 4) * 9 + (m2 + 4)] = protocol_form(setup)
+        table[(m1 + 4) * 9 + (m2 + 4)] = _form_coefficients(protocol_form(setup))
     table.flags.writeable = False
     return table
 
 
-def _chain_errors(forms: np.ndarray, normals: np.ndarray) -> np.ndarray:
-    """Protocol error 1 - Re(z^H M z) / (z^H z) of each row.
+def _chain_errors(coeffs: np.ndarray, normals: np.ndarray) -> np.ndarray:
+    """Protocol error 1 - (c . f) / (f_0 + f_1 + f_2 + f_3) of each row.
 
-    `forms` holds one 4x4 M per row and `normals` eight standard normals,
-    z = normals[:4] + i normals[4:]; z / |z| is a Haar-random initial state.
-    Only elementwise real products and sums over the 4-axis in a fixed
-    order are used (no BLAS, no pairwise sums), so a row's error does not
-    depend on the other rows or on how many there are.
+    `coeffs` holds one row c = _form_coefficients(M) per chain and `normals`
+    eight standard normals, z = normals[:4] + i normals[4:]; z / |z| is a
+    Haar-random initial state, c . f = Re(z^H M z) and f_0 + ... + f_3 =
+    z^H z. Each feature is computed for the whole block at once and the 16
+    products are added in coefficient order, with elementwise arithmetic
+    only (no BLAS, no pairwise sums), so a row's error does not depend on
+    the other rows or on how many there are. Every temporary holds one value
+    per row: (rows, 16) temporaries measured slower, as the allocator
+    returned and re-faulted their pages on every block.
     """
-    x, y = normals[:, :4], normals[:, 4:]
-    a, b = forms.real, forms.imag
-    mz_re = mz_im = 0.0
-    for k in range(4):   # M z = (a + ib)(x + iy), column by column
-        xk, yk = x[:, k, None], y[:, k, None]
-        mz_re = mz_re + (a[:, :, k] * xk - b[:, :, k] * yk)
-        mz_im = mz_im + (a[:, :, k] * yk + b[:, :, k] * xk)
-    quad = x * mz_re + y * mz_im
-    norm = x * x + y * y
-    return 1.0 - ((quad[:, 0] + quad[:, 1] + quad[:, 2] + quad[:, 3])
-                  / (norm[:, 0] + norm[:, 1] + norm[:, 2] + norm[:, 3]))
+    x, y = normals.T[:4], normals.T[4:]
+    norms = [x[j] * x[j] + y[j] * y[j] for j in range(4)]
+    features = itertools.chain(norms,
+                               (x[j] * x[k] + y[j] * y[k] for j, k in _PAIRS),
+                               (x[j] * y[k] - y[j] * x[k] for j, k in _PAIRS))
+    quad = 0.0
+    for c, f in zip(coeffs.T, features):
+        quad = quad + c * f
+    return 1.0 - quad / (norms[0] + norms[1] + norms[2] + norms[3])
 
 
 def _run_realization(config: EnsembleConfig, realization: int,
                      table: np.ndarray) -> float:
     """Mean protocol error over the chains of one realization.
 
-    `table` is the realization's _form_table. The errors of each block of
-    _chain_draws are evaluated by _chain_errors and added one by one in
-    chain order: np.cumsum adds sequentially, and the running total is
-    carried into each block's first error.
+    `table` is the realization's _form_table; each block of _chain_draws
+    gathers its chains' coefficient rows from it, _chain_errors evaluates
+    them, and the errors are added one by one in chain order: np.cumsum
+    adds sequentially, and the running total is carried into each block's
+    first error.
     """
     total = 0.0
     for pairs, normals in _chain_draws(config, realization):

@@ -80,6 +80,15 @@ class TestSpectrum:
         assert all(abs(r["dev_Hz"]) <= 100.0 for r in doc["rows"])
 
 
+    @pytest.mark.parametrize("flag", ["--b-tesla", "--gradient-T-per-m"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_field_rejected(self, flag, value, capsys):
+        code, out, err = run_cli(["spectrum", flag, value], capsys)
+        assert code == 3
+        assert out == ""
+        assert "finite" in err and "Eigenvalues" not in err
+
+
 class TestDesign:
     def test_gate_a(self, capsys):
         code, out, _ = run_cli(["design", "--gate", "a", "--K", "1",
@@ -323,6 +332,15 @@ class TestConfigFile:
         assert code == 3
         assert out == ""
         assert f"configuration key {next(iter(cfg))!r}" in err
+
+    @pytest.mark.parametrize("name", ["missing.json", "."])
+    def test_unreadable_file_rejected(self, name, tmp_path, capsys):
+        # a missing file and a directory both name the path and exit with code 3
+        path = tmp_path / name
+        code, out, err = run_cli(["--config", str(path), "spectrum"], capsys)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and str(path) in err
 
     @pytest.mark.parametrize("document", [5, [1], "N0"])
     def test_non_object_document_rejected(self, document, tmp_path, capsys):

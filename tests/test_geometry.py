@@ -76,3 +76,10 @@ def test_geometry_validation():
         DeviceGeometry(n0=1, m1=4, m2=-4)   # atoms cross
     with pytest.raises(ValueError):
         DeviceGeometry(gradient=-1.0)
+
+
+@pytest.mark.parametrize("field", ["gradient", "mean_field_b"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_field_rejected(field, value):
+    with pytest.raises(ValueError, match="finite"):
+        DeviceGeometry(**{field: value})

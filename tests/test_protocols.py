@@ -14,7 +14,7 @@ from donorpair import (DEFAULT_GEOMETRY, DisplacementDistribution,
                        run_initialization, sweep_gate_error,
                        sweep_neighbor_displacement)
 from donorpair.protocols import (INIT_SUPPORT, LAW_CODES, _chain_draws, _chain_errors,
-                                 _form_table, design_protocol_pulses,
+                                 _form_coefficients, _form_table, design_protocol_pulses,
                                  protocol_form, setup_chain)
 
 # Frozen cross-implementation values (independent prototype of the same
@@ -246,19 +246,19 @@ class TestEnsemble:
     def test_realization_mean_matches_list_seeded_reference(self):
         # same draws, kernel and summation order as _run_realization, but the
         # stream from default_rng(list) drawn here, displacements from the
-        # scalar rule, forms solved here, outside _form_table, the kernel
-        # called one chain at a time and the errors added by Python floats
+        # scalar rule, coefficient rows solved here, outside _form_table, the
+        # kernel called one chain at a time and the errors added by Python floats
         config = EnsembleConfig(num_chains=1000, num_realizations=1, law="B",
                                 k_e=1, k_n=2000, seed=13)
         pulses = design_protocol_pulses(config.k_e, config.k_n)
-        forms = {}
+        coeffs = {}
         total = 0.0
         for m1, m2, normals in reference_chains(config, 0):
-            if (m1, m2) not in forms:
-                forms[m1, m2] = protocol_form(
-                    setup_chain(DEFAULT_GEOMETRY.displaced(m1, m2), pulses))
-            total += _chain_errors(forms[m1, m2][None], normals[None])[0]
-        assert len(forms) > 1
+            if (m1, m2) not in coeffs:
+                coeffs[m1, m2] = _form_coefficients(protocol_form(
+                    setup_chain(DEFAULT_GEOMETRY.displaced(m1, m2), pulses)))
+            total += _chain_errors(coeffs[m1, m2][None], normals[None])[0]
+        assert len(coeffs) > 1
         assert ensemble_init(config).realization_means[0] == total / config.num_chains
 
     def test_errors_added_in_chain_order_across_blocks(self):
@@ -295,16 +295,17 @@ class TestEnsemble:
     def test_chain_errors_kernel(self, seed, rows, split):
         rng = np.random.default_rng(seed)
         forms = random_forms(rng, rows)
+        coeffs = _form_coefficients(forms)
         normals = rng.normal(size=(rows, 8))
-        errors = _chain_errors(forms, normals)
+        errors = _chain_errors(coeffs, normals)
         # a row's error does not depend on its batch, its size or its place in it
         for i in range(rows):
-            assert _chain_errors(forms[i:i + 1], normals[i:i + 1])[0] == errors[i]
+            assert _chain_errors(coeffs[i:i + 1], normals[i:i + 1])[0] == errors[i]
         order = rng.permutation(rows)
-        assert (_chain_errors(forms[order], normals[order]) == errors[order]).all()
+        assert (_chain_errors(coeffs[order], normals[order]) == errors[order]).all()
         split = min(split, rows)
-        parts = [_chain_errors(forms[:split], normals[:split]),
-                 _chain_errors(forms[split:], normals[split:])]
+        parts = [_chain_errors(coeffs[:split], normals[:split]),
+                 _chain_errors(coeffs[split:], normals[split:])]
         assert (np.concatenate(parts) == errors).all()
         for i in range(rows):
             z = normals[i, :4] + 1j * normals[i, 4:]
@@ -312,6 +313,16 @@ class TestEnsemble:
             want = 1.0 - np.vdot(amps, forms[i] @ amps).real
             assert errors[i] == pytest.approx(want, rel=1e-12)
         assert (errors >= -1e-12).all() and (errors <= 1.0 + 1e-12).all()
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_diagonal_coefficients_sum_to_trace(self, seed):
+        # the Haar mean of a chain's error, 1 - tr M / 4, reads off the first four
+        forms = random_forms(np.random.default_rng(seed), 5)
+        coeffs = _form_coefficients(forms)
+        assert coeffs.shape == (5, 16) and coeffs.dtype == np.float64
+        for form, row in zip(forms, coeffs):
+            assert abs(row[0] + row[1] + row[2] + row[3] - np.trace(form).real) <= 1e-15
 
     def test_single_realization_runs_without_pool(self, monkeypatch):
         def no_pool(*args, **kwargs):
@@ -357,8 +368,9 @@ class TestEnsemble:
     def test_form_table_is_read_only(self):
         pulses = design_protocol_pulses(1, 2000)
         table = _form_table(DEFAULT_GEOMETRY, tuple(pulses.items()), (0, 1))
+        assert table.shape == (81, 16) and table.dtype == np.float64
         with pytest.raises(ValueError):
-            table[(1 + 4) * 9 + (-1 + 4), 0, 0] = 0.0
+            table[(1 + 4) * 9 + (-1 + 4), 0] = 0.0
 
     def test_pool_workers_solve_no_forms(self, monkeypatch):
         # K_n values no other test uses, so the parent solves both tables here;
