@@ -7,7 +7,7 @@ from .exchange import delta_j, delta_j_series, herring_flicker, j_for_sites
 from .geometry import (DEFAULT_GEOMETRY, DeviceGeometry, EffectiveParams,
                        effective_params, field_step)
 from .spectrum import (DegenerateLabelError, Spectrum, SwapBoundaryWarning,
-                       ValidityError, build_h0, compute_spectrum,
+                       ValidityError, build_h0, compute_spectra, compute_spectrum,
                        exact_spectrum, perturbative_spectrum, small_params,
                        transition_frequency, zeroth_energies)
 from .pulses import (GATES, GateSpec, PulseSpec, design_gate,
@@ -21,6 +21,6 @@ from .dynamics import (DriveOperators, REGISTER_OPS, StepSizeError,
                        rotating_hamiltonian)
 from .protocols import (DisplacementDistribution, EnsembleConfig,
                         EnsembleResult, ProtocolRun, ensemble_grid,
-                        ensemble_init, protocol_form, run_ee_cnot,
+                        ensemble_init, ensemble_workers, protocol_form, run_ee_cnot,
                         run_initialization, sweep_gate_error,
                         sweep_neighbor_displacement)

@@ -21,8 +21,8 @@ from . import __version__
 from .constants import TWO_PI
 from .exchange import exchange_table
 from .geometry import DEFAULT_GEOMETRY, DeviceGeometry
-from .protocols import (EnsembleConfig, ensemble_grid, run_ee_cnot,
-                        sweep_gate_error)
+from .protocols import (EnsembleConfig, ensemble_grid, ensemble_workers,
+                        run_ee_cnot, sweep_gate_error)
 from .pulses import (DEFAULT_K_ELECTRON, DEFAULT_K_NUCLEAR, GATES,
                      design_gate, displacement_detuning, leading_order_design)
 from .spectrum import ValidityError, compute_spectrum
@@ -313,6 +313,7 @@ def cmd_ensemble(args, file_cfg) -> None:
             for r in ensemble_grid(configs)]
     resolved = {"chains": chains, "realizations": realizations, "laws": laws,
                 "Kn": kns, "K_e": k_e, "seed": seed, "threads": threads,
+                "workers": ensemble_workers(configs),
                 "geometry": dataclasses.asdict(geometry)}
     _emit(rows, ["K_n", "law", "mean_P", "stderr"], args, file_cfg, resolved)
 

@@ -65,12 +65,16 @@ def rotating_hamiltonian(h0: np.ndarray, pulse: PulseSpec,
 
 def pulse_propagator(h0: np.ndarray, pulse: PulseSpec,
                      ops: DriveOperators = REGISTER_OPS) -> np.ndarray:
-    """Lab-frame propagator of one full pulse, U = e^{+i nu Fz tau} e^{-i H_rot tau}."""
-    h_rot = rotating_hamiltonian(h0, pulse, ops)
-    w, v = np.linalg.eigh(h_rot)
-    u = (v * np.exp(-1j * w * pulse.tau)) @ v.conj().T
+    """Lab-frame propagator of one full pulse, U = e^{+i nu Fz tau} e^{-i H_rot tau}.
+
+    `h0` may be a stack (..., 16, 16) of static Hamiltonians; one eigh then
+    solves the whole stack, and each propagator equals the one its H0 gives
+    alone, bit for bit.
+    """
+    w, v = np.linalg.eigh(rotating_hamiltonian(h0, pulse, ops))
+    u = (v * np.exp(-1j * w * pulse.tau)[..., None, :]) @ v.conj().swapaxes(-1, -2)
     reentry = np.exp(1j * pulse.nu * pulse.tau * ops.fz_diag)
-    return reentry[:, None] * u
+    return np.multiply(reentry[:, None], u, out=u)   # in place: stacks are large
 
 
 def evolve_pulse(state: np.ndarray, h0: np.ndarray, pulse: PulseSpec,
@@ -109,10 +113,12 @@ def relax_electrons_adjoint(obs: np.ndarray) -> np.ndarray:
     """Heisenberg-picture adjoint of `relax_electrons`: 1_e (x) <gg|O|gg>_e.
 
     tr(relax_electrons(rho) @ O) == tr(rho @ relax_electrons_adjoint(O)).
+    `obs` may be a stack (..., 16, 16) of observables.
     """
-    t = obs.reshape(_FUSED)
-    out = np.zeros(_FUSED, dtype=complex)
-    out[:, _E_ALL, :, :, _E_ALL, :] = t[:, _E_GROUND, :, :, _E_GROUND, :]
+    fused = obs.shape[:-2] + _FUSED
+    t = obs.reshape(fused)
+    out = np.zeros(fused, dtype=complex)
+    out[..., :, _E_ALL, :, :, _E_ALL, :] = t[..., :, _E_GROUND, :, :, _E_GROUND, :]
     return out.reshape(obs.shape)
 
 

@@ -9,7 +9,9 @@ Each ensemble realization draws its chains' displacements and initial
 states from one random stream, seeded by (seed, law, K_n, K_e,
 realization), in fixed blocks of chains. A realization is the unit of work
 of the process pool, so results are reproducible bit for bit at any
-parallelism.
+parallelism. The pool starts only for a grid of at least CHAINS_PER_WORKER
+chains per worker (ensemble_workers); smaller grids run serially, since the
+pool's start-up would cost more than it saves.
 
 The protocol is linear in the initial state, so an ensemble chain never
 runs it: its error is 1 - a^H M a for its four initial amplitudes a, where
@@ -18,10 +20,14 @@ back through PROTOCOL_ORDER in the Heisenberg picture. M depends only on
 the displacement pair and the pulses, and Re(z^H M z) is a dot product of
 16 real coefficients of M with 16 quadratic features of z = x + iy. The
 coefficients of every pair a law can draw sit in one read-only (81, 16)
-table per (nominal geometry, pulses, law support), solved once per process
-in a bounded cache; laws A and B share a table and law none solves only
-(0, 0). ensemble_grid solves its tables before any pool starts and hands
-each realization its table, so pool workers only draw and evaluate chains.
+table per (nominal geometry, pulses, law support), kept per process in a
+bounded cache; laws A and B share a table and law none solves only (0, 0).
+ensemble_grid solves all the tables it is missing in one stacked pass
+before any pool starts: one compute_spectra stack of every distinct
+displaced chain, one pulse_propagator stack per distinct pulse (gates a and
+c do not depend on K_n, so a K_n grid shares them) and one stack of
+protocol forms per table. Each realization carries its table, so pool
+workers only draw and evaluate chains.
 A chain is four uniforms (its displacement pair) and eight normals
 z = x + iy; the errors 1 - Re(z^H M z) / (z^H z) (a = z / |z|) of a whole
 block of chains are evaluated together with elementwise arithmetic, so each
@@ -31,7 +37,6 @@ population after every step.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
@@ -44,13 +49,14 @@ from .dynamics import (pulse_propagator, relax_electrons,
 from .geometry import DEFAULT_GEOMETRY, DeviceGeometry
 from .pulses import (DEFAULT_K_ELECTRON, DEFAULT_K_NUCLEAR, GATES, PulseSpec,
                      design_gate)
-from .spectrum import Spectrum, compute_spectrum
+from .spectrum import Spectrum, compute_spectra, compute_spectrum
 
 INIT_SUPPORT = (6, 7, 14, 15)     # electrons relaxed, nuclei arbitrary
 TARGET_STATE = 15
 
 LAW_CODES = {"none": 0, "A": 1, "B": 2}
 MAX_CHAINS = 2**32   # largest num_chains accepted per realization
+CHAINS_PER_WORKER = 200_000   # grid chains per pool worker; fewer do not pay for its start-up
 
 
 @dataclass(frozen=True)
@@ -249,16 +255,26 @@ def protocol_form(setup: ChainSetup) -> np.ndarray:
     picture: a pulse U maps O -> U^H O U, a relaxation applies the channel's
     adjoint. M is O restricted to the initial manifold.
     """
-    t = eigenstate(setup, TARGET_STATE)
-    obs = np.outer(t, t.conj())
+    return _protocol_forms(setup.spectrum.eigenvectors, setup.propagators)
+
+
+def _protocol_forms(vectors: np.ndarray, propagators: dict[str, np.ndarray]) -> np.ndarray:
+    """protocol_form of a stack of chains, as stacked matmuls.
+
+    `vectors` holds each chain's labelled eigenvectors, (..., 16, 16), and
+    `propagators` each gate's propagators of the same chains; the forms are
+    (..., 4, 4), each equal to the one its chain gives alone, bit for bit.
+    """
+    t = vectors[..., :, TARGET_STATE]
+    obs = t[..., :, None] * t.conj()[..., None, :]
     for step in reversed(PROTOCOL_ORDER):
         if step == "relax":
             obs = relax_electrons_adjoint(obs)
         else:
-            u = setup.propagators[step]
-            obs = u.conj().T @ obs @ u
-    v = setup.spectrum.eigenvectors[:, list(INIT_SUPPORT)]
-    return v.conj().T @ obs @ v
+            u = propagators[step]
+            obs = u.conj().swapaxes(-1, -2) @ obs @ u
+    v = vectors[..., :, list(INIT_SUPPORT)]
+    return v.conj().swapaxes(-1, -2) @ obs @ v
 
 
 # -- electron-electron CNOT ---------------------------------------------------
@@ -358,24 +374,68 @@ def _form_coefficients(form: np.ndarray) -> np.ndarray:
                            2.0 * upper.real, -2.0 * upper.imag], axis=-1)
 
 
-@functools.lru_cache(maxsize=8)
-def _form_table(geometry: DeviceGeometry, pulses: tuple[tuple[str, PulseSpec], ...],
-                magnitudes: tuple[int, ...]) -> np.ndarray:
-    """Read-only (81, 16) _form_coefficients of every pair a law can draw.
+_FORM_TABLES: dict[tuple, np.ndarray] = {}   # _form_tables cache, oldest first
+_FORM_TABLE_CACHE = 8     # the CLI's default grid: 4 K_n x 2 law supports, about 10 KB each
 
-    Row (m1 + 4) * 9 + (m2 + 4) holds the coefficients of protocol_form for
-    the chain displaced by (m1, m2) from the nominal `geometry` under
-    `pulses`, for |m1| and |m2| in `magnitudes`; the other rows are NaN.
-    The cache holds the CLI's default grid (4 K_n values x 2 law supports)
-    at about 10 KB per table.
+
+def _form_tables(keys: Sequence[tuple[DeviceGeometry, tuple[tuple[str, PulseSpec], ...],
+                                      tuple[int, ...]]]) -> list[np.ndarray]:
+    """Read-only (81, 16) _form_coefficients table of each (geometry, pulses, magnitudes).
+
+    Row (m1 + 4) * 9 + (m2 + 4) of a table holds the coefficients of
+    protocol_form for the chain displaced by (m1, m2) from the nominal
+    `geometry` under `pulses`, for |m1| and |m2| in `magnitudes`; the other
+    rows are NaN. The tables missing from the process cache are solved
+    together by _solve_form_tables; the cache keeps the _FORM_TABLE_CACHE
+    most recently solved.
     """
-    table = np.full((81, 16), np.nan)
-    signed = sorted({s * m for m in magnitudes for s in (-1, 1)})
-    for m1, m2 in itertools.product(signed, signed):
-        setup = setup_chain(geometry.displaced(m1, m2), dict(pulses))
-        table[(m1 + 4) * 9 + (m2 + 4)] = _form_coefficients(protocol_form(setup))
-    table.flags.writeable = False
-    return table
+    tables = [_FORM_TABLES.get(key) for key in keys]
+    missing = list(dict.fromkeys(key for key, table in zip(keys, tables) if table is None))
+    if missing:
+        solved = dict(zip(missing, _solve_form_tables(missing)))
+        tables = [solved.get(key, table) for key, table in zip(keys, tables)]
+        _FORM_TABLES.update(solved)
+        while len(_FORM_TABLES) > _FORM_TABLE_CACHE:
+            del _FORM_TABLES[next(iter(_FORM_TABLES))]
+    return tables
+
+
+def _solve_form_tables(keys: Sequence[tuple]) -> list[np.ndarray]:
+    """The _form_tables of `keys`, solved in one stacked pass.
+
+    Every distinct displaced chain of the keys is solved once, in one
+    compute_spectra stack, and every distinct pulse once, in one
+    pulse_propagator stack over all those chains, so tables that share
+    pulses share their propagators (gates a and c do not depend on K_n).
+    Each table then comes from one _protocol_forms stack. Keys whose
+    chains are all the pass's chains, in order, use the stacks themselves;
+    the others take copies of their rows.
+    """
+    pairs = []
+    for _, _, magnitudes in keys:
+        signed = sorted({s * m for m in magnitudes for s in (-1, 1)})
+        pairs.append(list(itertools.product(signed, signed)))
+    chains = [[geometry.displaced(m1, m2) for m1, m2 in key_pairs]
+              for (geometry, _, _), key_pairs in zip(keys, pairs)]
+    row = {chain: i for i, chain in enumerate(dict.fromkeys(itertools.chain(*chains)))}
+    spectra = compute_spectra(list(row))
+    hamiltonians = np.stack([spec.hamiltonian for spec in spectra])
+    vectors = np.stack([spec.eigenvectors for spec in spectra])
+    del spectra   # frees their own stacks before the propagator stacks are built
+    propagators = {pulse: pulse_propagator(hamiltonians, pulse)
+                   for pulse in dict.fromkeys(p for _, key_pulses, _ in keys for _, p in key_pulses)}
+    tables = []
+    for (_, key_pulses, _), key_pairs, key_chains in zip(keys, pairs, chains):
+        rows = [row[c] for c in key_chains]
+        if rows == list(range(len(row))):
+            rows = slice(None)
+        forms = _protocol_forms(vectors[rows], {name: propagators[pulse][rows]
+                                                for name, pulse in key_pulses})
+        table = np.full((81, 16), np.nan)
+        table[[(m1 + 4) * 9 + (m2 + 4) for m1, m2 in key_pairs]] = _form_coefficients(forms)
+        table.flags.writeable = False
+        tables.append(table)
+    return tables
 
 
 def _chain_errors(coeffs: np.ndarray, normals: np.ndarray) -> np.ndarray:
@@ -406,7 +466,7 @@ def _run_realization(config: EnsembleConfig, realization: int,
                      table: np.ndarray) -> float:
     """Mean protocol error over the chains of one realization.
 
-    `table` is the realization's _form_table; each block of _chain_draws
+    `table` is the realization's _form_tables entry; each block of _chain_draws
     gathers its chains' coefficient rows from it, _chain_errors evaluates
     them, and the errors are added one by one in chain order: np.cumsum
     adds sequentially, and the running total is carried into each block's
@@ -433,25 +493,37 @@ def ensemble_init(config: EnsembleConfig) -> EnsembleResult:
     return ensemble_grid([config])[0]
 
 
+def ensemble_workers(configs: Sequence[EnsembleConfig]) -> int:
+    """Process-pool workers that ensemble_grid(configs) starts; 1 means no pool.
+
+    At most the largest min(threads, num_realizations) of the configs, and
+    at most one per CHAINS_PER_WORKER chains of the whole grid: a pool pays
+    for its start-up only from about that many chains per worker.
+    """
+    cap = max(min(c.threads, c.num_realizations) for c in configs)
+    chains = sum(c.num_chains * c.num_realizations for c in configs)
+    return max(1, min(cap, chains // CHAINS_PER_WORKER))
+
+
 def ensemble_grid(configs: Sequence[EnsembleConfig]) -> list[EnsembleResult]:
     """ensemble_init of every config, with all realizations in one process pool.
 
-    Every config's form table is taken from the process cache (solved there
-    if missing) before the pool starts, and each task carries its table, so
-    pool workers solve no forms. The pool starts no more workers than the
-    largest min(threads, num_realizations) of the configs, and none when
-    that is one.
+    Every config's form table is taken from the process cache, the missing
+    ones solved together in one stacked pass, before the pool starts, and
+    each task carries its table, so pool workers solve no forms. The pool
+    has ensemble_workers(configs) workers and is not started for one.
     """
     if not configs:
         raise ValueError("ensemble_grid needs at least one config")
-    tasks = []
+    keys = []
     for config in configs:
         pulses = design_protocol_pulses(config.k_e, config.k_n,
                                         geometry_nominal=config.geometry)
-        table = _form_table(config.geometry, tuple(pulses.items()),
-                            DisplacementDistribution(config.law).magnitudes)
-        tasks += [(config, r, table) for r in range(config.num_realizations)]
-    workers = max(min(c.threads, c.num_realizations) for c in configs)
+        keys.append((config.geometry, tuple(pulses.items()),
+                     DisplacementDistribution(config.law).magnitudes))
+    tasks = [(config, r, table) for config, table in zip(configs, _form_tables(keys))
+             for r in range(config.num_realizations)]
+    workers = ensemble_workers(configs)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor   # serial runs skip its import
         with ProcessPoolExecutor(max_workers=workers) as pool:

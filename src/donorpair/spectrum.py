@@ -11,6 +11,7 @@ hyperfine flip-flops to second order in A.
 from __future__ import annotations
 
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,8 @@ from . import register as reg
 
 class ValidityError(ValueError):
     """A physics-validity guard fired (labelling, pole, or range guard)."""
+
+    entry: int | None = None   # flat index of the failed matrix of an exact_spectrum stack
 
 
 class DegenerateLabelError(ValidityError):
@@ -35,6 +38,8 @@ class SwapBoundaryWarning(UserWarning):
 SWAP_GUARD_BAND = TWO_PI * 1e6  # warn within 1 MHz of the E10/E12 crossing
 
 DIAG_RESIDUAL_TOL = 1e-10
+
+_STATES = np.arange(reg.DIM)
 
 
 def build_h0(params: EffectiveParams) -> np.ndarray:
@@ -54,25 +59,36 @@ def exact_spectrum(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns (energies, vectors) with energies[i] the eigenvalue whose
     eigenvector is dominated by basis state i, and vectors[:, i] that
     eigenvector (phase fixed so the dominant amplitude is real positive).
-    Raises DegenerateLabelError if two eigenvectors claim one label.
+    `h` may be a stack (..., 16, 16): one eigh solves it and every result
+    gains the same leading axes. Raises DegenerateLabelError if two
+    eigenvectors claim one label; the error's `entry` is the flat stack
+    index of the first such matrix.
     """
-    w, v = np.linalg.eigh(h)
-    labels = np.argmax(np.abs(v) ** 2, axis=0)
-    if sorted(labels) != list(range(reg.DIM)):
-        raise DegenerateLabelError(
-            "dominant-component labels are not a permutation; "
-            "basis states no longer approximate the eigenstates")
-    energies = np.empty(reg.DIM)
-    vectors = np.empty((reg.DIM, reg.DIM), dtype=complex)
-    for col, lab in enumerate(labels):
-        vec = v[:, col]
-        phase = vec[lab] / abs(vec[lab])
-        energies[lab] = w[col]
-        vectors[:, lab] = vec / phase
-    residual = np.linalg.norm(h @ vectors - vectors * energies)
-    if residual > DIAG_RESIDUAL_TOL * np.linalg.norm(h):
-        raise ValidityError("diagonalization residual above tolerance")
-    return energies, vectors
+    stack = h.reshape(-1, reg.DIM, reg.DIM)
+    w, v = np.linalg.eigh(stack)
+    entry = np.arange(len(stack))[:, None]
+    labels = np.argmax(np.abs(v) ** 2, axis=1)      # label of each column
+    order = np.zeros(labels.shape, np.intp)         # column of each label, if a permutation
+    order[entry, labels] = _STATES
+    _guard((labels[entry, order] != _STATES).any(axis=1), DegenerateLabelError,
+           "dominant-component labels are not a permutation; "
+           "basis states no longer approximate the eigenstates")
+    dominant = v[entry, labels, _STATES][:, None, :]   # each column's dominant amplitude
+    energies = w[entry, order]
+    # phase-fixed columns, column order[i, l] of matrix i moved to column l
+    vectors = (v / (dominant / abs(dominant)))[entry[:, None], _STATES[:, None], order[:, None, :]]
+    residual2 = (abs(stack @ vectors - vectors * energies[:, None, :]) ** 2).sum(axis=(1, 2))
+    _guard(residual2 > DIAG_RESIDUAL_TOL**2 * (abs(stack) ** 2).sum(axis=(1, 2)),
+           ValidityError, "diagonalization residual above tolerance")
+    return energies.reshape(h.shape[:-1]), vectors.reshape(h.shape)
+
+
+def _guard(failed: np.ndarray, error: type[ValidityError], message: str) -> None:
+    """Raise `error(message)` if any stack entry `failed`, with `entry` the first that did."""
+    if failed.any():
+        exc = error(message)
+        exc.entry = int(np.flatnonzero(failed)[0])
+        raise exc
 
 
 def zeroth_energies(params: EffectiveParams, apply_swap: bool = True) -> np.ndarray:
@@ -174,18 +190,28 @@ class Spectrum:
 
 def compute_spectrum(geometry: DeviceGeometry = DEFAULT_GEOMETRY,
                      constants: PhysicalConstants = DEFAULT_CONSTANTS) -> Spectrum:
-    params = effective_params(geometry, constants)
-    h = build_h0(params)
-    energies, vectors = exact_spectrum(h)
-    return Spectrum(
-        params=params,
-        hamiltonian=h,
-        exact_energies=energies,
-        eigenvectors=vectors,
-        zeroth=zeroth_energies(params),
-        pert_energies=perturbative_spectrum(params),
-        smallness=small_params(params),
-    )
+    return compute_spectra([geometry], constants)[0]
+
+
+def compute_spectra(geometries: Sequence[DeviceGeometry],
+                    constants: PhysicalConstants = DEFAULT_CONSTANTS) -> list[Spectrum]:
+    """Spectrum of each geometry, from one stacked exact_spectrum.
+
+    Each spectrum equals what the geometry gives alone, bit for bit, and
+    raises and warns as it would alone; a failed labelling or residual
+    guard names the first geometry that failed.
+    """
+    params = [effective_params(g, constants) for g in geometries]
+    h = np.array([build_h0(p) for p in params])
+    try:
+        energies, vectors = exact_spectrum(h)
+    except ValidityError as exc:
+        g = geometries[exc.entry]
+        raise type(exc)(f"{exc} (displacement pair m1 = {g.m1}, m2 = {g.m2} of {g})") from None
+    return [Spectrum(params=p, hamiltonian=h[i], exact_energies=energies[i],
+                     eigenvectors=vectors[i], zeroth=zeroth_energies(p),
+                     pert_energies=perturbative_spectrum(p), smallness=small_params(p))
+            for i, p in enumerate(params)]
 
 
 def transition_frequency(spec: Spectrum, p: int, q: int) -> float:

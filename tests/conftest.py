@@ -1,3 +1,4 @@
+import concurrent.futures
 import functools
 import os
 from pathlib import Path
@@ -8,6 +9,7 @@ import pytest
 import donorpair
 from donorpair import (DEFAULT_GEOMETRY, DisplacementDistribution, compute_spectrum,
                        effective_params, protocol_form)
+from donorpair import protocols
 from donorpair.protocols import design_protocol_pulses, setup_chain
 
 
@@ -52,3 +54,22 @@ def exact_law_mean():
         return sum(prob[m1] * prob[m2] * error for (m1, m2), error in pair_errors(k_n).items())
 
     return exact
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Keyword arguments of every process pool started, with pools paying from one chain.
+
+    CHAINS_PER_WORKER is lowered to 1, so a pool starts whenever threads and
+    realizations allow one; a test may lower it to another value itself.
+    """
+    started = []
+    real_pool = concurrent.futures.ProcessPoolExecutor
+
+    def counting_pool(*args, **kwargs):
+        started.append(kwargs)
+        return real_pool(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counting_pool)
+    monkeypatch.setattr(protocols, "CHAINS_PER_WORKER", 1)
+    return started

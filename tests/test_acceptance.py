@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+from donorpair import protocols
 from donorpair import (DEFAULT_GEOMETRY, GATES,
                        displacement_detuning, error_estimate, evolve_pulse,
                        integrate_lab_frame, j_for_sites, kn_window,
@@ -298,13 +299,16 @@ def test_criterion_8d_means_match_exact_expectation(ensemble_grid, exact_law_mea
            f"(worst {worst:.2f})", "PASS", t0)
 
 
-def test_criterion_9_determinism(capsys):
+def test_criterion_9_determinism(pools, monkeypatch, capsys):
+    # 900 chains at 400 per worker: two of the three threads get a worker
     t0 = time.monotonic()
+    monkeypatch.setattr(protocols, "CHAINS_PER_WORKER", 400)
     args = ["ensemble", "--chains", "150", "--realizations", "3", "--law", "A,none",
             "--Kn", "2000", "--seed", "99"]
     assert cli_main(args + ["--threads", "1"]) == 0
     out1 = capsys.readouterr().out
     assert cli_main(args + ["--threads", "3"]) == 0
     out2 = capsys.readouterr().out
+    assert pools == [{"max_workers": 2}]
     assert out1 == out2 and len(out1) > 0
     report(9, "seeded ensembles byte-identical across thread counts", "PASS", t0)

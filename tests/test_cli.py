@@ -160,9 +160,10 @@ class TestEnsemble:
     ARGS = ["ensemble", "--chains", "40", "--realizations", "2", "--law", "A",
             "--Kn", "2000", "--seed", "7"]
 
-    def test_deterministic_bytes(self, capsys):
+    def test_deterministic_bytes(self, pools, capsys):
         _, out1, _ = run_cli(self.ARGS + ["--threads", "1"], capsys)
         _, out2, _ = run_cli(self.ARGS + ["--threads", "2"], capsys)
+        assert pools == [{"max_workers": 2}]
         assert out1 == out2
         header, row = out1.strip().split("\n")
         assert header == "K_n,law,mean_P,stderr"
@@ -221,23 +222,42 @@ class TestEnsemble:
         assert out == ""
         assert "num_chains" in err
 
-    def test_one_pool_per_run(self, monkeypatch, capsys):
-        pools = []
-        real_pool = concurrent.futures.ProcessPoolExecutor
-
-        def counting_pool(*args, **kwargs):
-            pools.append(kwargs)
-            return real_pool(*args, **kwargs)
-
+    def test_one_pool_per_run(self, pools, capsys):
         args = ["ensemble", "--chains", "30", "--realizations", "2", "--law", "A,B",
                 "--Kn", "700,2000", "--seed", "7"]
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counting_pool)
         _, pooled, _ = run_cli(args + ["--threads", "2"], capsys)
         assert pools == [{"max_workers": 2}]
         _, serial, _ = run_cli(args + ["--threads", "1"], capsys)
         assert len(pools) == 1
         assert pooled == serial
         assert len(pooled.strip().split("\n")) == 5
+
+    def test_small_grid_starts_no_pool(self, monkeypatch, capsys):
+        # the real CHAINS_PER_WORKER: 240 chains do not pay for a pool
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+        args = ["ensemble", "--chains", "30", "--realizations", "2", "--law", "A,B",
+                "--Kn", "700,2000", "--seed", "7"]
+        _, serial, _ = run_cli(args + ["--threads", "1"], capsys)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        code, threaded, err = run_cli(args + ["--threads", "2"], capsys)
+        assert code == 0
+        assert threaded == serial
+        assert '"workers": 1' in err
+
+    def test_workers_reported(self, pools, capsys):
+        args = ["ensemble", "--chains", "20", "--realizations", "3", "--law", "none",
+                "--Kn", "2000", "--seed", "4"]
+        _, csv_one, err_one = run_cli(args + ["--threads", "1"], capsys)
+        _, csv_two, err_two = run_cli(args + ["--threads", "2"], capsys)
+        assert pools == [{"max_workers": 2}]
+        assert csv_one == csv_two
+        configs = [json.loads(err.split("# config: ", 1)[1].splitlines()[0])
+                   for err in (err_one, err_two)]
+        assert [c["workers"] for c in configs] == [1, 2]
+        _, doc, _ = run_cli(args + ["--threads", "2", "--format", "json"], capsys)
+        assert json.loads(doc)["config"]["workers"] == 2
+        assert len(pools) == 2
 
     def test_threads_default_counts_usable_cpus(self, monkeypatch, capsys):
         args = ["ensemble", "--chains", "4", "--realizations", "1", "--law", "none",

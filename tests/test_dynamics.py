@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from donorpair import (DEFAULT_GEOMETRY, GATES, REGISTER_OPS, DriveOperators,
-                       StepSizeError, build_h0, design_gate,
+                       StepSizeError, build_h0, compute_spectra, design_gate,
                        effective_params, evolve_pulse, integrate_lab_frame,
                        pulse_propagator, rabi_probability, relax_electrons,
                        rotating_hamiltonian)
@@ -81,6 +81,18 @@ class TestEvolvePulse:
         u0 = (v * np.exp(-1j * w * pulse.tau)) @ v.conj().T
         expected = np.exp(1j * pulse.nu * pulse.tau * reg.FZ_DIAG) * (u0 @ psi0)
         assert np.allclose(psi, expected, atol=1e-9)
+
+    @pytest.mark.filterwarnings("ignore::donorpair.spectrum.SwapBoundaryWarning")
+    def test_stacked_propagators_equal_single_ones(self, default_spectrum):
+        # every gate over all 81 displaced chains, one eigh per gate
+        hamiltonians = np.stack([s.hamiltonian for s in compute_spectra(
+            [DEFAULT_GEOMETRY.displaced(m1, m2) for m1 in range(-4, 5) for m2 in range(-4, 5)])])
+        for name, k in (("a", 1), ("b", 2000), ("c", 1), ("d", 2000), ("ee", 1)):
+            pulse = design_gate(default_spectrum, GATES[name].with_k(k))
+            stacked = pulse_propagator(hamiltonians, pulse)
+            assert stacked.shape == (81, 16, 16)
+            for i, h0 in enumerate(hamiltonians):
+                assert np.array_equal(stacked[i], pulse_propagator(h0, pulse)), (name, i)
 
     def test_propagator_unitary(self, default_spectrum):
         pulse = design_gate(default_spectrum, GATES["b"].with_k(2000))
@@ -179,6 +191,13 @@ class TestRelaxation:
         lhs = np.trace(relax_electrons(rho) @ x)
         rhs = np.trace(rho @ relax_electrons_adjoint(x))
         assert abs(lhs - rhs) <= 1e-12
+
+    def test_adjoint_of_stack_is_stack_of_adjoints(self):
+        obs = np.random.default_rng(5).normal(size=(3, 2, 16, 16)) + 0j
+        stacked = relax_electrons_adjoint(obs)
+        assert stacked.shape == obs.shape
+        for idx in np.ndindex(3, 2):
+            assert np.array_equal(stacked[idx], relax_electrons_adjoint(obs[idx]))
 
 
 def _scaled_params(scale: float) -> EffectiveParams:

@@ -10,11 +10,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from donorpair import protocols
 from donorpair import (DEFAULT_GEOMETRY, DisplacementDistribution,
-                       EnsembleConfig, ensemble_grid, ensemble_init, run_ee_cnot,
+                       EnsembleConfig, compute_spectra, ensemble_grid, ensemble_init,
+                       ensemble_workers, pulse_propagator, run_ee_cnot,
                        run_initialization, sweep_gate_error,
                        sweep_neighbor_displacement)
 from donorpair.protocols import (INIT_SUPPORT, LAW_CODES, _chain_draws, _chain_errors,
-                                 _form_coefficients, _form_table, design_protocol_pulses,
+                                 _form_coefficients, _form_tables, design_protocol_pulses,
                                  protocol_form, setup_chain)
 
 # Frozen cross-implementation values (independent prototype of the same
@@ -196,11 +197,12 @@ class TestEnsemble:
         r2 = ensemble_init(SMALL)
         assert r1.realization_means == r2.realization_means
 
-    def test_thread_count_does_not_change_results(self):
+    def test_thread_count_does_not_change_results(self, pools):
         serial = ensemble_init(SMALL)
         parallel = ensemble_init(EnsembleConfig(num_chains=60, num_realizations=3,
                                                 law="A", k_e=1, k_n=2000, seed=42,
                                                 threads=2))
+        assert pools == [{"max_workers": 2}]
         assert serial.realization_means == parallel.realization_means
 
     def test_mean_matches_isolated_chains(self):
@@ -267,7 +269,7 @@ class TestEnsemble:
         config = EnsembleConfig(num_chains=2100, num_realizations=1, law="A",
                                 k_e=1, k_n=2000, seed=17)
         pulses = design_protocol_pulses(config.k_e, config.k_n)
-        table = _form_table(config.geometry, tuple(pulses.items()), (0, 1, 2, 3, 4))
+        [table] = _form_tables([(config.geometry, tuple(pulses.items()), (0, 1, 2, 3, 4))])
         total = 0.0
         for pairs, normals in _chain_draws(config, 0):
             for error in _chain_errors(table[pairs], normals).tolist():
@@ -340,54 +342,105 @@ class TestEnsemble:
                               check=True, env=source_env)
         assert proc.stdout.strip() == "[]"
 
+    def test_pool_sized_by_chains(self, monkeypatch):
+        def grid(chains, realizations, threads, cells=1):
+            return [EnsembleConfig(num_chains=chains, num_realizations=realizations,
+                                   threads=threads, k_n=700 + k) for k in range(cells)]
+
+        # the CLI's default grid, 12 cells x 8 x 2000 chains, does not pay for a pool
+        assert ensemble_workers(grid(2000, 8, 64, cells=12)) == 1
+        assert ensemble_workers(grid(2000, 8, 64, cells=100)) == 8
+        monkeypatch.setattr(protocols, "CHAINS_PER_WORKER", 1000)
+        assert ensemble_workers(grid(999, 1, 4)) == 1
+        assert ensemble_workers(grid(1000, 1, 4)) == 1        # one realization
+        assert ensemble_workers(grid(1000, 3, 4)) == 3        # 3000 chains
+        assert ensemble_workers(grid(1000, 3, 2)) == 2        # two threads
+        assert ensemble_workers(grid(500, 2, 4)) == 1         # 1000 chains in all
+        assert ensemble_workers(grid(500, 2, 4, cells=3)) == 2    # 3000 chains, 2 realizations
+        assert ensemble_workers(grid(100, 8, 8, cells=12)) == 8
+        assert ensemble_workers(grid(100, 8, 1, cells=12)) == 1
+
     def test_form_tables_solved_once_per_process(self, monkeypatch):
-        built = []
+        # every displaced chain and every pulse handed to the stacked solve
+        chains, propagated = [], []
 
-        def counting_setup_chain(geometry, pulses, *args, **kwargs):
-            built.append((geometry.m1, geometry.m2))
-            return setup_chain(geometry, pulses, *args, **kwargs)
+        def counting_spectra(geometries, *args, **kwargs):
+            chains.append([(g.m1, g.m2) for g in geometries])
+            return compute_spectra(geometries, *args, **kwargs)
 
-        monkeypatch.setattr(protocols, "setup_chain", counting_setup_chain)
-        _form_table.cache_clear()
+        def counting_propagator(h0, pulse, *args, **kwargs):
+            propagated.append((pulse, len(h0)))
+            return pulse_propagator(h0, pulse, *args, **kwargs)
+
+        monkeypatch.setattr(protocols, "compute_spectra", counting_spectra)
+        monkeypatch.setattr(protocols, "pulse_propagator", counting_propagator)
+        every_pair = sorted(itertools.product(range(-4, 5), repeat=2))
+        protocols._FORM_TABLES.clear()
         ensemble_init(EnsembleConfig(num_chains=300, num_realizations=2, law="A",
                                      k_e=1, k_n=2000, seed=1))
-        seen = set(built)
-        assert seen and len(built) == len(seen)
-        built.clear()
+        assert [sorted(c) for c in chains] == [every_pair]
+        assert sorted(n for _, n in propagated) == [81] * 4
+        chains.clear()
+        propagated.clear()
         # law B has law A's support, so it shares A's table
         ensemble_init(EnsembleConfig(num_chains=300, num_realizations=2, law="B",
                                      k_e=1, k_n=2000, seed=2))
-        assert not seen & set(built)
-        assert len(seen | set(built)) == 81
-        built.clear()
+        assert chains == [] and propagated == []
         # other pulses never hit forms solved for K_n = 2000
         ensemble_init(EnsembleConfig(num_chains=20, num_realizations=1, law="none",
                                      k_e=1, k_n=5000, seed=1))
-        assert built == [(0, 0)]
+        assert chains == [[(0, 0)]]
+        assert sorted(n for _, n in propagated) == [1] * 4
+        chains.clear()
+        propagated.clear()
+        # a cold 4-K_n grid: 81 spectra, and gates a and c solved once for all K_n
+        protocols._FORM_TABLES.clear()
+        ensemble_grid([EnsembleConfig(num_chains=10, num_realizations=1, law=law, k_e=1,
+                                      k_n=k_n, seed=1)
+                       for k_n in (700, 2000, 5000, 10000) for law in ("A", "B", "none")])
+        assert [sorted(c) for c in chains] == [every_pair]
+        pulses = [pulse for pulse, _ in propagated]
+        assert len(pulses) == len(set(pulses)) == 2 + 2 * 4
+        shared = design_protocol_pulses(1, 2000)
+        assert shared["a"] in pulses and shared["c"] in pulses
+        assert all(n == 81 for _, n in propagated)
+
+    @pytest.mark.filterwarnings("ignore::donorpair.spectrum.SwapBoundaryWarning")
+    def test_form_table_rows_match_single_chain_solves(self):
+        # one stacked pass over all 81 pairs against protocol_form of each chain alone
+        pulses = design_protocol_pulses(1, 2000)
+        [table] = _form_tables([(DEFAULT_GEOMETRY, tuple(pulses.items()), (0, 1, 2, 3, 4))])
+        for m1, m2 in itertools.product(range(-4, 5), repeat=2):
+            alone = _form_coefficients(protocol_form(
+                setup_chain(DEFAULT_GEOMETRY.displaced(m1, m2), pulses)))
+            assert (table[(m1 + 4) * 9 + (m2 + 4)] == alone).all(), (m1, m2)
 
     def test_form_table_is_read_only(self):
         pulses = design_protocol_pulses(1, 2000)
-        table = _form_table(DEFAULT_GEOMETRY, tuple(pulses.items()), (0, 1))
+        [table] = _form_tables([(DEFAULT_GEOMETRY, tuple(pulses.items()), (0, 1))])
         assert table.shape == (81, 16) and table.dtype == np.float64
         with pytest.raises(ValueError):
             table[(1 + 4) * 9 + (-1 + 4), 0] = 0.0
 
-    def test_pool_workers_solve_no_forms(self, monkeypatch):
+    def test_pool_workers_solve_no_forms(self, monkeypatch, pools):
         # K_n values no other test uses, so the parent solves both tables here;
         # a worker that solved a form would raise
         parent = os.getpid()
+        solve = protocols._solve_form_tables
 
-        def parent_only_setup_chain(*args, **kwargs):
+        def parent_only_solve(*args, **kwargs):
             if os.getpid() != parent:
                 raise AssertionError("a pool worker solved a form")
-            return setup_chain(*args, **kwargs)
+            return solve(*args, **kwargs)
 
         configs = [EnsembleConfig(num_chains=40, num_realizations=2, law=law,
                                   k_e=1, k_n=k_n, seed=9, threads=threads)
                    for threads in (2, 1) for law, k_n in (("A", 3100), ("none", 4100))]
-        monkeypatch.setattr(protocols, "setup_chain", parent_only_setup_chain)
+        monkeypatch.setattr(protocols, "_solve_form_tables", parent_only_solve)
         pooled = ensemble_grid(configs[:2])
+        assert pools == [{"max_workers": 2}]
         serial = ensemble_grid(configs[2:])
+        assert len(pools) == 1
         assert ([r.realization_means for r in pooled]
                 == [r.realization_means for r in serial])
 

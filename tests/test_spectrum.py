@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from donorpair import (DEFAULT_GEOMETRY, DegenerateLabelError, SwapBoundaryWarning,
-                       build_h0, effective_params,
+from donorpair import (DEFAULT_GEOMETRY, DegenerateLabelError, DeviceGeometry,
+                       SwapBoundaryWarning, build_h0, compute_spectra, compute_spectrum,
+                       effective_params,
                        exact_spectrum, perturbative_spectrum, small_params,
                        transition_frequency, zeroth_energies)
 from donorpair.constants import DEFAULT_CONSTANTS, TWO_PI
@@ -115,6 +116,45 @@ class TestExactSpectrum:
         h[0, 1] = h[1, 0] = 1.0
         with pytest.raises(DegenerateLabelError):
             exact_spectrum(h)
+
+
+class TestStackedSpectrum:
+    GEOMETRIES = [DEFAULT_GEOMETRY.displaced(m1, m2)
+                  for m1 in range(-4, 5) for m2 in range(-4, 5)]
+
+    def test_stack_rows_equal_single_solves(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SwapBoundaryWarning)
+            stacked = compute_spectra(self.GEOMETRIES)
+            alone = [compute_spectrum(g) for g in self.GEOMETRIES]
+        assert len(stacked) == 81
+        for geometry, s, a in zip(self.GEOMETRIES, stacked, alone):
+            assert s.params == a.params and s.smallness == a.smallness, geometry
+            for field in ("hamiltonian", "exact_energies", "eigenvectors", "zeroth",
+                          "pert_energies"):
+                assert np.array_equal(getattr(s, field), getattr(a, field)), (geometry, field)
+
+    def test_stack_warns_as_its_geometries_do(self):
+        # (1, -4) sits at the 10/12 label crossing, (0, 0) far from it
+        with pytest.warns(SwapBoundaryWarning):
+            compute_spectra([DEFAULT_GEOMETRY, DEFAULT_GEOMETRY.displaced(1, -4)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", SwapBoundaryWarning)
+            compute_spectra([DEFAULT_GEOMETRY, DEFAULT_GEOMETRY.displaced(2, 2)])
+
+    def test_degenerate_geometry_in_stack_is_named(self):
+        # a vanishing field leaves no basis state dominant
+        bad = DeviceGeometry(mean_field_b=1e-6, m1=2, m2=-1)
+        with pytest.raises(DegenerateLabelError):
+            compute_spectrum(bad)
+        stack = [DEFAULT_GEOMETRY, DEFAULT_GEOMETRY.displaced(1, 1), bad,
+                 DEFAULT_GEOMETRY.displaced(-3, 3)]
+        with pytest.raises(DegenerateLabelError, match=r"m1 = 2, m2 = -1"):
+            compute_spectra(stack)
+        h = np.stack([build_h0(effective_params(g)) for g in stack])
+        with pytest.raises(DegenerateLabelError) as info:
+            exact_spectrum(h)
+        assert info.value.entry == 2
 
 
 class TestPerturbativeSpectrum:
