@@ -180,11 +180,14 @@ def _usable_cpus() -> int:
 def _emit(rows: list[dict], header: list[str], args, file_cfg, resolved: dict) -> None:
     fmt = _resolve(args, file_cfg, "format", "csv")
     out = _resolve(args, file_cfg, "out", None)
-    if out is None:
-        outdir = os.environ.get("DONORPAIR_OUTDIR")
-        stream = None if not outdir else outdir
+    if out is not None:
+        path = Path(out)
+        if path.is_dir() or str(out).endswith(os.sep):
+            path = path / f"{args.command}.{fmt}"
+    elif outdir := os.environ.get("DONORPAIR_OUTDIR"):   # always a directory, made if missing
+        path = Path(outdir) / f"{args.command}.{fmt}"
     else:
-        stream = out
+        path = None
     resolved = dict(resolved, command=args.command, version=__version__)
     if fmt == "json":
         doc = {"config": resolved, "columns": header, "rows": rows}
@@ -195,12 +198,9 @@ def _emit(rows: list[dict], header: list[str], args, file_cfg, resolved: dict) -
             lines.append(",".join(_format_cell(row[h]) for h in header))
         text = "\n".join(lines) + "\n"
         print(f"# config: {json.dumps(resolved, sort_keys=True)}", file=sys.stderr)
-    if stream is None:
+    if path is None:
         sys.stdout.write(text)
     else:
-        path = Path(stream)
-        if path.is_dir() or str(stream).endswith(os.sep):
-            path = path / f"{args.command}.{fmt}"
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text)
         print(f"wrote {path}", file=sys.stderr)

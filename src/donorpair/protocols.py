@@ -29,9 +29,13 @@ c do not depend on K_n, so a K_n grid shares them) and one stack of
 protocol forms per table. Each realization carries its table, so pool
 workers only draw and evaluate chains.
 A chain is four uniforms (its displacement pair) and eight normals
-z = x + iy; the errors 1 - Re(z^H M z) / (z^H z) (a = z / |z|) of a whole
-block of chains are evaluated together with elementwise arithmetic, so each
-chain's error is the same whatever block it falls in.
+z = x + iy. The stream is drawn in draw blocks of _CHAIN_BLOCK chains, the
+unit that fixes which draws belong to which chain; up to _CHUNK_BLOCKS
+consecutive draw blocks form one evaluation chunk, whose uniforms are
+mapped to pair indices in one call and whose errors
+1 - Re(z^H M z) / (z^H z) (a = z / |z|) are evaluated together with
+elementwise arithmetic, so each chain's error is the same whatever chunk it
+falls in.
 run_initialization is the Schroedinger-picture reference that records the
 population after every step.
 """
@@ -40,6 +44,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -92,10 +97,22 @@ class DisplacementDistribution:
         sums added in order), or 0 if there is none; a sign uniform below
         0.5 makes m positive.
         """
-        thresholds = np.cumsum(self.r)
+        thresholds, signed = self._rule
         k = np.searchsorted(thresholds, magnitude, side="right")
-        mag = np.where(k < thresholds.size, k + 1, 0)
-        return np.where(sign < 0.5, mag, -mag)
+        return signed[k + (len(self.r) + 1) * (sign < 0.5)]
+
+    @cached_property
+    def _rule(self) -> tuple[np.ndarray, np.ndarray]:
+        """The partial sums of r, and m for each k + (len(r) + 1) * (sign < 0.5).
+
+        k is the number of partial sums at most the magnitude uniform; k =
+        len(r) means |m| = 0.
+        """
+        mags = np.arange(1, len(self.r) + 2) % (len(self.r) + 1)   # 1, ..., len(r), 0
+        return np.cumsum(self.r), np.concatenate([-mags, mags])
+
+
+_LAWS = {law: DisplacementDistribution(law) for law in LAW_CODES}
 
 
 @dataclass
@@ -332,30 +349,37 @@ class EnsembleResult:
     realization_means: tuple[float, ...]
 
 
-_CHAIN_BLOCK = 1024   # chains drawn and evaluated per batch; bounds memory at any num_chains
+_CHAIN_BLOCK = 1024   # chains per draw block: the stream is drawn in whole blocks of this many
+_CHUNK_BLOCKS = 4     # draw blocks per evaluation chunk (fastest measured); bounds memory at any num_chains
 
 
 def _chain_draws(config: EnsembleConfig,
                  realization: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Pair index and eight normals of each chain of a realization, a block at a time.
+    """Pair index and eight normals of each chain of a realization, a chunk at a time.
 
     The realization's one stream, default_rng([seed, law code, k_n, k_e,
     realization]), is drawn in blocks of _CHAIN_BLOCK chains: first a
     (block, 4) array of uniforms (m1 magnitude, m2 magnitude, m1 sign, m2
     sign), then a (block, 8) array of normals. The last block is drawn in
     full as well and cut to the chains that exist, so a chain's draws depend
-    only on the stream and its index, not on num_chains. A pair index is
-    (m1 + 4) * 9 + (m2 + 4).
+    only on the stream and its index, not on num_chains. The draw block is
+    only the unit of the stream: up to _CHUNK_BLOCKS consecutive blocks are
+    drawn into the arrays of one evaluation chunk, fresh for each chunk so
+    that a yielded chunk stays valid, and the chunk's uniforms are mapped to
+    pair indices (m1 + 4) * 9 + (m2 + 4) by one displacements call.
     """
-    dist = DisplacementDistribution(config.law)
+    dist = _LAWS[config.law]
     rng = np.random.default_rng([config.seed, LAW_CODES[config.law],
                                  config.k_n, config.k_e, realization])
-    for start in range(0, config.num_chains, _CHAIN_BLOCK):
-        uniforms = rng.random((_CHAIN_BLOCK, 4))
-        normals = rng.standard_normal((_CHAIN_BLOCK, 8))
-        n = min(_CHAIN_BLOCK, config.num_chains - start)
+    for start in range(0, config.num_chains, _CHUNK_BLOCKS * _CHAIN_BLOCK):
+        n = min(_CHUNK_BLOCKS * _CHAIN_BLOCK, config.num_chains - start)
+        rows = -(-n // _CHAIN_BLOCK) * _CHAIN_BLOCK
+        uniforms, normals = np.empty((rows, 4)), np.empty((rows, 8))
+        for block in range(0, rows, _CHAIN_BLOCK):
+            rng.random(out=uniforms[block:block + _CHAIN_BLOCK])
+            rng.standard_normal(out=normals[block:block + _CHAIN_BLOCK])
         m = dist.displacements(uniforms[:n, :2], uniforms[:n, 2:])
-        yield (m[:, 0] + 4) * 9 + (m[:, 1] + 4), normals[:n]
+        yield m[:, 0] * 9 + m[:, 1] + 40, normals[:n]
 
 
 _PAIRS = tuple(itertools.combinations(range(4), 2))   # the six (j, k) with j < k
@@ -444,33 +468,37 @@ def _chain_errors(coeffs: np.ndarray, normals: np.ndarray) -> np.ndarray:
     `coeffs` holds one row c = _form_coefficients(M) per chain and `normals`
     eight standard normals, z = normals[:4] + i normals[4:]; z / |z| is a
     Haar-random initial state, c . f = Re(z^H M z) and f_0 + ... + f_3 =
-    z^H z. Each feature is computed for the whole block at once and the 16
+    z^H z. Each feature is computed for all rows at once and the 16
     products are added in coefficient order, with elementwise arithmetic
     only (no BLAS, no pairwise sums), so a row's error does not depend on
     the other rows or on how many there are. Every temporary holds one value
-    per row: (rows, 16) temporaries measured slower, as the allocator
-    returned and re-faulted their pages on every block.
+    per row and the products are taken in place: (rows, 16) temporaries
+    measured slower, as the allocator returned and re-faulted their pages.
     """
     x, y = normals.T[:4], normals.T[4:]
     norms = [x[j] * x[j] + y[j] * y[j] for j in range(4)]
     features = itertools.chain(norms,
                                (x[j] * x[k] + y[j] * y[k] for j, k in _PAIRS),
                                (x[j] * y[k] - y[j] * x[k] for j, k in _PAIRS))
-    quad = 0.0
+    norm = norms[0] + norms[1] + norms[2] + norms[3]
+    quad = np.zeros(len(normals))
     for c, f in zip(coeffs.T, features):
-        quad = quad + c * f
-    return 1.0 - quad / (norms[0] + norms[1] + norms[2] + norms[3])
+        f *= c
+        quad += f
+    quad /= norm
+    return 1.0 - quad
 
 
 def _run_realization(config: EnsembleConfig, realization: int,
                      table: np.ndarray) -> float:
     """Mean protocol error over the chains of one realization.
 
-    `table` is the realization's _form_tables entry; each block of _chain_draws
-    gathers its chains' coefficient rows from it, _chain_errors evaluates
-    them, and the errors are added one by one in chain order: np.cumsum
-    adds sequentially, and the running total is carried into each block's
-    first error.
+    `table` is the realization's _form_tables entry; each evaluation chunk
+    of _chain_draws (up to _CHUNK_BLOCKS draw blocks) gathers its chains'
+    coefficient rows from it, _chain_errors evaluates them in one pass, and
+    the errors are added one by one in chain order: np.cumsum adds
+    sequentially, and the running total is carried into each chunk's first
+    error. So the mean is the same bit for bit whatever the chunk size.
     """
     total = 0.0
     for pairs, normals in _chain_draws(config, realization):
@@ -520,7 +548,7 @@ def ensemble_grid(configs: Sequence[EnsembleConfig]) -> list[EnsembleResult]:
         pulses = design_protocol_pulses(config.k_e, config.k_n,
                                         geometry_nominal=config.geometry)
         keys.append((config.geometry, tuple(pulses.items()),
-                     DisplacementDistribution(config.law).magnitudes))
+                     _LAWS[config.law].magnitudes))
     tasks = [(config, r, table) for config, table in zip(configs, _form_tables(keys))
              for r in range(config.num_realizations)]
     workers = ensemble_workers(configs)

@@ -10,6 +10,7 @@ resonances, which is the error mechanism under study.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -85,7 +86,13 @@ class GateSpec:
             raise ValueError("species must be 'e' or 'n'")
 
     def with_k(self, k: int) -> "GateSpec":
-        return replace(self, k=k)
+        """This gate with K = k: the gate itself if k is its K, else a cached copy."""
+        return self if k == self.k else _gate_with_k(self, k)
+
+
+@lru_cache(maxsize=64)
+def _gate_with_k(gate: GateSpec, k: int) -> GateSpec:
+    return replace(gate, k=k)
 
 
 # The four initialization gates and the electron-electron CNOT.

@@ -329,6 +329,19 @@ class TestConfigFile:
         assert code == 0
         assert (tmp_path / "jtable.csv").exists()
 
+    def test_outdir_env_created_as_directory(self, tmp_path, capsys, monkeypatch):
+        # a directory that does not exist yet is made, not written as a file
+        outdir = tmp_path / "fresh" / "results"
+        monkeypatch.setenv("DONORPAIR_OUTDIR", str(outdir))
+        assert run_cli(["jtable", "40", "41"], capsys)[0] == 0
+        assert run_cli(["jtable", "47", "48", "--format", "json"], capsys)[0] == 0
+        assert run_cli(["spectrum"], capsys)[0] == 0
+        assert outdir.is_dir()
+        assert sorted(p.name for p in outdir.iterdir()) == ["jtable.csv", "jtable.json",
+                                                            "spectrum.csv"]
+        assert (outdir / "jtable.csv").read_text().startswith("N,a_nm,J_MHz\n40,")
+        assert json.loads((outdir / "jtable.json").read_text())["rows"][0]["N"] == 47
+
     @pytest.mark.parametrize("cfg, argv", [
         ({"seed": 1.5}, ["ensemble"]),
         ({"seed": True}, ["ensemble"]),
