@@ -15,9 +15,8 @@ from .pulses import (GATES, GateSpec, PulseSpec, design_gate,
                      interior_qubit_estimate, kn_window, leading_order_design,
                      nonresonant_mu, pulse_duration, rabi_probability,
                      two_pi_k_omega)
-from .dynamics import (DriveOperators, REGISTER_OPS, StepSizeError,
-                       evolve_pulse, integrate_lab_frame, pulse_propagator,
-                       relax_electrons, relax_electrons_adjoint,
+from .dynamics import (StepSizeError, evolve_pulse, integrate_lab_frame,
+                       pulse_propagator, relax_electrons, relax_electrons_adjoint,
                        rotating_hamiltonian)
 from .protocols import (DisplacementDistribution, EnsembleConfig,
                         EnsembleResult, ProtocolRun, ensemble_grid,

@@ -177,8 +177,13 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _emit(rows: list[dict], header: list[str], args, file_cfg, resolved: dict) -> None:
-    fmt = _resolve(args, file_cfg, "format", "csv")
+def _output_path(args, file_cfg, fmt: str) -> Path | None:
+    """The file the command writes, or None for stdout; checked before any work.
+
+    The nearest existing ancestor of the file must be a directory: missing
+    ones are made when the output is written, but a file in the way would
+    only fail then, after the whole computation.
+    """
     out = _resolve(args, file_cfg, "out", None)
     if out is not None:
         path = Path(out)
@@ -187,8 +192,16 @@ def _emit(rows: list[dict], header: list[str], args, file_cfg, resolved: dict) -
     elif outdir := os.environ.get("DONORPAIR_OUTDIR"):   # always a directory, made if missing
         path = Path(outdir) / f"{args.command}.{fmt}"
     else:
-        path = None
-    resolved = dict(resolved, command=args.command, version=__version__)
+        return None
+    ancestor = next(a for a in path.parents if a.exists())
+    if not ancestor.is_dir():
+        raise ValidityError(f"cannot write {str(path)!r}: {str(ancestor)!r} is not a directory")
+    return path
+
+
+def _emit(rows: list[dict], header: list[str], resolved: dict, command: str,
+          fmt: str, path: Path | None) -> None:
+    resolved = dict(resolved, command=command, version=__version__)
     if fmt == "json":
         doc = {"config": resolved, "columns": header, "rows": rows}
         text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
@@ -214,16 +227,15 @@ def _format_cell(x) -> str:
     return str(x)
 
 
-def cmd_jtable(args, file_cfg) -> None:
+def cmd_jtable(args, file_cfg) -> tuple[list[dict], list[str], dict]:
     if args.n_min > args.n_max:
         raise ValidityError("n_min must not exceed n_max")
     rows = [{"N": n, "a_nm": a, "J_MHz": j}
             for n, a, j in exchange_table(args.n_min, args.n_max)]
-    _emit(rows, ["N", "a_nm", "J_MHz"], args, file_cfg,
-          {"n_min": args.n_min, "n_max": args.n_max})
+    return rows, ["N", "a_nm", "J_MHz"], {"n_min": args.n_min, "n_max": args.n_max}
 
 
-def cmd_spectrum(args, file_cfg) -> None:
+def cmd_spectrum(args, file_cfg) -> tuple[list[dict], list[str], dict]:
     geometry = _geometry(args, file_cfg)
     spec = compute_spectrum(geometry)
     rows = []
@@ -247,11 +259,10 @@ def cmd_spectrum(args, file_cfg) -> None:
         "max_pert_dev_Hz": worst,
         "pert_dev_flagged": bool(worst > PERT_FLAG_THRESHOLD_HZ),
     }
-    _emit(rows, ["level", "ket", "exact_MHz", "pert_MHz", "zeroth_MHz", "dev_Hz"],
-          args, file_cfg, resolved)
+    return rows, ["level", "ket", "exact_MHz", "pert_MHz", "zeroth_MHz", "dev_Hz"], resolved
 
 
-def cmd_design(args, file_cfg) -> None:
+def cmd_design(args, file_cfg) -> tuple[list[dict], list[str], dict]:
     geometry = _geometry(args, file_cfg)
     gate = GATES[args.gate]
     default_k = DEFAULT_K_ELECTRON if gate.species == "e" else DEFAULT_K_NUCLEAR
@@ -278,10 +289,10 @@ def cmd_design(args, file_cfg) -> None:
     resolved = {"geometry": dataclasses.asdict(geometry), "gate": args.gate, "K": k}
     if geometry.m1 != 0 or geometry.m2 != 0:
         rows[0]["detuning_shift_kHz"] = displacement_detuning(gate, geometry) / TWO_PI / 1e3
-    _emit(rows, list(rows[0].keys()), args, file_cfg, resolved)
+    return rows, list(rows[0].keys()), resolved
 
 
-def cmd_sweep(args, file_cfg) -> None:
+def cmd_sweep(args, file_cfg) -> tuple[list[dict], list[str], dict]:
     geometry = _nominal_geometry(args, file_cfg)
     default_k = "1,2,3,4" if args.gate == "a" else "700,2000,5000,10000,30000"
     k_list = _list(args, file_cfg, "K", default_k, int)
@@ -292,10 +303,10 @@ def cmd_sweep(args, file_cfg) -> None:
             for k in k_list for m in range(-4, 5)]
     resolved = {"gate": args.gate, "K": k_list, "displaced_atom": args.displaced_atom,
                 "geometry": dataclasses.asdict(geometry)}
-    _emit(rows, ["m", "K", "P"], args, file_cfg, resolved)
+    return rows, ["m", "K", "P"], resolved
 
 
-def cmd_ensemble(args, file_cfg) -> None:
+def cmd_ensemble(args, file_cfg) -> tuple[list[dict], list[str], dict]:
     laws = _list(args, file_cfg, "law", "A,B,none")
     kns = _list(args, file_cfg, "Kn", "700,2000,5000,10000", int)
     chains = _resolve(args, file_cfg, "chains", 2000)
@@ -315,20 +326,20 @@ def cmd_ensemble(args, file_cfg) -> None:
                 "Kn": kns, "K_e": k_e, "seed": seed, "threads": threads,
                 "workers": ensemble_workers(configs),
                 "geometry": dataclasses.asdict(geometry)}
-    _emit(rows, ["K_n", "law", "mean_P", "stderr"], args, file_cfg, resolved)
+    return rows, ["K_n", "law", "mean_P", "stderr"], resolved
 
 
-def cmd_ee_cnot(args, file_cfg) -> None:
+def cmd_ee_cnot(args, file_cfg) -> tuple[list[dict], list[str], dict]:
     k = _resolve(args, file_cfg, "K", 1)
     geometry = _nominal_geometry(args, file_cfg)
     rows = []
     for m in range(-4, 5):
         p_e = run_ee_cnot(geometry.displaced(m1=m), k_prime=k)
         rows.append({"m": m, "P_e": p_e})
-    _emit(rows, ["m", "P_e"], args, file_cfg,
-          {"K_prime": k, "geometry": dataclasses.asdict(geometry)})
+    return rows, ["m", "P_e"], {"K_prime": k, "geometry": dataclasses.asdict(geometry)}
 
 
+# each command returns its (rows, header, resolved config); main writes them
 COMMANDS = {
     "jtable": cmd_jtable,
     "spectrum": cmd_spectrum,
@@ -345,7 +356,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         file_cfg = _load_config_file(args.config)
         _check_config_types(parser, args.command, file_cfg)
-        COMMANDS[args.command](args, file_cfg)
+        fmt = _resolve(args, file_cfg, "format", "csv")
+        path = _output_path(args, file_cfg, fmt)
+        rows, header, resolved = COMMANDS[args.command](args, file_cfg)
+        _emit(rows, header, resolved, args.command, fmt, path)
     except (ValidityError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

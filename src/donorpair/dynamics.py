@@ -1,4 +1,4 @@
-"""Time evolution under rectangular pulses and electron relaxation.
+"""Time evolution of the register under rectangular pulses and electron relaxation.
 
 The pulse field rotates in the transverse plane, so every drive term carries
 a single phase factor exp(-+i(nu t + phi)) and the frame generated by the
@@ -15,8 +15,6 @@ is provided as an independent cross-check of the frame construction.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .pulses import PulseSpec, species_rabi
@@ -27,60 +25,51 @@ class StepSizeError(ValueError):
     """Integrator step does not resolve the fastest Hamiltonian scale."""
 
 
-@dataclass(frozen=True)
-class DriveOperators:
-    """Operator set defining a driven system (register by default)."""
+def _drive_lowering(pulse: PulseSpec) -> np.ndarray:
+    """Sum of (+-Omega_s / 2) L_s over the driven spins: the drive's lowering part.
 
-    fz_diag: np.ndarray
-    lower: dict[str, np.ndarray]
-
-    @property
-    def dim(self) -> int:
-        return self.fz_diag.size
-
-
-REGISTER_OPS = DriveOperators(fz_diag=reg.FZ_DIAG, lower=reg.LOWER)
-
-
-def drive_operator(pulse: PulseSpec, ops: DriveOperators = REGISTER_OPS) -> np.ndarray:
-    """Static pulse operator V(phi) in the rotating frame.
-
-    Each driven spin contributes (Omega_s / 2) L_s e^{-i phi} + h.c., with a
-    minus sign on nuclear terms (opposite gyromagnetic sign) and Omega_s the
-    species Rabi frequency of the shared field.
+    Nuclear terms carry a minus sign (opposite gyromagnetic sign), and
+    Omega_s is the species Rabi frequency of the shared field.
     """
-    v = np.zeros((ops.dim, ops.dim), dtype=complex)
+    lower = np.zeros((reg.DIM, reg.DIM), dtype=complex)
     for spin in pulse.drive_spins:
         sign = 1.0 if spin.startswith("e") else -1.0
-        v += sign * 0.5 * species_rabi(pulse, spin) * ops.lower[spin]
+        lower += sign * 0.5 * species_rabi(pulse, spin) * reg.LOWER[spin]
+    return lower
+
+
+def drive_operator(pulse: PulseSpec) -> np.ndarray:
+    """Static pulse operator V(phi) in the rotating frame.
+
+    Each driven spin contributes (Omega_s / 2) L_s e^{-i phi} + h.c. (see
+    _drive_lowering for the signs).
+    """
+    v = _drive_lowering(pulse)
     v *= np.exp(-1j * pulse.phi)
     return v + v.conj().T
 
 
-def rotating_hamiltonian(h0: np.ndarray, pulse: PulseSpec,
-                         ops: DriveOperators = REGISTER_OPS) -> np.ndarray:
+def rotating_hamiltonian(h0: np.ndarray, pulse: PulseSpec) -> np.ndarray:
     """Time-independent rotating-frame Hamiltonian H0 + nu Fz + V(phi)."""
-    return h0 + pulse.nu * np.diag(ops.fz_diag) + drive_operator(pulse, ops)
+    return h0 + pulse.nu * np.diag(reg.FZ_DIAG) + drive_operator(pulse)
 
 
-def pulse_propagator(h0: np.ndarray, pulse: PulseSpec,
-                     ops: DriveOperators = REGISTER_OPS) -> np.ndarray:
+def pulse_propagator(h0: np.ndarray, pulse: PulseSpec) -> np.ndarray:
     """Lab-frame propagator of one full pulse, U = e^{+i nu Fz tau} e^{-i H_rot tau}.
 
     `h0` may be a stack (..., 16, 16) of static Hamiltonians; one eigh then
     solves the whole stack, and each propagator equals the one its H0 gives
     alone, bit for bit.
     """
-    w, v = np.linalg.eigh(rotating_hamiltonian(h0, pulse, ops))
+    w, v = np.linalg.eigh(rotating_hamiltonian(h0, pulse))
     u = (v * np.exp(-1j * w * pulse.tau)[..., None, :]) @ v.conj().swapaxes(-1, -2)
-    reentry = np.exp(1j * pulse.nu * pulse.tau * ops.fz_diag)
+    reentry = np.exp(1j * pulse.nu * pulse.tau * reg.FZ_DIAG)
     return np.multiply(reentry[:, None], u, out=u)   # in place: stacks are large
 
 
-def evolve_pulse(state: np.ndarray, h0: np.ndarray, pulse: PulseSpec,
-                 ops: DriveOperators = REGISTER_OPS) -> np.ndarray:
+def evolve_pulse(state: np.ndarray, h0: np.ndarray, pulse: PulseSpec) -> np.ndarray:
     """Evolve a pure state (1-d) or density matrix (2-d) through one pulse."""
-    u = pulse_propagator(h0, pulse, ops)
+    u = pulse_propagator(h0, pulse)
     if state.ndim == 1:
         return u @ state
     if state.ndim == 2:
@@ -136,17 +125,13 @@ def _expmh(h: np.ndarray) -> np.ndarray:
 
 
 def integrate_lab_frame(state: np.ndarray, h0: np.ndarray, pulse: PulseSpec,
-                        dt: float, ops: DriveOperators = REGISTER_OPS) -> np.ndarray:
+                        dt: float) -> np.ndarray:
     """Directly integrate i dpsi/dt = (H0 + V(t)) psi over one pulse.
 
     Commutator-free 4th-order Magnus stepping with exactly unitary steps.
     dt must resolve the fastest scale: dt * max|H| <= 0.05.
     """
-    lower = np.zeros((ops.dim, ops.dim), dtype=complex)
-    for spin in pulse.drive_spins:
-        sign = 1.0 if spin.startswith("e") else -1.0
-        lower += sign * 0.5 * species_rabi(pulse, spin) * ops.lower[spin]
-
+    lower = _drive_lowering(pulse)
     drive_amp = np.max(np.abs(lower))
     h_scale = np.max(np.abs(h0)) + 2.0 * drive_amp
     if dt * h_scale > 0.05:

@@ -13,10 +13,15 @@ parallelism. The pool starts only for a grid of at least CHAINS_PER_WORKER
 chains per worker (ensemble_workers); smaller grids run serially, since the
 pool's start-up would cost more than it saves.
 
+A single chain (a sweep point, an ee-CNOT, run_initialization,
+protocol_form) is driven by the same primitives as the ensemble's stacks:
+one compute_spectrum of its geometry and one pulse_propagator per pulse,
+the one-chain case of compute_spectra and the stacked pulse_propagator.
+
 The protocol is linear in the initial state, so an ensemble chain never
 runs it: its error is 1 - a^H M a for its four initial amplitudes a, where
-the 4x4 Hermitian M = protocol_form(setup) is the target projector carried
-back through PROTOCOL_ORDER in the Heisenberg picture. M depends only on
+M = protocol_form(geometry, pulses) is the 4x4 Hermitian target projector
+carried back through PROTOCOL_ORDER (Heisenberg picture). M depends only on
 the displacement pair and the pulses, and Re(z^H M z) is a dot product of
 16 real coefficients of M with 16 quadratic features of z = x + iy. The
 coefficients of every pair a law can draw sit in one read-only (81, 16)
@@ -54,7 +59,7 @@ from .dynamics import (pulse_propagator, relax_electrons,
 from .geometry import DEFAULT_GEOMETRY, DeviceGeometry
 from .pulses import (DEFAULT_K_ELECTRON, DEFAULT_K_NUCLEAR, GATES, PulseSpec,
                      design_gate)
-from .spectrum import Spectrum, compute_spectra, compute_spectrum
+from .spectrum import compute_spectra, compute_spectrum
 
 INIT_SUPPORT = (6, 7, 14, 15)     # electrons relaxed, nuclei arbitrary
 TARGET_STATE = 15
@@ -115,16 +120,6 @@ class DisplacementDistribution:
 _LAWS = {law: DisplacementDistribution(law) for law in LAW_CODES}
 
 
-@dataclass
-class ChainSetup:
-    """Everything needed to drive one chain: its spectrum and the nominal pulses."""
-
-    geometry: DeviceGeometry
-    spectrum: Spectrum
-    pulses: dict[str, PulseSpec]
-    propagators: dict[str, np.ndarray]
-
-
 def design_protocol_pulses(k_e: int = DEFAULT_K_ELECTRON, k_n: int = DEFAULT_K_NUCLEAR,
                            gates: tuple[str, ...] = ("a", "b", "c", "d"),
                            geometry_nominal: DeviceGeometry = DEFAULT_GEOMETRY,
@@ -139,21 +134,17 @@ def design_protocol_pulses(k_e: int = DEFAULT_K_ELECTRON, k_n: int = DEFAULT_K_N
     return pulses
 
 
-def setup_chain(geometry: DeviceGeometry, pulses: dict[str, PulseSpec],
-                constants: PhysicalConstants = DEFAULT_CONSTANTS) -> ChainSetup:
+def _transfer_error(vectors: np.ndarray, u: np.ndarray, source: int, target: int) -> float:
+    """1 - |v_target^H U v_source|^2 for labelled eigenvector columns v and propagator U."""
+    return 1.0 - abs(np.vdot(vectors[:, target], u @ vectors[:, source])) ** 2
+
+
+def _chain_transfer_error(geometry: DeviceGeometry, pulse: PulseSpec, source: int,
+                          target: int, constants: PhysicalConstants) -> float:
+    """_transfer_error of one pulse on one chain, solved here: one spectrum, one propagator."""
     spec = compute_spectrum(geometry, constants)
-    props = {name: pulse_propagator(spec.hamiltonian, p) for name, p in pulses.items()}
-    return ChainSetup(geometry, spec, pulses, props)
-
-
-def eigenstate(setup: ChainSetup, label: int) -> np.ndarray:
-    return setup.spectrum.eigenvectors[:, label]
-
-
-def transfer_error(setup: ChainSetup, gate_name: str, source: int, target: int) -> float:
-    """1 - P(source -> target) for one pulse, eigenbasis prepared and read."""
-    psi = setup.propagators[gate_name] @ eigenstate(setup, source)
-    return 1.0 - abs(np.vdot(eigenstate(setup, target), psi)) ** 2
+    return _transfer_error(spec.eigenvectors, pulse_propagator(spec.hamiltonian, pulse),
+                           source, target)
 
 
 # -- single-gate sweeps ------------------------------------------------------
@@ -178,8 +169,7 @@ def sweep_gate_error(gate_name: str, m_range=range(-4, 5), k_list=(1,),
         for m in m_range:
             displacement = {"m1": m} if displaced_atom == 1 else {"m2": m}
             geom = geometry_nominal.displaced(**displacement)
-            setup = setup_chain(geom, {gate_name: pulse}, constants)
-            out[(m, k)] = transfer_error(setup, gate_name, p, q)
+            out[(m, k)] = _chain_transfer_error(geom, pulse, p, q, constants)
     return out
 
 
@@ -210,11 +200,6 @@ class ProtocolRun:
     final_error: float = np.nan
 
 
-def _target_population(setup: ChainSetup, rho: np.ndarray) -> float:
-    t = eigenstate(setup, TARGET_STATE)
-    return float(np.real(t.conj() @ rho @ t))
-
-
 def run_initialization(geometry: DeviceGeometry,
                        k_e: int = DEFAULT_K_ELECTRON, k_n: int = DEFAULT_K_NUCLEAR,
                        initial: np.ndarray | None = None,
@@ -231,7 +216,9 @@ def run_initialization(geometry: DeviceGeometry,
     """
     if pulses is None:
         pulses = design_protocol_pulses(k_e, k_n, constants=constants)
-    setup = setup_chain(geometry, pulses, constants)
+    spec = compute_spectrum(geometry, constants)
+    vectors = spec.eigenvectors
+    propagators = {name: pulse_propagator(spec.hamiltonian, p) for name, p in pulses.items()}
 
     if initial is None:
         amps = np.zeros(16, dtype=complex)
@@ -246,33 +233,43 @@ def run_initialization(geometry: DeviceGeometry,
     amps = amps / np.linalg.norm(amps)
 
     run = ProtocolRun(geometry=geometry, k_e=k_e, k_n=k_n)
-    psi = setup.spectrum.eigenvectors @ amps
+    target = vectors[:, TARGET_STATE]
+
+    def error(rho: np.ndarray) -> float:   # 1 - population of the target eigenstate
+        return 1.0 - float(np.real(target.conj() @ rho @ target))
+
+    psi = vectors @ amps
     rho = np.outer(psi, psi.conj())
     for step in PROTOCOL_ORDER:
         if step == "relax":
             rho = relax_electrons(rho)
         else:
-            u = setup.propagators[step]
+            u = propagators[step]
             rho = u @ rho @ u.conj().T
         if record:
-            run.steps.append((step, 1.0 - _target_population(setup, rho)))
-    run.final_error = 1.0 - _target_population(setup, rho)
+            run.steps.append((step, error(rho)))
+    run.final_error = error(rho)
     if record:
         for name in ("a", "b", "c", "d"):
             p, q = GATES[name].resonant
-            run.pulse_fidelities[name] = 1.0 - transfer_error(setup, name, p, q)
+            run.pulse_fidelities[name] = 1.0 - _transfer_error(vectors, propagators[name], p, q)
     return run
 
 
-def protocol_form(setup: ChainSetup) -> np.ndarray:
+def protocol_form(geometry: DeviceGeometry, pulses: dict[str, PulseSpec],
+                  constants: PhysicalConstants = DEFAULT_CONSTANTS) -> np.ndarray:
     """4x4 Hermitian M with final error 1 - a^H M a for initial amplitudes a.
 
-    `a` holds amplitudes on the INIT_SUPPORT eigenstates. The target
-    projector is carried backwards through PROTOCOL_ORDER in the Heisenberg
-    picture: a pulse U maps O -> U^H O U, a relaxation applies the channel's
-    adjoint. M is O restricted to the initial manifold.
+    `a` holds amplitudes on the INIT_SUPPORT eigenstates of the chain
+    `geometry`, driven by `pulses` (one per gate of PROTOCOL_ORDER). The
+    target projector is carried backwards through PROTOCOL_ORDER in the
+    Heisenberg picture: a pulse U maps O -> U^H O U, a relaxation applies the
+    channel's adjoint. M is O restricted to the initial manifold: the
+    one-chain case of _protocol_forms.
     """
-    return _protocol_forms(setup.spectrum.eigenvectors, setup.propagators)
+    spec = compute_spectrum(geometry, constants)
+    return _protocol_forms(spec.eigenvectors, {name: pulse_propagator(spec.hamiltonian, p)
+                                               for name, p in pulses.items()})
 
 
 def _protocol_forms(vectors: np.ndarray, propagators: dict[str, np.ndarray]) -> np.ndarray:
@@ -307,9 +304,7 @@ def run_ee_cnot(geometry: DeviceGeometry, k_prime: int = 1,
     gate = GATES["ee"].with_k(k_prime)
     spec0 = compute_spectrum(geometry.displaced(0, 0), constants)
     pulse = design_gate(spec0, gate, constants)
-    setup = setup_chain(geometry, {"ee": pulse}, constants)
-    p, q = gate.resonant
-    return transfer_error(setup, "ee", p, q)
+    return _chain_transfer_error(geometry, pulse, *gate.resonant, constants)
 
 
 # -- Monte-Carlo ensemble ------------------------------------------------------

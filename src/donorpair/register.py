@@ -59,10 +59,6 @@ def bits(index: int) -> tuple[int, int, int, int]:
     return ((index >> 3) & 1, (index >> 2) & 1, (index >> 1) & 1, index & 1)
 
 
-def index_of(n2: int, e2: int, e1: int, n1: int) -> int:
-    return 8 * n2 + 4 * e2 + 2 * e1 + n1
-
-
 def ket_label(index: int) -> str:
     return "|%d%d%d%d>" % bits(index)
 

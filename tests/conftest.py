@@ -10,7 +10,7 @@ import donorpair
 from donorpair import (DEFAULT_GEOMETRY, DisplacementDistribution, compute_spectrum,
                        effective_params, protocol_form)
 from donorpair import protocols
-from donorpair.protocols import design_protocol_pulses, setup_chain
+from donorpair.protocols import design_protocol_pulses
 
 
 @pytest.fixture(scope="session")
@@ -43,7 +43,7 @@ def exact_law_mean():
     def pair_errors(k_n):
         pulses = design_protocol_pulses(1, k_n)
         return {(m1, m2): 1.0 - np.trace(protocol_form(
-                    setup_chain(DEFAULT_GEOMETRY.displaced(m1, m2), pulses))).real / 4
+                    DEFAULT_GEOMETRY.displaced(m1, m2), pulses)).real / 4
                 for m1 in range(-4, 5) for m2 in range(-4, 5)}
 
     def exact(k_n, law):

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from donorpair import protocols
+from donorpair import register as reg
 from donorpair import (DEFAULT_GEOMETRY, GATES,
                        displacement_detuning, error_estimate, evolve_pulse,
                        integrate_lab_frame, j_for_sites, kn_window,
@@ -22,7 +23,6 @@ from donorpair import (DEFAULT_GEOMETRY, GATES,
                        two_pi_k_omega, interior_qubit_estimate)
 from donorpair.cli import main as cli_main
 from donorpair.constants import DEFAULT_CONSTANTS, TWO_PI
-from donorpair.dynamics import DriveOperators
 from donorpair.geometry import EffectiveParams, effective_params, field_step
 from donorpair.protocols import EnsembleConfig, ensemble_init
 from donorpair.pulses import PulseSpec
@@ -98,11 +98,10 @@ def test_criterion_3_spectrum_accuracy(default_spectrum):
 
 def test_criterion_4_dynamics_oracles():
     t0 = time.monotonic()
-    # two-level reductions against the transition-probability formula
-    two_level = DriveOperators(fz_diag=np.array([0.5, -0.5]),
-                               lower={"e1": np.array([[0, 0], [1, 0]], dtype=complex)})
+    # two-level reductions against the transition-probability formula: a lone
+    # electron 1 on the register, flipped from basis_ket(0) to basis_ket(2)
     omega0 = TWO_PI * 5e9
-    h0 = omega0 * np.diag([0.5, -0.5]).astype(complex)
+    h0 = omega0 * reg.SZ["e1"]
     rng = np.random.default_rng(2024)
     for _ in range(20):
         omega = TWO_PI * rng.uniform(0.5e6, 80e6)
@@ -111,8 +110,8 @@ def test_criterion_4_dynamics_oracles():
                           b1_amplitude=omega / GE, omega_e=omega,
                           omega_n=omega * GN / GE, tau=np.pi / omega,
                           drive_spins=("e1",))
-        psi = evolve_pulse(np.array([1, 0], dtype=complex), h0, pulse, ops=two_level)
-        assert abs(abs(psi[1]) ** 2 - rabi_probability(omega, delta)) <= 1e-8
+        psi = evolve_pulse(reg.basis_ket(0), h0, pulse)
+        assert abs(abs(psi[2]) ** 2 - rabi_probability(omega, delta)) <= 1e-8
 
     # rotating frame versus direct lab-frame integration at reduced field
     scale = 100e6 / 92482.5e6

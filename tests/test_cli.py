@@ -342,6 +342,38 @@ class TestConfigFile:
         assert (outdir / "jtable.csv").read_text().startswith("N,a_nm,J_MHz\n40,")
         assert json.loads((outdir / "jtable.json").read_text())["rows"][0]["N"] == 47
 
+    def test_out_under_a_file_rejected(self, tmp_path, capsys):
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        for target in (afile / "x.csv", afile / "sub" / "x.csv"):
+            code, out, err = run_cli(["jtable", "40", "41", "--out", str(target)], capsys)
+            assert code == 3
+            assert out == ""
+            assert str(target) in err and "not a directory" in err
+        assert afile.read_text() == ""
+
+    def test_outdir_env_naming_a_file_rejected(self, tmp_path, capsys, monkeypatch):
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        monkeypatch.setenv("DONORPAIR_OUTDIR", str(afile))
+        code, out, err = run_cli(["jtable", "40", "41"], capsys)
+        assert code == 3
+        assert out == ""
+        assert str(afile / "jtable.csv") in err and "not a directory" in err
+
+    def test_bad_output_path_rejected_before_any_chain(self, tmp_path, monkeypatch, capsys):
+        def no_run(configs):
+            raise AssertionError("chains ran before the output path was checked")
+        monkeypatch.setattr(cli, "ensemble_grid", no_run)
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        code, out, err = run_cli(["ensemble", "--chains", "4", "--realizations", "1",
+                                  "--law", "none", "--Kn", "2000",
+                                  "--out", str(afile / "ensemble.csv")], capsys)
+        assert code == 3
+        assert out == ""
+        assert "not a directory" in err
+
     @pytest.mark.parametrize("cfg, argv", [
         ({"seed": 1.5}, ["ensemble"]),
         ({"seed": True}, ["ensemble"]),

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from donorpair import (DEFAULT_GEOMETRY, GATES, REGISTER_OPS, DriveOperators,
-                       StepSizeError, build_h0, compute_spectra, design_gate,
-                       effective_params, evolve_pulse, integrate_lab_frame,
+from donorpair import (DEFAULT_GEOMETRY, GATES, StepSizeError, build_h0,
+                       compute_spectra, design_gate, effective_params,
+                       evolve_pulse, integrate_lab_frame,
                        pulse_propagator, rabi_probability, relax_electrons,
                        rotating_hamiltonian)
 from donorpair.constants import DEFAULT_CONSTANTS, TWO_PI
@@ -16,30 +16,31 @@ from donorpair import register as reg
 GE = DEFAULT_CONSTANTS.gamma_e
 GN = DEFAULT_CONSTANTS.gamma_n
 
-TWO_LEVEL = DriveOperators(
-    fz_diag=np.array([0.5, -0.5]),
-    lower={"e1": np.array([[0, 0], [1, 0]], dtype=complex)},
-)
+E1_FLIPPED = 2   # |0010>: basis_ket(0) with electron 1 flipped
 
 
 def _two_level_pulse(omega: float, delta: float, omega0: float) -> PulseSpec:
-    """Pulse addressing a lone electron spin of Larmor frequency omega0."""
+    """Pulse addressing a lone electron spin of Larmor frequency omega0.
+
+    On the register, _two_level_h0(omega0) and the pulse act on electron 1
+    alone, so basis_ket(0) and basis_ket(E1_FLIPPED) form a closed two-level
+    system.
+    """
     return PulseSpec(nu=-omega0 - delta, phi=0.0, b1_amplitude=omega / GE,
                      omega_e=omega, omega_n=omega * GN / GE, tau=np.pi / omega,
                      drive_spins=("e1",))
 
 
 def _two_level_h0(omega0: float) -> np.ndarray:
-    return omega0 * np.diag([0.5, -0.5]).astype(complex)
+    return omega0 * reg.SZ["e1"]
 
 
 class TestTwoLevelContract:
     def test_resonant_flip_is_complete(self):
         omega0 = TWO_PI * 5e9
         pulse = _two_level_pulse(TWO_PI * 10e6, 0.0, omega0)
-        psi = evolve_pulse(np.array([1, 0], dtype=complex),
-                           _two_level_h0(omega0), pulse, ops=TWO_LEVEL)
-        assert abs(psi[1]) ** 2 == pytest.approx(1.0, abs=1e-9)
+        psi = evolve_pulse(reg.basis_ket(0), _two_level_h0(omega0), pulse)
+        assert abs(psi[E1_FLIPPED]) ** 2 == pytest.approx(1.0, abs=1e-9)
 
     def test_detuned_grid_matches_rabi_formula(self):
         omega0 = TWO_PI * 5e9
@@ -49,14 +50,14 @@ class TestTwoLevelContract:
             omega = TWO_PI * rng.uniform(0.5e6, 80e6)
             delta = TWO_PI * rng.uniform(-200e6, 200e6)
             pulse = _two_level_pulse(omega, delta, omega0)
-            psi = evolve_pulse(np.array([1, 0], dtype=complex), h0, pulse, ops=TWO_LEVEL)
-            assert abs(psi[1]) ** 2 == pytest.approx(
+            psi = evolve_pulse(reg.basis_ket(0), h0, pulse)
+            assert abs(psi[E1_FLIPPED]) ** 2 == pytest.approx(
                 rabi_probability(omega, delta), abs=1e-8)
 
     def test_frame_term_commutes_with_statics(self, default_spectrum):
         pulse = design_gate(default_spectrum, GATES["a"].with_k(1))
         h0 = default_spectrum.hamiltonian
-        fz = np.diag(REGISTER_OPS.fz_diag)
+        fz = np.diag(reg.FZ_DIAG)
         static = h0 + pulse.nu * fz
         assert np.linalg.norm(static @ fz - fz @ static) == 0
         h_rot = rotating_hamiltonian(h0, pulse)

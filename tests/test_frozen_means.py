@@ -7,8 +7,17 @@ evaluation chunk (4096 chains), so a change to the draws, the displacement
 mapping, the kernel or the summation order that moves a single bit of any
 mean fails here. A change that means to move them must say so and refresh
 the table.
+
+The single-chain pins below are the float.hex of sweep_gate_error,
+run_ee_cnot, run_initialization and protocol_form's coefficients, computed
+before single chains were driven by the ensemble engine's primitives, so a
+change to the single-chain path that moves a bit fails here too.
 """
-from donorpair import EnsembleConfig, ensemble_grid
+import pytest
+
+from donorpair import (DEFAULT_GEOMETRY, EnsembleConfig, ensemble_grid, protocol_form,
+                       run_ee_cnot, run_initialization, sweep_gate_error)
+from donorpair.protocols import _form_coefficients, design_protocol_pulses
 
 SEED = 11
 FROZEN_MEANS = {   # (law, K_n, num_chains): float.hex of the 2 realization means
@@ -63,3 +72,80 @@ def test_seeded_means_are_frozen():
     got = {(c.law, c.k_n, c.num_chains): tuple(x.hex() for x in r.realization_means)
            for c, r in zip(configs, ensemble_grid(configs))}
     assert got == FROZEN_MEANS
+
+
+SWEEP_M = (-4, -1, 0, 1, 3)
+SWEEP_K = {"a": (1, 4), "b": (700, 30000)}
+FROZEN_SWEEPS = {   # (gate, displaced atom): {(m, K): float.hex of the error}
+    ("a", 1): {(-4, 1): "0x1.7d0a88c164020p-6", (-1, 1): "0x1.5d02576d39a00p-10",
+               (0, 1): "0x1.1c06926d80000p-15", (1, 1): "0x1.3fa0de2fffe00p-10",
+               (3, 1): "0x1.093e135b1e7c0p-7", (-4, 4): "0x1.a1faff6d7d020p-2",
+               (-1, 4): "0x1.c09d93e63d0a0p-6", (0, 4): "0x1.348dbc0000000p-27",
+               (1, 4): "0x1.848666fc2c920p-6", (3, 4): "0x1.362e5c3b14ac4p-3"},
+    ("a", 2): {(-4, 1): "0x1.590de58582100p-8", (-1, 1): "0x1.2a0b403190000p-13",
+               (0, 1): "0x1.1c06926d80000p-15", (1, 1): "0x1.3d2f3d4140000p-15",
+               (3, 1): "0x1.ce4928d640000p-14", (-4, 4): "0x1.4792c67de13a8p-4",
+               (-1, 4): "0x1.355d0173e3000p-10", (0, 4): "0x1.348dbc0000000p-27",
+               (1, 4): "0x1.0e472c0a47c00p-11", (3, 4): "0x1.29a469a03e100p-9"},
+    ("b", 1): {(-4, 700): "0x1.6853688af8b1ap-2", (-1, 700): "0x1.641e054216c7ap-2",
+               (0, 700): "0x1.63d5a60726eb0p-2", (1, 700): "0x1.641d07d6cb2d0p-2",
+               (3, 700): "0x1.6659ccbff4a62p-2", (-4, 30000): "0x1.f5e2068639573p-1",
+               (-1, 30000): "0x1.26d40106ff2b8p-1", (0, 30000): "0x1.c8bbf1957d800p-12",
+               (1, 30000): "0x1.26d8451f5cd20p-1", (3, 30000): "0x1.c4a3447cf4c88p-1"},
+    ("b", 2): {(-4, 700): "0x1.afb60d213c25ap-2", (-1, 700): "0x1.766d853cef6bcp-2",
+               (0, 700): "0x1.63d5a60726eb0p-2", (1, 700): "0x1.5189a2b8047fep-2",
+               (3, 700): "0x1.2def3e3a3ee38p-2", (-4, 30000): "0x1.c0c4f6ff04000p-15",
+               (-1, 30000): "0x1.16dab56227800p-12", (0, 30000): "0x1.c8bbf1957d800p-12",
+               (1, 30000): "0x1.058987eda0000p-14", (3, 30000): "0x1.d43ec6ed00000p-21"},
+}
+FROZEN_EE = {   # (m1, K'): float.hex of the ee-CNOT error
+    (-1, 1): "0x1.e37e4d04bd4f6p-1", (-1, 2): "0x1.eb68ea30a9142p-1",
+    (0, 1): "0x1.71aeb47e95000p-13", (0, 2): "0x1.33e2236968000p-13",
+    (1, 1): "0x1.f2402d902765ep-1", (1, 2): "0x1.f04cb12b294d7p-1",
+}
+FROZEN_INIT = {   # run_initialization(displaced(1, -1), K_e 1, K_n 2000)
+    "final_error": "0x1.090d3a698c35cp-3",
+    "a": "0x1.ffa3b0b9e0866p-1", "b": "0x1.c2dd8686405a8p-1",
+    "c": "0x1.fe1a55191a3bap-1", "d": "0x1.c2dcdd458d76ep-1",
+}
+FROZEN_FORMS = {   # (m1, m2): float.hex of the 16 coefficients at K_e 1, K_n 2000
+    (1, -1): ("0x1.bdbcb1659cf2cp-1", "0x1.c3cd15108892ap-1", "0x1.f2f0be2420d52p-1",
+              "0x1.fbba324fd11c3p-1", "0x1.079c0d0febd6bp-6", "-0x1.2750f669bcc7fp-5",
+              "0x1.e0cf56a6b937dp-11", "0x1.8886eda3dd4c5p-12", "0x1.aa51b955363d8p-6",
+              "0x1.7ce9be4f31f14p-9", "-0x1.2962dc8a48af3p-8", "0x1.5ec7a85424e97p-4",
+              "-0x1.6b38dc0d13f80p-9", "-0x1.1d502ec26cce8p-8", "0x1.0df01bb23a8b4p-5",
+              "0x1.1369b592260ddp-9"),
+    (-3, 2): ("0x1.e9f2cce18c32ap-1", "0x1.c1de01cd2e18cp-1", "0x1.e780f9711188cp-1",
+              "0x1.bfaddc4e85b9dp-1", "-0x1.6ed1c968ef6b9p-8", "-0x1.40fc69c645b98p-7",
+              "0x1.f3a76af72662dp-12", "-0x1.7f0b76c878bc9p-11", "-0x1.258140a934ab5p-7",
+              "-0x1.0689246b1b42ap-8", "-0x1.66746645dcb00p-5", "0x1.5590f1d1fb634p-6",
+              "0x1.49d15d9e5ac2ap-11", "-0x1.615e9f6f850c9p-13", "0x1.3b692bd5d172ap-6",
+              "-0x1.64190cd1a0415p-5"),
+}
+
+
+@pytest.mark.parametrize("gate, atom", sorted(FROZEN_SWEEPS))
+def test_sweep_errors_are_frozen(gate, atom):
+    table = sweep_gate_error(gate, SWEEP_M, SWEEP_K[gate], displaced_atom=atom)
+    assert {key: value.hex() for key, value in table.items()} == FROZEN_SWEEPS[gate, atom]
+
+
+def test_ee_cnot_errors_are_frozen():
+    got = {(m, k): run_ee_cnot(DEFAULT_GEOMETRY.displaced(m1=m), k).hex()
+           for m, k in FROZEN_EE}
+    assert got == FROZEN_EE
+
+
+def test_initialization_run_is_frozen():
+    run = run_initialization(DEFAULT_GEOMETRY.displaced(1, -1), 1, 2000)
+    got = {"final_error": run.final_error.hex(),
+           **{name: f.hex() for name, f in run.pulse_fidelities.items()}}
+    assert got == FROZEN_INIT
+
+
+def test_protocol_form_coefficients_are_frozen():
+    pulses = design_protocol_pulses(1, 2000)
+    got = {pair: tuple(c.hex() for c in _form_coefficients(
+               protocol_form(DEFAULT_GEOMETRY.displaced(*pair), pulses)))
+           for pair in FROZEN_FORMS}
+    assert got == FROZEN_FORMS

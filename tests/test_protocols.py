@@ -9,14 +9,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from donorpair import protocols
-from donorpair import (DEFAULT_GEOMETRY, DisplacementDistribution,
-                       EnsembleConfig, compute_spectra, ensemble_grid, ensemble_init,
-                       ensemble_workers, pulse_propagator, run_ee_cnot,
+from donorpair import (DEFAULT_GEOMETRY, DeviceGeometry, DisplacementDistribution,
+                       EnsembleConfig, ValidityError, compute_spectra, ensemble_grid,
+                       ensemble_init, ensemble_workers, pulse_propagator, run_ee_cnot,
                        run_initialization, sweep_gate_error,
                        sweep_neighbor_displacement)
 from donorpair.protocols import (INIT_SUPPORT, LAW_CODES, _chain_draws, _chain_errors,
                                  _form_coefficients, _form_tables, design_protocol_pulses,
-                                 protocol_form, setup_chain)
+                                 protocol_form)
 
 # Frozen cross-implementation values (independent prototype of the same
 # model run ahead of this package; tolerances cover BLAS-level variation).
@@ -139,6 +139,31 @@ class TestEeCnot:
             assert run_ee_cnot(DEFAULT_GEOMETRY.displaced(m1=m)) >= 50 * p0
 
 
+class TestSingleChainProperties:
+    @pytest.mark.filterwarnings("ignore::donorpair.spectrum.SwapBoundaryWarning")
+    @given(n0=st.integers(44, 50), gradient=st.floats(1.2e5, 1.4e5),
+           m1=st.integers(-4, 4), m2=st.integers(-4, 4),
+           k_a=st.sampled_from((1, 2, 4)), k_b=st.sampled_from((700, 2000, 30000)))
+    @settings(max_examples=25, deadline=None)
+    def test_valid_result_or_validity_error(self, n0, gradient, m1, m2, k_a, k_b):
+        # a layout near the paper's either drives every single-chain path to
+        # an error in [0, 1] and a form between 0 and 1, or is refused
+        nominal = DeviceGeometry(n0=n0, gradient=gradient)
+        chain = nominal.displaced(m1, m2)
+        try:
+            a = sweep_gate_error("a", (m1,), (k_a,), geometry_nominal=nominal)[m1, k_a]
+            b = sweep_gate_error("b", (m2,), (k_b,), displaced_atom=2,
+                                 geometry_nominal=nominal)[m2, k_b]
+            ee = run_ee_cnot(chain)
+            form = protocol_form(chain, design_protocol_pulses(1, k_b, geometry_nominal=nominal))
+        except ValidityError:
+            return
+        assert 0.0 <= a <= 1.0 and 0.0 <= b <= 1.0 and 0.0 <= ee <= 1.0
+        assert np.abs(form - form.conj().T).max() <= 1e-12
+        eigenvalues = np.linalg.eigvalsh(form)
+        assert eigenvalues.min() >= -1e-12 and eigenvalues.max() <= 1.0 + 1e-12
+
+
 class TestDistribution:
     def test_law_tables(self):
         a = DisplacementDistribution("A")
@@ -215,7 +240,7 @@ class TestEnsemble:
         total = 0.0
         for m1, m2, normals in reference_chains(config, 0):
             amps = (normals[:4] + 1j * normals[4:]) / np.linalg.norm(normals)
-            form = protocol_form(setup_chain(DEFAULT_GEOMETRY.displaced(m1, m2), pulses))
+            form = protocol_form(DEFAULT_GEOMETRY.displaced(m1, m2), pulses)
             total += 1.0 - np.vdot(amps, form @ amps).real
         assert result.mean_error == pytest.approx(total / config.num_chains, rel=1e-12)
 
@@ -265,7 +290,7 @@ class TestEnsemble:
         for m1, m2, normals in reference_chains(config, 0):
             if (m1, m2) not in coeffs:
                 coeffs[m1, m2] = _form_coefficients(protocol_form(
-                    setup_chain(DEFAULT_GEOMETRY.displaced(m1, m2), pulses)))
+                    DEFAULT_GEOMETRY.displaced(m1, m2), pulses))
             total += _chain_errors(coeffs[m1, m2][None], normals[None])[0]
         assert len(coeffs) > 1
         assert ensemble_init(config).realization_means[0] == total / config.num_chains
@@ -292,7 +317,7 @@ class TestEnsemble:
                                   k_e=1, k_n=k_n, seed=3) for k_n in (2000, 5000)]
         for config, result in zip(configs, ensemble_grid(configs)):
             pulses = design_protocol_pulses(config.k_e, config.k_n)
-            form = protocol_form(setup_chain(DEFAULT_GEOMETRY, pulses))
+            form = protocol_form(DEFAULT_GEOMETRY, pulses)
             for realization, mean in enumerate(result.realization_means):
                 total = 0.0
                 for m1, m2, normals in reference_chains(config, realization):
@@ -421,7 +446,7 @@ class TestEnsemble:
         [table] = _form_tables([(DEFAULT_GEOMETRY, tuple(pulses.items()), (0, 1, 2, 3, 4))])
         for m1, m2 in itertools.product(range(-4, 5), repeat=2):
             alone = _form_coefficients(protocol_form(
-                setup_chain(DEFAULT_GEOMETRY.displaced(m1, m2), pulses)))
+                DEFAULT_GEOMETRY.displaced(m1, m2), pulses))
             assert (table[(m1 + 4) * 9 + (m2 + 4)] == alone).all(), (m1, m2)
 
     def test_form_table_is_read_only(self):
@@ -455,8 +480,7 @@ class TestEnsemble:
 
     def test_protocol_form_matches_full_protocol(self):
         pulses = design_protocol_pulses(1, 5000)
-        setup = setup_chain(DEFAULT_GEOMETRY.displaced(m1=1), pulses)
-        form = protocol_form(setup)
+        form = protocol_form(DEFAULT_GEOMETRY.displaced(m1=1), pulses)
         assert np.abs(form - form.conj().T).max() <= 1e-14
         rng = np.random.default_rng(3)
         for _ in range(3):
