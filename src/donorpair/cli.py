@@ -4,31 +4,22 @@ Subcommands: jtable, spectrum, design, sweep, ensemble, ee-cnot. Tabular
 results go to CSV (deterministic formatting, header row, newline
 terminated); --format json wraps results and the resolved configuration in
 a single document. Exit status: 0 success, 2 usage error, 3 physics
-validity guard, 1 internal error.
+validity guard or invalid option value, 1 internal error.
+
+Each command imports the layers it runs when it runs, so --version, --help
+and usage errors start without numpy.
 """
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import json
 import os
 import sys
-from pathlib import Path
-
-import numpy as np
 
 from . import __version__
-from .constants import TWO_PI
-from .exchange import exchange_table
-from .geometry import DEFAULT_GEOMETRY, DeviceGeometry
-from .protocols import (EnsembleConfig, ensemble_grid, ensemble_workers,
-                        run_ee_cnot, sweep_gate_error)
-from .pulses import (DEFAULT_K_ELECTRON, DEFAULT_K_NUCLEAR, GATES,
-                     design_gate, displacement_detuning, leading_order_design)
-from .spectrum import ValidityError, compute_spectrum
-from . import register as reg
 
 PERT_FLAG_THRESHOLD_HZ = 100.0
+GATE_NAMES = ("a", "b", "c", "d", "ee")   # sorted(pulses.GATES), without importing pulses
+GATE_HELP = "required, as this flag or as the configuration file's gate"
 
 GEOMETRY_KEYS = ("N0", "gradient_T_per_m", "b_tesla", "m1", "m2")
 CONFIG_KEYS = GEOMETRY_KEYS + (
@@ -37,6 +28,8 @@ CONFIG_KEYS = GEOMETRY_KEYS + (
 
 
 def _mhz(omega: float) -> float:
+    from .constants import TWO_PI
+
     return omega / TWO_PI / 1e6
 
 
@@ -67,12 +60,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="labelled level energies, exact and perturbative")
 
     p = sub.add_parser("design", parents=[common], help="pulse parameters of one gate")
-    p.add_argument("--gate", choices=sorted(GATES), required=True)
+    p.add_argument("--gate", choices=GATE_NAMES, default=None, help=GATE_HELP)
     p.add_argument("--K", type=int, default=None)
 
     p = sub.add_parser("sweep", parents=[common],
                        help="gate error versus displacement for several K")
-    p.add_argument("--gate", choices=("a", "b"), required=True)
+    p.add_argument("--gate", choices=("a", "b"), default=None, help=GATE_HELP)
     p.add_argument("--K", default=None, help="comma-separated K values")
     p.add_argument("--displaced-atom", type=int, choices=(1, 2), default=1)
 
@@ -96,18 +89,26 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_config_file(path: str | None) -> dict:
     if not path:
         return {}
+    import json
+    from pathlib import Path
+
     try:
         text = Path(path).read_text()
     except OSError as exc:
-        raise ValidityError(f"cannot read the configuration file {path!r}: "
-                            f"{exc.strerror or exc}") from exc
+        raise ValueError(f"cannot read the configuration file {path!r}: "
+                         f"{exc.strerror or exc}") from exc
     data = json.loads(text)
     if not isinstance(data, dict):
-        raise ValidityError("the configuration file must hold one JSON object")
+        raise ValueError("the configuration file must hold one JSON object")
     unknown = set(data) - set(CONFIG_KEYS)
     if unknown:
-        raise ValidityError(f"unknown configuration keys: {sorted(unknown)}")
+        raise ValueError(f"unknown configuration keys: {sorted(unknown)}")
     return data
+
+
+def _command_parser(parser: argparse.ArgumentParser, command: str) -> argparse.ArgumentParser:
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices[command]
 
 
 def _check_config_types(parser: argparse.ArgumentParser, command: str,
@@ -118,19 +119,18 @@ def _check_config_types(parser: argparse.ArgumentParser, command: str,
     other flag a string (a comma list such as --Kn stays one string); a bool
     is never a number. Keys without a flag in this command are left alone.
     """
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    flags = {a.dest: a for a in sub.choices[command]._actions}
+    flags = {a.dest: a for a in _command_parser(parser, command)._actions}
     for key, value in file_cfg.items():
         if key not in flags:
             continue
         kinds = {int: (int,), float: (int, float)}.get(flags[key].type, (str,))
         if isinstance(value, bool) or not isinstance(value, kinds):
             wanted = " or ".join(k.__name__ for k in kinds)
-            raise ValidityError(f"configuration key {key!r} must be {wanted}, "
-                                f"not {type(value).__name__}")
+            raise ValueError(f"configuration key {key!r} must be {wanted}, "
+                             f"not {type(value).__name__}")
         choices = flags[key].choices
         if choices is not None and value not in choices:
-            raise ValidityError(f"configuration key {key!r} must be one of {sorted(choices)}")
+            raise ValueError(f"configuration key {key!r} must be one of {sorted(choices)}")
 
 
 def _resolve(args: argparse.Namespace, file_cfg: dict, key: str, default):
@@ -143,6 +143,8 @@ def _resolve(args: argparse.Namespace, file_cfg: dict, key: str, default):
 
 
 def _geometry(args: argparse.Namespace, file_cfg: dict) -> DeviceGeometry:
+    from .geometry import DEFAULT_GEOMETRY, DeviceGeometry
+
     return DeviceGeometry(
         n0=_resolve(args, file_cfg, "N0", DEFAULT_GEOMETRY.n0),
         gradient=_resolve(args, file_cfg, "gradient_T_per_m", DEFAULT_GEOMETRY.gradient),
@@ -156,8 +158,8 @@ def _nominal_geometry(args: argparse.Namespace, file_cfg: dict) -> DeviceGeometr
     """Geometry of a command that draws or sweeps the displacements itself."""
     given = [k for k in ("m1", "m2") if _resolve(args, file_cfg, k, None) is not None]
     if given:
-        raise ValidityError(f"{args.command} sets the displacements itself; "
-                            f"drop {', '.join('--' + k for k in given)}")
+        raise ValueError(f"{args.command} sets the displacements itself; "
+                         f"drop {', '.join('--' + k for k in given)}")
     return _geometry(args, file_cfg)
 
 
@@ -166,7 +168,7 @@ def _list(args: argparse.Namespace, file_cfg: dict, key: str, default: str,
     """Comma-separated option value as a list; an empty list is a validity error."""
     values = [kind(x) for x in str(_resolve(args, file_cfg, key, default)).split(",") if x]
     if not values:
-        raise ValidityError(f"--{key} lists no values")
+        raise ValueError(f"--{key} lists no values")
     return values
 
 
@@ -184,6 +186,8 @@ def _output_path(args, file_cfg, fmt: str) -> Path | None:
     ones are made when the output is written, but a file in the way would
     only fail then, after the whole computation.
     """
+    from pathlib import Path
+
     out = _resolve(args, file_cfg, "out", None)
     if out is not None:
         path = Path(out)
@@ -195,12 +199,14 @@ def _output_path(args, file_cfg, fmt: str) -> Path | None:
         return None
     ancestor = next(a for a in path.parents if a.exists())
     if not ancestor.is_dir():
-        raise ValidityError(f"cannot write {str(path)!r}: {str(ancestor)!r} is not a directory")
+        raise ValueError(f"cannot write {str(path)!r}: {str(ancestor)!r} is not a directory")
     return path
 
 
 def _emit(rows: list[dict], header: list[str], resolved: dict, command: str,
           fmt: str, path: Path | None) -> None:
+    import json
+
     resolved = dict(resolved, command=command, version=__version__)
     if fmt == "json":
         doc = {"config": resolved, "columns": header, "rows": rows}
@@ -220,6 +226,8 @@ def _emit(rows: list[dict], header: list[str], resolved: dict, command: str,
 
 
 def _format_cell(x) -> str:
+    import numpy as np
+
     if isinstance(x, (float, np.floating)):
         return repr(float(x))  # shortest exactly round-tripping decimal
     if isinstance(x, np.integer):
@@ -228,14 +236,22 @@ def _format_cell(x) -> str:
 
 
 def cmd_jtable(args, file_cfg) -> tuple[list[dict], list[str], dict]:
+    from .exchange import exchange_table
+
     if args.n_min > args.n_max:
-        raise ValidityError("n_min must not exceed n_max")
+        raise ValueError("n_min must not exceed n_max")
     rows = [{"N": n, "a_nm": a, "J_MHz": j}
             for n, a, j in exchange_table(args.n_min, args.n_max)]
     return rows, ["N", "a_nm", "J_MHz"], {"n_min": args.n_min, "n_max": args.n_max}
 
 
 def cmd_spectrum(args, file_cfg) -> tuple[list[dict], list[str], dict]:
+    import dataclasses
+
+    from . import register as reg
+    from .constants import TWO_PI
+    from .spectrum import compute_spectrum
+
     geometry = _geometry(args, file_cfg)
     spec = compute_spectrum(geometry)
     rows = []
@@ -263,6 +279,13 @@ def cmd_spectrum(args, file_cfg) -> tuple[list[dict], list[str], dict]:
 
 
 def cmd_design(args, file_cfg) -> tuple[list[dict], list[str], dict]:
+    import dataclasses
+
+    from .constants import TWO_PI
+    from .pulses import (DEFAULT_K_ELECTRON, DEFAULT_K_NUCLEAR, GATES, design_gate,
+                         displacement_detuning, leading_order_design)
+    from .spectrum import compute_spectrum
+
     geometry = _geometry(args, file_cfg)
     gate = GATES[args.gate]
     default_k = DEFAULT_K_ELECTRON if gate.species == "e" else DEFAULT_K_NUCLEAR
@@ -293,6 +316,10 @@ def cmd_design(args, file_cfg) -> tuple[list[dict], list[str], dict]:
 
 
 def cmd_sweep(args, file_cfg) -> tuple[list[dict], list[str], dict]:
+    import dataclasses
+
+    from .protocols import sweep_gate_error
+
     geometry = _nominal_geometry(args, file_cfg)
     default_k = "1,2,3,4" if args.gate == "a" else "700,2000,5000,10000,30000"
     k_list = _list(args, file_cfg, "K", default_k, int)
@@ -307,6 +334,11 @@ def cmd_sweep(args, file_cfg) -> tuple[list[dict], list[str], dict]:
 
 
 def cmd_ensemble(args, file_cfg) -> tuple[list[dict], list[str], dict]:
+    import dataclasses
+
+    from .protocols import EnsembleConfig, ensemble_grid, ensemble_workers
+    from .pulses import DEFAULT_K_ELECTRON
+
     laws = _list(args, file_cfg, "law", "A,B,none")
     kns = _list(args, file_cfg, "Kn", "700,2000,5000,10000", int)
     chains = _resolve(args, file_cfg, "chains", 2000)
@@ -330,6 +362,10 @@ def cmd_ensemble(args, file_cfg) -> tuple[list[dict], list[str], dict]:
 
 
 def cmd_ee_cnot(args, file_cfg) -> tuple[list[dict], list[str], dict]:
+    import dataclasses
+
+    from .protocols import run_ee_cnot
+
     k = _resolve(args, file_cfg, "K", 1)
     geometry = _nominal_geometry(args, file_cfg)
     rows = []
@@ -356,11 +392,16 @@ def main(argv: list[str] | None = None) -> int:
     try:
         file_cfg = _load_config_file(args.config)
         _check_config_types(parser, args.command, file_cfg)
+        if "gate" in vars(args):
+            args.gate = _resolve(args, file_cfg, "gate", None)
+            if args.gate is None:
+                _command_parser(parser, args.command).error(
+                    "the following arguments are required: --gate")
         fmt = _resolve(args, file_cfg, "format", "csv")
         path = _output_path(args, file_cfg, fmt)
         rows, header, resolved = COMMANDS[args.command](args, file_cfg)
         _emit(rows, header, resolved, args.command, fmt, path)
-    except (ValidityError, ValueError) as exc:
+    except ValueError as exc:   # spectrum.ValidityError included
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except Exception as exc:  # noqa: BLE001 - top-level guard

@@ -6,9 +6,10 @@ import sys
 
 import pytest
 
-from donorpair import cli
+from donorpair import cli, protocols
 from donorpair.cli import main
 from donorpair.exchange import exchange_table
+from donorpair.pulses import GATES
 
 
 def run_cli(args, capsys):
@@ -53,6 +54,18 @@ class TestJtable:
             [sys.executable, "-m", "donorpair.cli", "jtable", "40"],
             capture_output=True, text=True, env=source_env)
         assert proc.returncode == 2
+
+
+def gate_choices(command: str) -> tuple:
+    flags = cli._command_parser(cli.build_parser(), command)._actions
+    return next(a.choices for a in flags if a.dest == "gate")
+
+
+def test_gate_choices():
+    # the parser lists the gates without importing pulses
+    assert cli.GATE_NAMES == tuple(sorted(GATES))
+    assert gate_choices("design") == cli.GATE_NAMES
+    assert gate_choices("sweep") == ("a", "b")
 
 
 class TestSpectrum:
@@ -205,7 +218,7 @@ class TestEnsemble:
     def test_non_positive_threads_rejected(self, threads, monkeypatch, capsys):
         def no_run(configs):
             raise AssertionError("chains ran with a non-positive thread count")
-        monkeypatch.setattr(cli, "ensemble_grid", no_run)
+        monkeypatch.setattr(protocols, "ensemble_grid", no_run)
         code, out, err = run_cli(["ensemble", "--chains", "4", "--realizations", "1",
                                   "--law", "none", "--Kn", "2000", "--threads", threads], capsys)
         assert code == 3
@@ -215,7 +228,7 @@ class TestEnsemble:
     def test_chain_limit_rejected(self, monkeypatch, capsys):
         def no_run(configs):
             raise AssertionError("chains ran before the limit was checked")
-        monkeypatch.setattr(cli, "ensemble_grid", no_run)
+        monkeypatch.setattr(protocols, "ensemble_grid", no_run)
         code, out, err = run_cli(["ensemble", "--chains", str(2**32 + 1), "--realizations", "1",
                                   "--law", "none", "--Kn", "2000"], capsys)
         assert code == 3
@@ -364,7 +377,7 @@ class TestConfigFile:
     def test_bad_output_path_rejected_before_any_chain(self, tmp_path, monkeypatch, capsys):
         def no_run(configs):
             raise AssertionError("chains ran before the output path was checked")
-        monkeypatch.setattr(cli, "ensemble_grid", no_run)
+        monkeypatch.setattr(protocols, "ensemble_grid", no_run)
         afile = tmp_path / "afile"
         afile.write_text("")
         code, out, err = run_cli(["ensemble", "--chains", "4", "--realizations", "1",
@@ -390,7 +403,7 @@ class TestConfigFile:
     def test_wrongly_typed_values_rejected(self, cfg, argv, tmp_path, monkeypatch, capsys):
         def no_run(configs):
             raise AssertionError("chains ran with a wrongly typed configuration")
-        monkeypatch.setattr(cli, "ensemble_grid", no_run)
+        monkeypatch.setattr(protocols, "ensemble_grid", no_run)
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         code, out, err = run_cli(["--config", str(path)] + argv, capsys)
@@ -415,6 +428,48 @@ class TestConfigFile:
         assert code == 3
         assert out == ""
         assert "one JSON object" in err
+
+    @pytest.mark.parametrize("argv", [["design"], ["sweep", "--K", "2000"]])
+    def test_gate_from_file(self, argv, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"gate": "b"}))
+        _, by_flag, _ = run_cli(argv + ["--gate", "b"], capsys)
+        code, by_file, _ = run_cli(["--config", str(path)] + argv, capsys)
+        assert code == 0
+        assert by_file == by_flag
+
+    @pytest.mark.parametrize("argv", [["design"], ["sweep", "--K", "1"]])
+    def test_gate_flag_beats_file(self, argv, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"gate": "b"}))
+        _, plain, _ = run_cli(argv + ["--gate", "a"], capsys)
+        code, out, _ = run_cli(["--config", str(path)] + argv + ["--gate", "a"], capsys)
+        assert code == 0
+        assert out == plain
+
+    @pytest.mark.parametrize("command", ["design", "sweep"])
+    @pytest.mark.parametrize("document", [None, {"format": "json"}])
+    def test_gate_missing_is_usage_error(self, command, document, tmp_path, capsys):
+        argv = [command]
+        if document is not None:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(document))
+            argv = ["--config", str(path)] + argv
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2
+        assert out == ""
+        assert "the following arguments are required: --gate" in err
+
+    @pytest.mark.parametrize("command, gate", [("design", "z"), ("sweep", "c")])
+    def test_gate_not_a_choice_rejected(self, command, gate, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"gate": gate}))
+        code, out, err = run_cli(["--config", str(path), command], capsys)
+        assert code == 3
+        assert out == ""
+        assert "configuration key 'gate' must be one of" in err
 
     def test_well_typed_values_accepted(self, tmp_path, capsys):
         # a float flag takes a JSON integer; comma-list flags take one string

@@ -48,7 +48,7 @@ def test_si_constants_pinned():
 
 
 def test_cli_import_does_not_load_scipy(source_env):
-    code = ("import sys, donorpair.cli; "
+    code = ("import sys, donorpair.cli, donorpair.protocols; "
             "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True, env=source_env)

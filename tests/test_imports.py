@@ -1,0 +1,101 @@
+"""What `import donorpair` exports, and what each kind of process loads."""
+import importlib
+import json
+import subprocess
+import sys
+
+import pytest
+
+import donorpair
+
+# every name the package exported when its __init__ still imported every module
+EXPORTS = {
+    "constants": ["DEFAULT_CONSTANTS", "PhysicalConstants", "TWO_PI"],
+    "exchange": ["delta_j", "delta_j_series", "herring_flicker", "j_for_sites"],
+    "geometry": ["DEFAULT_GEOMETRY", "DeviceGeometry", "EffectiveParams", "effective_params",
+                 "field_step"],
+    "spectrum": ["DegenerateLabelError", "Spectrum", "SwapBoundaryWarning", "ValidityError",
+                 "build_h0", "compute_spectra", "compute_spectrum", "exact_spectrum",
+                 "perturbative_spectrum", "small_params", "transition_frequency",
+                 "zeroth_energies"],
+    "pulses": ["GATES", "GateSpec", "PulseSpec", "design_gate", "displacement_detuning",
+               "error_estimate", "interior_qubit_estimate", "kn_window",
+               "leading_order_design", "nonresonant_mu", "pulse_duration", "rabi_probability",
+               "two_pi_k_omega"],
+    "dynamics": ["StepSizeError", "evolve_pulse", "integrate_lab_frame", "pulse_propagator",
+                 "relax_electrons", "relax_electrons_adjoint", "rotating_hamiltonian"],
+    "protocols": ["DisplacementDistribution", "EnsembleConfig", "EnsembleResult", "ProtocolRun",
+                  "ensemble_grid", "ensemble_init", "ensemble_workers", "protocol_form",
+                  "run_ee_cnot", "run_initialization", "sweep_gate_error",
+                  "sweep_neighbor_displacement"],
+}
+PINNED = [name for names in EXPORTS.values() for name in names]
+
+
+class TestExports:
+    def test_all_is_the_pinned_list(self):
+        assert donorpair.__all__ == PINNED
+
+    @pytest.mark.parametrize("module", sorted(EXPORTS))
+    def test_names_are_their_defining_modules_objects(self, module):
+        defining = importlib.import_module(f"donorpair.{module}")
+        for name in EXPORTS[module]:
+            assert getattr(donorpair, name) is getattr(defining, name), name
+
+    def test_dir_lists_every_name(self):
+        assert set(PINNED) <= set(dir(donorpair))
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            donorpair.no_such_name  # noqa: B018
+        from donorpair import register       # a submodule, not an export
+        assert register.DIM == 16
+
+
+def loaded_modules(source_env, code: str) -> dict:
+    """numpy and donorpair modules in sys.modules after `code`, in a fresh interpreter."""
+    report = ("import sys, json; print(json.dumps(sorted(m for m in sys.modules "
+              "if m.split('.')[0] in ('numpy', 'donorpair'))))")
+    proc = subprocess.run([sys.executable, "-c", f"{code}\n{report}"], capture_output=True,
+                          text=True, check=True, env=source_env)
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    return {"numpy": [m for m in loaded if m.split(".")[0] == "numpy"],
+            "donorpair": [m for m in loaded if m.split(".")[0] == "donorpair"]}
+
+
+def cli_run(argv: list[str], code: int) -> str:
+    """Script running `donorpair.cli.main(argv)`, expecting exit `code`, output discarded."""
+    return ("import contextlib, io, sys\n"
+            "from donorpair.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()), "
+            "contextlib.redirect_stderr(io.StringIO()):\n"
+            "    try:\n"
+            f"        code = main({argv!r})\n"
+            "    except SystemExit as exc:\n"
+            "        code = exc.code\n"
+            f"assert code == {code}, code")
+
+
+class TestImportFootprint:
+    def test_package_import_loads_no_module(self, source_env):
+        loaded = loaded_modules(source_env, "import donorpair")
+        assert loaded == {"numpy": [], "donorpair": ["donorpair"]}
+
+    @pytest.mark.parametrize("argv,code", [(["--version"], 0), (["--help"], 0),
+                                           (["sweep"], 2)])
+    def test_version_help_and_usage_errors_load_no_numpy(self, source_env, argv, code):
+        assert loaded_modules(source_env, cli_run(argv, code))["numpy"] == []
+
+    def test_jtable_loads_constants_and_exchange_only(self, source_env):
+        loaded = loaded_modules(source_env, cli_run(["jtable", "40", "41"], 0))
+        assert loaded["donorpair"] == ["donorpair", "donorpair.cli", "donorpair.constants",
+                                       "donorpair.exchange"]
+
+    @pytest.mark.parametrize("argv,skipped", [
+        (["spectrum"], ["pulses", "dynamics", "protocols"]),
+        (["design", "--gate", "a"], ["dynamics", "protocols"]),
+    ])
+    def test_command_skips_layers_it_does_not_use(self, source_env, argv, skipped):
+        loaded = loaded_modules(source_env, cli_run(argv, 0))["donorpair"]
+        assert "donorpair.spectrum" in loaded
+        assert not {f"donorpair.{m}" for m in skipped} & set(loaded)

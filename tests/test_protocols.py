@@ -370,7 +370,7 @@ class TestEnsemble:
         assert threaded.realization_means == serial.realization_means
 
     def test_import_does_not_load_process_pool(self, source_env):
-        code = ("import sys, donorpair; "
+        code = ("import sys, donorpair.protocols; "
                 "print(sorted(m for m in sys.modules if m.startswith('concurrent.futures')))")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               check=True, env=source_env)
