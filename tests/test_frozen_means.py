@@ -11,12 +11,17 @@ the table.
 The single-chain pins below are the float.hex of sweep_gate_error,
 run_ee_cnot, run_initialization and protocol_form's coefficients, computed
 before single chains were driven by the ensemble engine's primitives, so a
-change to the single-chain path that moves a bit fails here too.
+change to the single-chain path that moves a bit fails here too. The layer
+pins at the end cover the exchange table, one displaced spectrum and the
+pulse-design functions the same way.
 """
 import pytest
 
-from donorpair import (DEFAULT_GEOMETRY, EnsembleConfig, ensemble_grid, protocol_form,
-                       run_ee_cnot, run_initialization, sweep_gate_error)
+from donorpair import (DEFAULT_GEOMETRY, GATES, EnsembleConfig, compute_spectrum, design_gate,
+                       displacement_detuning, ensemble_grid, interior_qubit_estimate, kn_window,
+                       leading_order_design, protocol_form, run_ee_cnot, run_initialization,
+                       sweep_gate_error)
+from donorpair.exchange import exchange_table
 from donorpair.protocols import _form_coefficients, design_protocol_pulses
 
 SEED = 11
@@ -149,3 +154,89 @@ def test_protocol_form_coefficients_are_frozen():
                protocol_form(DEFAULT_GEOMETRY.displaced(*pair), pulses)))
            for pair in FROZEN_FORMS}
     assert got == FROZEN_FORMS
+
+
+# Layer pins, taken before the exchange, geometry, spectrum and pulse-design
+# functions read their constants from DEFAULT_CONSTANTS directly: float.hex
+# of each value, so a change that moves one bit of a layer fails here.
+FROZEN_JTABLE = {   # exchange_table(40, 51): N -> (a in nm, J/2pi in MHz)
+    40: ("0x1.eb851eb851eb8p+4", "0x1.0dfc10eb75a6cp+5"),
+    41: ("0x1.f7ced916872b1p+4", "0x1.695720ac1c2a6p+4"),
+    42: ("0x1.020c49ba5e354p+5", "0x1.e2e3b76d50abdp+3"),
+    43: ("0x1.083126e978d50p+5", "0x1.4234b3601ff9dp+3"),
+    44: ("0x1.0e5604189374cp+5", "0x1.ad66526ecc35cp+2"),
+    45: ("0x1.147ae147ae148p+5", "0x1.1dc2295afe0f5p+2"),
+    46: ("0x1.1a9fbe76c8b44p+5", "0x1.7bdda01e9d734p+1"),
+    47: ("0x1.20c49ba5e3540p+5", "0x1.f85e531265d35p+0"),
+    48: ("0x1.26e978d4fdf3cp+5", "0x1.4e75bed5bb827p+0"),
+    49: ("0x1.2d0e560418938p+5", "0x1.bb18df135c321p-1"),
+    50: ("0x1.3333333333333p+5", "0x1.25348153e1a96p-1"),
+    51: ("0x1.395810624dd30p+5", "0x1.83a6609c6715bp-2"),
+}
+FROZEN_SPECTRUM = {   # compute_spectrum(displaced(1, -1))
+    "exact_energies": ("0x1.0e98e737ebce0p+39", "0x1.0e97870ae4f3ap+39",
+                       "0x1.d7871d2c8783ap+24", "0x1.694d40b6ee924p+29",
+                       "-0x1.6ac6e856738cfp+29", "-0x1.7038f676f76ccp+29",
+                       "-0x1.0eec91bdf9242p+39", "-0x1.0e95e9d28707ep+39",
+                       "0x1.0e9795e56e06cp+39", "0x1.0e9635b8672c8p+39",
+                       "0x1.6075555a9266dp+24", "0x1.64169cba788c7p+29",
+                       "-0x1.1788c2283d56cp+25", "-0x1.56c8485208733p+25",
+                       "-0x1.0e95daf7fe04ap+39", "-0x1.0e3f330c8be88p+39"),
+    "pert_energies": ("0x1.0e98e737ebce1p+39", "0x1.0e97870ae5579p+39",
+                      "0x1.d7871d1443dbbp+24", "0x1.694d40b78a3cdp+29",
+                      "-0x1.6ac6e85734fccp+29", "-0x1.7038f676bd7c8p+29",
+                      "-0x1.0eec91bdf6cdfp+39", "-0x1.0e95e9d28704fp+39",
+                      "0x1.0e9795e56e03cp+39", "0x1.0e9635b86a45ep+39",
+                      "0x1.607543273c9e6p+24", "0x1.64169cbb39b50p+29",
+                      "-0x1.1788ba77c789cp+25", "-0x1.56c84845e4452p+25",
+                      "-0x1.0e95daf7fe688p+39", "-0x1.0e3f330c8be89p+39"),
+    "smallness": ("0x1.227835b49d657p-6", "0x1.105132539e32cp-5", "0x1.4d244b726654cp-11"),
+}
+FROZEN_DESIGNS = {   # design_gate(nominal spectrum, GATES[name]) at its own K: (nu, omega_e, tau)
+    "a": ("-0x1.0e38b4c38083cp+39", "0x1.96632b2957ab5p+28", "0x1.faa0e38f8f87bp-28"),
+    "b": ("0x1.5a9e5bb77f800p+29", "0x1.425a24599b8b6p+39", "0x1.faa0e38f8f75fp-28"),
+    "c": ("-0x1.0e9b3a3a22927p+39", "0x1.9696ae89ce704p+28", "0x1.fa60b37877281p-28"),
+    "d": ("0x1.5adc69cb05400p+29", "0x1.428300c2b9802p+39", "0x1.fa60b378771d6p-28"),
+    "ee": ("-0x1.0e38b4c38083cp+39", "0x1.b438a96ade901p+22", "0x1.d7faafc342355p-22"),
+}
+FROZEN_LEADING = {   # leading_order_design(GATES["b"].with_k(2000))
+    "nu": "0x1.5a81b72f82c00p+29", "delta": "-0x1.5ff1195b5621dp+29",
+    "omega": "0x1.68636eabe243ep+17", "tau": "0x1.1da584d058fe9p-16",
+}
+FROZEN_DETUNING = "0x1.d8133e74d0000p+23"   # displacement_detuning(GATES["a"], displaced(m1=-1))
+FROZEN_KN_WINDOW = (363, 34120)             # kn_window(nominal spectrum, displaced(m1=-1))
+FROZEN_INTERIOR = {   # interior_qubit_estimate(m): (detuning, Rabi, Rabi error)
+    1: ("0x1.0006c44c564d0p+20", "0x1.b438c079411e2p+22", "0x1.b9b8613f59b0fp+21"),
+    -1: ("0x1.0006c44c564d0p+20", "0x1.b438c079411e2p+22", "-0x1.25e73eee47c24p+21"),
+}
+
+
+def _hexes(values) -> tuple[str, ...]:
+    return tuple(float(x).hex() for x in values)
+
+
+def test_exchange_table_is_frozen():
+    assert {n: (a.hex(), j.hex()) for n, a, j in exchange_table(40, 51)} == FROZEN_JTABLE
+
+
+def test_displaced_spectrum_is_frozen():
+    spec = compute_spectrum(DEFAULT_GEOMETRY.displaced(1, -1))
+    got = {name: _hexes(getattr(spec, name)) for name in FROZEN_SPECTRUM}
+    assert got == FROZEN_SPECTRUM
+
+
+def test_pulse_designs_are_frozen():
+    spec0 = compute_spectrum(DEFAULT_GEOMETRY)
+    got = {name: _hexes((p.nu, p.omega_e, p.tau))
+           for name, gate in GATES.items() for p in [design_gate(spec0, gate)]}
+    assert got == FROZEN_DESIGNS
+
+
+def test_analytic_design_values_are_frozen():
+    lead = leading_order_design(GATES["b"].with_k(2000))
+    assert {key: float(value).hex() for key, value in lead.items()} == FROZEN_LEADING
+    detuning = displacement_detuning(GATES["a"], DEFAULT_GEOMETRY.displaced(m1=-1))
+    assert float(detuning).hex() == FROZEN_DETUNING
+    assert kn_window(compute_spectrum(DEFAULT_GEOMETRY),
+                     DEFAULT_GEOMETRY.displaced(m1=-1)) == FROZEN_KN_WINDOW
+    assert {m: _hexes(interior_qubit_estimate(m)) for m in FROZEN_INTERIOR} == FROZEN_INTERIOR
