@@ -165,8 +165,18 @@ def _nominal_geometry(args: argparse.Namespace, file_cfg: dict) -> DeviceGeometr
 
 def _list(args: argparse.Namespace, file_cfg: dict, key: str, default: str,
           kind=str) -> list:
-    """Comma-separated option value as a list; an empty list is a validity error."""
-    values = [kind(x) for x in str(_resolve(args, file_cfg, key, default)).split(",") if x]
+    """Comma-separated option value as a list of str or int.
+
+    An empty list, or an item that is not an integer where kind is int, is a
+    validity error that names the option.
+    """
+    values = []
+    for item in str(_resolve(args, file_cfg, key, default)).split(","):
+        if item:
+            try:
+                values.append(kind(item))
+            except ValueError:
+                raise ValueError(f"--{key}: {item!r} is not an integer") from None
     if not values:
         raise ValueError(f"--{key} lists no values")
     return values
@@ -238,8 +248,6 @@ def _format_cell(x) -> str:
 def cmd_jtable(args, file_cfg) -> tuple[list[dict], list[str], dict]:
     from .exchange import exchange_table
 
-    if args.n_min > args.n_max:
-        raise ValueError("n_min must not exceed n_max")
     rows = [{"N": n, "a_nm": a, "J_MHz": j}
             for n, a, j in exchange_table(args.n_min, args.n_max)]
     return rows, ["N", "a_nm", "J_MHz"], {"n_min": args.n_min, "n_max": args.n_max}

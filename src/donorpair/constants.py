@@ -3,6 +3,9 @@
 All frequencies are stored as angular frequencies (rad/s). Interfaces that
 print or report values divide by 2*pi, since measured quantities are always
 quoted as cycles per second.
+
+DEFAULT_CONSTANTS is the one record of the register's constants: every
+layer reads its fields directly, and no function takes them as an argument.
 """
 from __future__ import annotations
 

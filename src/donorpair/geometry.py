@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .constants import DEFAULT_CONSTANTS, TWO_PI, PhysicalConstants
+from .constants import DEFAULT_CONSTANTS, TWO_PI
 from .exchange import j_for_sites
 
 # Nominal fields are pinned by the mean field b and the half-difference
@@ -78,33 +78,31 @@ class EffectiveParams:
         return 0.5 * (self.b2 - self.b1)
 
 
-def field_step(geometry: DeviceGeometry = DEFAULT_GEOMETRY,
-               constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
+def field_step(geometry: DeviceGeometry = DEFAULT_GEOMETRY) -> float:
     """Per-site field increment dB = gradient * a0 (tesla)."""
-    return geometry.gradient * constants.lattice_step_a0
+    return geometry.gradient * DEFAULT_CONSTANTS.lattice_step_a0
 
 
-def effective_params(geometry: DeviceGeometry = DEFAULT_GEOMETRY,
-                     constants: PhysicalConstants = DEFAULT_CONSTANTS) -> EffectiveParams:
+def effective_params(geometry: DeviceGeometry = DEFAULT_GEOMETRY) -> EffectiveParams:
     """Local fields, hyperfine and exchange constants for the chain.
 
     The nominal half-difference deltaB is calibrated to the quoted
     gamma_e*deltaB at the default layout and scales with gradient*N0 for
     other layouts (deltaB is the gradient times half the chain length).
     """
-    delta_b0 = (NOMINAL_GAMMA_E_DELTA_B / constants.gamma_e
+    delta_b0 = (NOMINAL_GAMMA_E_DELTA_B / DEFAULT_CONSTANTS.gamma_e
                 * (geometry.gradient * geometry.n0)
                 / (DEFAULT_GEOMETRY.gradient * DEFAULT_GEOMETRY.n0))
-    db = field_step(geometry, constants)
+    db = field_step(geometry)
     b1 = geometry.mean_field_b - delta_b0 + geometry.m1 * db
     b2 = geometry.mean_field_b + delta_b0 + geometry.m2 * db
     n = geometry.separation_sites
     return EffectiveParams(
         b1=b1,
         b2=b2,
-        a=constants.hyperfine_a,
-        j=j_for_sites(n, constants),
+        a=DEFAULT_CONSTANTS.hyperfine_a,
+        j=j_for_sites(n),
         separation_sites=n,
-        gamma_e=constants.gamma_e,
-        gamma_n=constants.gamma_n,
+        gamma_e=DEFAULT_CONSTANTS.gamma_e,
+        gamma_n=DEFAULT_CONSTANTS.gamma_n,
     )

@@ -53,7 +53,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .constants import DEFAULT_CONSTANTS, PhysicalConstants
 from .dynamics import (pulse_propagator, relax_electrons,
                        relax_electrons_adjoint)
 from .geometry import DEFAULT_GEOMETRY, DeviceGeometry
@@ -63,6 +62,7 @@ from .spectrum import compute_spectra, compute_spectrum
 
 INIT_SUPPORT = (6, 7, 14, 15)     # electrons relaxed, nuclei arbitrary
 TARGET_STATE = 15
+PROTOCOL_ORDER = ("a", "b", "relax", "c", "d", "relax")
 
 LAW_CODES = {"none": 0, "A": 1, "B": 2}
 MAX_CHAINS = 2**32   # largest num_chains accepted per realization
@@ -121,16 +121,15 @@ _LAWS = {law: DisplacementDistribution(law) for law in LAW_CODES}
 
 
 def design_protocol_pulses(k_e: int = DEFAULT_K_ELECTRON, k_n: int = DEFAULT_K_NUCLEAR,
-                           gates: tuple[str, ...] = ("a", "b", "c", "d"),
-                           geometry_nominal: DeviceGeometry = DEFAULT_GEOMETRY,
-                           constants: PhysicalConstants = DEFAULT_CONSTANTS) -> dict[str, PulseSpec]:
-    """Pulses for the listed gates, designed for the nominal chain."""
-    spec0 = compute_spectrum(geometry_nominal.displaced(0, 0), constants)
+                           geometry_nominal: DeviceGeometry = DEFAULT_GEOMETRY) -> dict[str, PulseSpec]:
+    """Pulses for the gates of PROTOCOL_ORDER, in its order, designed for the nominal chain."""
+    spec0 = compute_spectrum(geometry_nominal.displaced(0, 0))
     pulses = {}
-    for name in gates:
-        gate = GATES[name]
-        k = k_e if gate.species == "e" else k_n
-        pulses[name] = design_gate(spec0, gate.with_k(k), constants)
+    for name in PROTOCOL_ORDER:
+        if name != "relax":
+            gate = GATES[name]
+            k = k_e if gate.species == "e" else k_n
+            pulses[name] = design_gate(spec0, gate.with_k(k))
     return pulses
 
 
@@ -140,9 +139,9 @@ def _transfer_error(vectors: np.ndarray, u: np.ndarray, source: int, target: int
 
 
 def _chain_transfer_error(geometry: DeviceGeometry, pulse: PulseSpec, source: int,
-                          target: int, constants: PhysicalConstants) -> float:
+                          target: int) -> float:
     """_transfer_error of one pulse on one chain, solved here: one spectrum, one propagator."""
-    spec = compute_spectrum(geometry, constants)
+    spec = compute_spectrum(geometry)
     return _transfer_error(spec.eigenvectors, pulse_propagator(spec.hamiltonian, pulse),
                            source, target)
 
@@ -151,8 +150,7 @@ def _chain_transfer_error(geometry: DeviceGeometry, pulse: PulseSpec, source: in
 
 def sweep_gate_error(gate_name: str, m_range=range(-4, 5), k_list=(1,),
                      displaced_atom: int = 1,
-                     geometry_nominal: DeviceGeometry = DEFAULT_GEOMETRY,
-                     constants: PhysicalConstants = DEFAULT_CONSTANTS) -> dict[tuple[int, int], float]:
+                     geometry_nominal: DeviceGeometry = DEFAULT_GEOMETRY) -> dict[tuple[int, int], float]:
     """Error table P[(m, K)] of one gate versus displacement and K.
 
     The pulse is designed for the nominal chain at each K; the displaced
@@ -162,31 +160,27 @@ def sweep_gate_error(gate_name: str, m_range=range(-4, 5), k_list=(1,),
         raise ValueError(f"unknown gate {gate_name!r}")
     gate = GATES[gate_name]
     p, q = gate.resonant
-    spec0 = compute_spectrum(geometry_nominal.displaced(0, 0), constants)
+    spec0 = compute_spectrum(geometry_nominal.displaced(0, 0))
     out: dict[tuple[int, int], float] = {}
     for k in k_list:
-        pulse = design_gate(spec0, gate.with_k(k), constants)
+        pulse = design_gate(spec0, gate.with_k(k))
         for m in m_range:
             displacement = {"m1": m} if displaced_atom == 1 else {"m2": m}
             geom = geometry_nominal.displaced(**displacement)
-            out[(m, k)] = _chain_transfer_error(geom, pulse, p, q, constants)
+            out[(m, k)] = _chain_transfer_error(geom, pulse, p, q)
     return out
 
 
 def sweep_neighbor_displacement(gate_name: str = "b", m_range=range(-4, 5),
                                 k: int = DEFAULT_K_NUCLEAR,
-                                geometry_nominal: DeviceGeometry = DEFAULT_GEOMETRY,
-                                constants: PhysicalConstants = DEFAULT_CONSTANTS) -> dict[int, float]:
+                                geometry_nominal: DeviceGeometry = DEFAULT_GEOMETRY) -> dict[int, float]:
     """Error of a gate on atom 1 while atom 2 is displaced."""
     table = sweep_gate_error(gate_name, m_range, (k,), displaced_atom=2,
-                             geometry_nominal=geometry_nominal, constants=constants)
+                             geometry_nominal=geometry_nominal)
     return {m: table[(m, k)] for m in m_range}
 
 
 # -- initialization protocol -------------------------------------------------
-
-PROTOCOL_ORDER = ("a", "b", "relax", "c", "d", "relax")
-
 
 @dataclass
 class ProtocolRun:
@@ -204,7 +198,6 @@ def run_initialization(geometry: DeviceGeometry,
                        k_e: int = DEFAULT_K_ELECTRON, k_n: int = DEFAULT_K_NUCLEAR,
                        initial: np.ndarray | None = None,
                        pulses: dict[str, PulseSpec] | None = None,
-                       constants: PhysicalConstants = DEFAULT_CONSTANTS,
                        record: bool = True) -> ProtocolRun:
     """Polarize both nuclear spins with the four-pulse protocol.
 
@@ -215,8 +208,8 @@ def run_initialization(geometry: DeviceGeometry,
     P = 1 - population of the |1111>-like eigenstate.
     """
     if pulses is None:
-        pulses = design_protocol_pulses(k_e, k_n, constants=constants)
-    spec = compute_spectrum(geometry, constants)
+        pulses = design_protocol_pulses(k_e, k_n)
+    spec = compute_spectrum(geometry)
     vectors = spec.eigenvectors
     propagators = {name: pulse_propagator(spec.hamiltonian, p) for name, p in pulses.items()}
 
@@ -256,8 +249,7 @@ def run_initialization(geometry: DeviceGeometry,
     return run
 
 
-def protocol_form(geometry: DeviceGeometry, pulses: dict[str, PulseSpec],
-                  constants: PhysicalConstants = DEFAULT_CONSTANTS) -> np.ndarray:
+def protocol_form(geometry: DeviceGeometry, pulses: dict[str, PulseSpec]) -> np.ndarray:
     """4x4 Hermitian M with final error 1 - a^H M a for initial amplitudes a.
 
     `a` holds amplitudes on the INIT_SUPPORT eigenstates of the chain
@@ -267,7 +259,7 @@ def protocol_form(geometry: DeviceGeometry, pulses: dict[str, PulseSpec],
     channel's adjoint. M is O restricted to the initial manifold: the
     one-chain case of _protocol_forms.
     """
-    spec = compute_spectrum(geometry, constants)
+    spec = compute_spectrum(geometry)
     return _protocol_forms(spec.eigenvectors, {name: pulse_propagator(spec.hamiltonian, p)
                                                for name, p in pulses.items()})
 
@@ -293,8 +285,7 @@ def _protocol_forms(vectors: np.ndarray, propagators: dict[str, np.ndarray]) -> 
 
 # -- electron-electron CNOT ---------------------------------------------------
 
-def run_ee_cnot(geometry: DeviceGeometry, k_prime: int = 1,
-                constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
+def run_ee_cnot(geometry: DeviceGeometry, k_prime: int = 1) -> float:
     """Error of the two-electron CNOT on a displaced chain.
 
     The pulse (designed for the nominal chain) should flip electron 1 given
@@ -302,9 +293,9 @@ def run_ee_cnot(geometry: DeviceGeometry, k_prime: int = 1,
     population transferred between the corresponding eigenstates.
     """
     gate = GATES["ee"].with_k(k_prime)
-    spec0 = compute_spectrum(geometry.displaced(0, 0), constants)
-    pulse = design_gate(spec0, gate, constants)
-    return _chain_transfer_error(geometry, pulse, *gate.resonant, constants)
+    spec0 = compute_spectrum(geometry.displaced(0, 0))
+    pulse = design_gate(spec0, gate)
+    return _chain_transfer_error(geometry, pulse, *gate.resonant)
 
 
 # -- Monte-Carlo ensemble ------------------------------------------------------

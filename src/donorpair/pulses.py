@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .constants import DEFAULT_CONSTANTS, PhysicalConstants
+from .constants import DEFAULT_CONSTANTS
 from .exchange import delta_j, j_for_sites
 from .geometry import DEFAULT_GEOMETRY, DeviceGeometry
 from .spectrum import Spectrum, ValidityError, compute_spectrum, transition_frequency, zeroth_energies
@@ -144,22 +144,21 @@ class PulseSpec:
             raise ValueError("pulse duration must be positive, amplitude nonnegative")
 
 
-def design_gate(spec_ideal: Spectrum, gate: GateSpec,
-                constants: PhysicalConstants = DEFAULT_CONSTANTS) -> PulseSpec:
+def design_gate(spec_ideal: Spectrum, gate: GateSpec) -> PulseSpec:
     """Pulse implementing `gate` on the chain described by spec_ideal."""
     p, q = gate.resonant
     nu = transition_frequency(spec_ideal, p, q)
     pp, qp = gate.suppressed
     delta = transition_frequency(spec_ideal, pp, qp) - nu
     omega = two_pi_k_omega(delta, gate.k)
-    gamma = constants.gamma_e if gate.species == "e" else constants.gamma_n
+    gamma = DEFAULT_CONSTANTS.gamma_e if gate.species == "e" else DEFAULT_CONSTANTS.gamma_n
     b1 = omega / gamma
     return PulseSpec(
         nu=nu,
         phi=0.0,
         b1_amplitude=b1,
-        omega_e=constants.gamma_e * b1,
-        omega_n=constants.gamma_n * b1,
+        omega_e=DEFAULT_CONSTANTS.gamma_e * b1,
+        omega_n=DEFAULT_CONSTANTS.gamma_n * b1,
         tau=pulse_duration(omega),
         drive_spins=gate.drive_spins,
         gate_name=gate.name,
@@ -167,8 +166,7 @@ def design_gate(spec_ideal: Spectrum, gate: GateSpec,
 
 
 def leading_order_design(gate: GateSpec,
-                         geometry: DeviceGeometry = DEFAULT_GEOMETRY,
-                         constants: PhysicalConstants = DEFAULT_CONSTANTS) -> dict:
+                         geometry: DeviceGeometry = DEFAULT_GEOMETRY) -> dict:
     """Analytic pulse parameters from the leading-order level formulas.
 
     These are the closed-form design values (block-diagonalized electron
@@ -178,7 +176,7 @@ def leading_order_design(gate: GateSpec,
     """
     from .geometry import effective_params
 
-    e0 = zeroth_energies(effective_params(geometry, constants))
+    e0 = zeroth_energies(effective_params(geometry))
     p, q = gate.resonant
     pp, qp = gate.suppressed
     nu = e0[q] - e0[p]
@@ -192,21 +190,19 @@ def species_rabi(pulse: PulseSpec, spin: str) -> float:
     return pulse.omega_e if spin.startswith("e") else pulse.omega_n
 
 
-def displacement_detuning(gate: GateSpec, geometry: DeviceGeometry,
-                          constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
+def displacement_detuning(gate: GateSpec, geometry: DeviceGeometry) -> float:
     """Detuning of the resonant pair in a displaced chain from the nominal pulse.
 
     Computed from exact spectra of the nominal and displaced chains; zero by
     construction at zero displacement.
     """
-    nominal = compute_spectrum(geometry.displaced(0, 0), constants)
-    actual = compute_spectrum(geometry, constants)
+    nominal = compute_spectrum(geometry.displaced(0, 0))
+    actual = compute_spectrum(geometry)
     p, q = gate.resonant
     return transition_frequency(actual, p, q) - transition_frequency(nominal, p, q)
 
 
-def kn_window(spec_ideal: Spectrum, geometry_displaced: DeviceGeometry,
-              constants: PhysicalConstants = DEFAULT_CONSTANTS) -> tuple[int, int]:
+def kn_window(spec_ideal: Spectrum, geometry_displaced: DeviceGeometry) -> tuple[int, int]:
     """Usable K range for the nuclear gate on atom 1.
 
     The lower edge is where the off-resonant flip of the other nucleus
@@ -224,15 +220,14 @@ def kn_window(spec_ideal: Spectrum, geometry_displaced: DeviceGeometry,
 
     delta_omega = 2.0 * spec_ideal.params.gamma_n * spec_ideal.params.delta_b
     k_min = k_at_omega(2.0 * abs(delta_omega))
-    dprime = displacement_detuning(gate, geometry_displaced, constants)
+    dprime = displacement_detuning(gate, geometry_displaced)
     if dprime == 0:
         raise ValidityError("upper K edge undefined at zero displacement")
     k_max = k_at_omega(abs(dprime))
     return k_min, k_max
 
 
-def interior_qubit_estimate(m: int, n0: int = 47,
-                            constants: PhysicalConstants = DEFAULT_CONSTANTS) -> tuple[float, float, float]:
+def interior_qubit_estimate(m: int, n0: int = 47) -> tuple[float, float, float]:
     """(detuning, Rabi, Rabi error) for a displaced interior qubit, K' = 1.
 
     For a chain segment with both neighbours at the nominal coupling, a
@@ -243,8 +238,8 @@ def interior_qubit_estimate(m: int, n0: int = 47,
     """
     if abs(m) != 1:
         raise ValueError("interior estimate covers |m| = 1 only")
-    j0 = j_for_sites(n0, constants)
-    detuning = 0.5 * (j_for_sites(n0 - 1, constants) + j_for_sites(n0 + 1, constants)) - j0
+    j0 = j_for_sites(n0)
+    detuning = 0.5 * (j_for_sites(n0 - 1) + j_for_sites(n0 + 1)) - j0
     omega = j0 / np.sqrt(3.0)
-    d_omega = delta_j(m, n0, constants) / np.sqrt(3.0)
+    d_omega = delta_j(m, n0) / np.sqrt(3.0)
     return detuning, omega, d_omega

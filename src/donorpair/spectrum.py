@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import DEFAULT_CONSTANTS, TWO_PI, PhysicalConstants
+from .constants import TWO_PI
 from .geometry import DEFAULT_GEOMETRY, DeviceGeometry, EffectiveParams, effective_params
 from . import register as reg
 
@@ -188,20 +188,18 @@ class Spectrum:
         return np.max(np.abs(self.eigenvectors) ** 2, axis=0)
 
 
-def compute_spectrum(geometry: DeviceGeometry = DEFAULT_GEOMETRY,
-                     constants: PhysicalConstants = DEFAULT_CONSTANTS) -> Spectrum:
-    return compute_spectra([geometry], constants)[0]
+def compute_spectrum(geometry: DeviceGeometry = DEFAULT_GEOMETRY) -> Spectrum:
+    return compute_spectra([geometry])[0]
 
 
-def compute_spectra(geometries: Sequence[DeviceGeometry],
-                    constants: PhysicalConstants = DEFAULT_CONSTANTS) -> list[Spectrum]:
+def compute_spectra(geometries: Sequence[DeviceGeometry]) -> list[Spectrum]:
     """Spectrum of each geometry, from one stacked exact_spectrum.
 
     Each spectrum equals what the geometry gives alone, bit for bit, and
     raises and warns as it would alone; a failed labelling or residual
     guard names the first geometry that failed.
     """
-    params = [effective_params(g, constants) for g in geometries]
+    params = [effective_params(g) for g in geometries]
     h = np.array([build_h0(p) for p in params])
     try:
         energies, vectors = exact_spectrum(h)

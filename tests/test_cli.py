@@ -49,6 +49,13 @@ class TestJtable:
         assert code == 3
         assert "error" in err
 
+    @pytest.mark.parametrize("n_min, n_max", [("5", "3"), ("0", "3")])
+    def test_range_error_names_rule_and_values(self, n_min, n_max, capsys):
+        code, out, err = run_cli(["jtable", n_min, n_max], capsys)
+        assert code == 3
+        assert out == ""
+        assert err == f"error: need 1 <= n_min <= n_max, got {n_min} and {n_max}\n"
+
     def test_usage_error_exit_code(self, source_env):
         proc = subprocess.run(
             [sys.executable, "-m", "donorpair.cli", "jtable", "40"],
@@ -146,6 +153,12 @@ class TestSweep:
         assert out == ""
         assert "--K lists no values" in err
 
+    def test_non_integer_k_names_the_option(self, capsys):
+        code, out, err = run_cli(["sweep", "--gate", "a", "--K", "1,x"], capsys)
+        assert code == 3
+        assert out == ""
+        assert err == "error: --K: 'x' is not an integer\n"
+
     def test_geometry_in_resolved_config(self, capsys):
         code, out, _ = run_cli(["sweep", "--gate", "a", "--K", "1", "--N0", "48",
                                 "--format", "json"], capsys)
@@ -213,6 +226,13 @@ class TestEnsemble:
         assert code == 3
         assert out == ""
         assert f"{option} lists no values" in err
+
+    def test_non_integer_kn_names_the_option(self, capsys):
+        code, out, err = run_cli(["ensemble", "--chains", "4", "--realizations", "1",
+                                  "--law", "none", "--Kn", "2000,7.5"], capsys)
+        assert code == 3
+        assert out == ""
+        assert err == "error: --Kn: '7.5' is not an integer\n"
 
     @pytest.mark.parametrize("threads", ["0", "-1"])
     def test_non_positive_threads_rejected(self, threads, monkeypatch, capsys):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from donorpair import protocols
-from donorpair import (DEFAULT_GEOMETRY, DeviceGeometry, DisplacementDistribution,
+from donorpair import (DEFAULT_GEOMETRY, GATES, DeviceGeometry, DisplacementDistribution,
                        EnsembleConfig, ValidityError, compute_spectra, ensemble_grid,
                        ensemble_init, ensemble_workers, pulse_propagator, run_ee_cnot,
                        run_initialization, sweep_gate_error,
@@ -124,6 +124,13 @@ class TestInitialization:
     def test_rejects_bad_initial_length(self):
         with pytest.raises(ValueError):
             run_initialization(DEFAULT_GEOMETRY, initial=np.ones(5))
+
+    def test_pulses_follow_protocol_order(self):
+        # the form-table cache keys on tuple(pulses.items()), so the order is part of the key
+        pulses = design_protocol_pulses(1, 2000)
+        assert list(pulses) == ["a", "b", "c", "d"]
+        assert [pulse.gate_name for pulse in pulses.values()] == [
+            GATES[name].name for name in ("a", "b", "c", "d")]
 
 
 class TestEeCnot:
