@@ -19,12 +19,11 @@ _EXPORTS = {
     "pulses": ("GATES", "GateSpec", "PulseSpec", "design_gate", "displacement_detuning",
                "error_estimate", "interior_qubit_estimate", "kn_window", "leading_order_design",
                "nonresonant_mu", "pulse_duration", "rabi_probability", "two_pi_k_omega"),
-    "dynamics": ("StepSizeError", "evolve_pulse", "integrate_lab_frame", "pulse_propagator",
-                 "relax_electrons", "relax_electrons_adjoint", "rotating_hamiltonian"),
+    "dynamics": ("StepSizeError", "integrate_lab_frame", "pulse_propagator", "relax_electrons",
+                 "relax_electrons_adjoint", "rotating_hamiltonian"),
     "protocols": ("DisplacementDistribution", "EnsembleConfig", "EnsembleResult", "ProtocolRun",
                   "ensemble_grid", "ensemble_init", "ensemble_workers", "protocol_form",
-                  "run_ee_cnot", "run_initialization", "sweep_gate_error",
-                  "sweep_neighbor_displacement"),
+                  "run_ee_cnot", "run_initialization", "sweep_gate_error"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

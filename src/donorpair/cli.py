@@ -291,7 +291,7 @@ def cmd_design(args, file_cfg) -> tuple[list[dict], list[str], dict]:
 
     from .constants import TWO_PI
     from .pulses import (DEFAULT_K_ELECTRON, DEFAULT_K_NUCLEAR, GATES, design_gate,
-                         displacement_detuning, leading_order_design)
+                         displacement_detuning, kn_window, leading_order_design)
     from .spectrum import compute_spectrum
 
     geometry = _geometry(args, file_cfg)
@@ -320,6 +320,8 @@ def cmd_design(args, file_cfg) -> tuple[list[dict], list[str], dict]:
     resolved = {"geometry": dataclasses.asdict(geometry), "gate": args.gate, "K": k}
     if geometry.m1 != 0 or geometry.m2 != 0:
         rows[0]["detuning_shift_kHz"] = displacement_detuning(gate, geometry) / TWO_PI / 1e3
+        if args.gate == "b":   # the usable nuclear-K window of this displacement
+            rows[0]["Kn_min"], rows[0]["Kn_max"] = kn_window(spec0, geometry)
     return rows, list(rows[0].keys()), resolved
 
 

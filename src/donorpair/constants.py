@@ -60,13 +60,3 @@ class PhysicalConstants:
 DEFAULT_CONSTANTS = PhysicalConstants()
 
 HBAR = _PLANCK / TWO_PI
-
-
-def cycles(omega: float) -> float:
-    """Angular frequency -> ordinary frequency (Hz)."""
-    return omega / TWO_PI
-
-
-def angular(f: float) -> float:
-    """Ordinary frequency (Hz) -> angular frequency (rad/s)."""
-    return TWO_PI * f

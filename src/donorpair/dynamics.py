@@ -67,16 +67,6 @@ def pulse_propagator(h0: np.ndarray, pulse: PulseSpec) -> np.ndarray:
     return np.multiply(reentry[:, None], u, out=u)   # in place: stacks are large
 
 
-def evolve_pulse(state: np.ndarray, h0: np.ndarray, pulse: PulseSpec) -> np.ndarray:
-    """Evolve a pure state (1-d) or density matrix (2-d) through one pulse."""
-    u = pulse_propagator(h0, pulse)
-    if state.ndim == 1:
-        return u @ state
-    if state.ndim == 2:
-        return u @ state @ u.conj().T
-    raise ValueError("state must be a vector or a square matrix")
-
-
 # -- electron relaxation ----------------------------------------------------
 
 # Register axes with the two electron bits fused: (n2, e, n1), e = 2*e2 + e1.

@@ -154,10 +154,13 @@ def sweep_gate_error(gate_name: str, m_range=range(-4, 5), k_list=(1,),
     """Error table P[(m, K)] of one gate versus displacement and K.
 
     The pulse is designed for the nominal chain at each K; the displaced
-    chain is driven from the gate's resonant source eigenstate.
+    chain, with atom `displaced_atom` (1 or 2) moved by m sites, is driven
+    from the gate's resonant source eigenstate.
     """
     if gate_name not in GATES:
         raise ValueError(f"unknown gate {gate_name!r}")
+    if displaced_atom not in (1, 2):
+        raise ValueError(f"displaced_atom must be 1 or 2, got {displaced_atom!r}")
     gate = GATES[gate_name]
     p, q = gate.resonant
     spec0 = compute_spectrum(geometry_nominal.displaced(0, 0))
@@ -169,15 +172,6 @@ def sweep_gate_error(gate_name: str, m_range=range(-4, 5), k_list=(1,),
             geom = geometry_nominal.displaced(**displacement)
             out[(m, k)] = _chain_transfer_error(geom, pulse, p, q)
     return out
-
-
-def sweep_neighbor_displacement(gate_name: str = "b", m_range=range(-4, 5),
-                                k: int = DEFAULT_K_NUCLEAR,
-                                geometry_nominal: DeviceGeometry = DEFAULT_GEOMETRY) -> dict[int, float]:
-    """Error of a gate on atom 1 while atom 2 is displaced."""
-    table = sweep_gate_error(gate_name, m_range, (k,), displaced_atom=2,
-                             geometry_nominal=geometry_nominal)
-    return {m: table[(m, k)] for m in m_range}
 
 
 # -- initialization protocol -------------------------------------------------

@@ -63,12 +63,6 @@ def ket_label(index: int) -> str:
     return "|%d%d%d%d>" % bits(index)
 
 
-def basis_ket(index: int) -> np.ndarray:
-    ket = np.zeros(DIM, dtype=complex)
-    ket[index] = 1.0
-    return ket
-
-
 def flipped_bit(p: int, q: int) -> str | None:
     """Name of the single spin in which p and q differ, else None."""
     diff = p ^ q

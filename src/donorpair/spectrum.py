@@ -91,8 +91,24 @@ def _guard(failed: np.ndarray, error: type[ValidityError], message: str) -> None
         raise exc
 
 
-def zeroth_energies(params: EffectiveParams, apply_swap: bool = True) -> np.ndarray:
+def _past_crossing(params: EffectiveParams, e: np.ndarray) -> np.ndarray:
+    """`e` with levels 10 and 12 exchanged when A/2 > gamma_e*deltaB.
+
+    The dominant component of the upper/lower block eigenstate switches at
+    that crossing, so the labels must follow it.
+    """
+    if params.a / 2 > params.gamma_e * params.delta_b:
+        e[10], e[12] = e[12], e[10]
+    return e
+
+
+def zeroth_energies(params: EffectiveParams) -> np.ndarray:
     """Leading-order labelled energies (electron flip-flop blocks exact)."""
+    return _past_crossing(params, _block_energies(params))
+
+
+def _block_energies(params: EffectiveParams) -> np.ndarray:
+    """zeroth_energies before the 10/12 label exchange."""
     ge_b = params.gamma_e * params.b
     ge_d = params.gamma_e * params.delta_b
     gn_b = params.gamma_n * params.b
@@ -118,26 +134,22 @@ def zeroth_energies(params: EffectiveParams, apply_swap: bool = True) -> np.ndar
     e[13] = gn_b - j / 4 - sq0
     e[14] = -ge_b + gn_d + j / 4
     e[15] = (-params.gamma_e + params.gamma_n) * params.b + a / 2 + j / 4
-    if apply_swap and a / 2 > ge_d:
-        e[10], e[12] = e[12], e[10]
     return e
 
 
 def perturbative_spectrum(params: EffectiveParams) -> np.ndarray:
     """Labelled energies including the second-order hyperfine corrections.
 
-    Levels 10 and 12 exchange labels when A/2 > gamma_e*deltaB, because the
-    dominant component of the upper/lower block eigenstate switches there.
-    Warns when the parameters sit within the guard band of that crossing.
+    Levels 10 and 12 exchange labels as in zeroth_energies. Warns when the
+    parameters sit within the guard band of that crossing.
     """
-    ge_d = params.gamma_e * params.delta_b
-    margin = abs(params.a / 2 - ge_d)
+    margin = abs(params.a / 2 - params.gamma_e * params.delta_b)
     if margin < SWAP_GUARD_BAND:
         warnings.warn(
-            f"A/2 - gamma_e*deltaB margin is {margin / TWO_PI / 1e3:.1f} kHz; "
+            f"A/2 - gamma_e*deltaB margin is {margin / TWO_PI:.1f} Hz; "
             "labels 10/12 are near their crossing", SwapBoundaryWarning,
             stacklevel=2)
-    e0 = zeroth_energies(params, apply_swap=False)
+    e0 = _block_energies(params)
     a2 = params.a**2 / 4
     e2 = np.zeros(reg.DIM)
     e2[1] = a2 / (e0[1] - e0[2])
@@ -152,10 +164,7 @@ def perturbative_spectrum(params: EffectiveParams) -> np.ndarray:
     e2[10] = a2 * (1 / (e0[10] - e0[6]) + 1 / (e0[10] - e0[9]))
     e2[13] = a2 / (e0[13] - e0[14])
     e2[14] = -e2[13]
-    e = e0 + e2
-    if params.a / 2 > ge_d:
-        e[10], e[12] = e[12], e[10]
-    return e
+    return _past_crossing(params, e0 + e2)
 
 
 def small_params(params: EffectiveParams) -> tuple[float, float, float]:
@@ -183,9 +192,6 @@ class Spectrum:
     zeroth: np.ndarray
     pert_energies: np.ndarray
     smallness: tuple[float, float, float]
-
-    def dominant_weights(self) -> np.ndarray:
-        return np.max(np.abs(self.eigenvectors) ** 2, axis=0)
 
 
 def compute_spectrum(geometry: DeviceGeometry = DEFAULT_GEOMETRY) -> Spectrum:

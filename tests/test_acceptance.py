@@ -15,11 +15,10 @@ import pytest
 from donorpair import protocols
 from donorpair import register as reg
 from donorpair import (DEFAULT_GEOMETRY, GATES,
-                       displacement_detuning, error_estimate, evolve_pulse,
+                       displacement_detuning, error_estimate,
                        integrate_lab_frame, j_for_sites, kn_window,
-                       leading_order_design, rabi_probability,
-                       run_ee_cnot, sweep_gate_error,
-                       sweep_neighbor_displacement, transition_frequency,
+                       leading_order_design, pulse_propagator, rabi_probability,
+                       run_ee_cnot, sweep_gate_error, transition_frequency,
                        two_pi_k_omega, interior_qubit_estimate)
 from donorpair.cli import main as cli_main
 from donorpair.constants import DEFAULT_CONSTANTS, TWO_PI
@@ -99,7 +98,7 @@ def test_criterion_3_spectrum_accuracy(default_spectrum):
 def test_criterion_4_dynamics_oracles():
     t0 = time.monotonic()
     # two-level reductions against the transition-probability formula: a lone
-    # electron 1 on the register, flipped from basis_ket(0) to basis_ket(2)
+    # electron 1 on the register, flipped from basis state 0 to basis state 2
     omega0 = TWO_PI * 5e9
     h0 = omega0 * reg.SZ["e1"]
     rng = np.random.default_rng(2024)
@@ -110,8 +109,8 @@ def test_criterion_4_dynamics_oracles():
                           b1_amplitude=omega / GE, omega_e=omega,
                           omega_n=omega * GN / GE, tau=np.pi / omega,
                           drive_spins=("e1",))
-        psi = evolve_pulse(reg.basis_ket(0), h0, pulse)
-        assert abs(abs(psi[2]) ** 2 - rabi_probability(omega, delta)) <= 1e-8
+        u = pulse_propagator(h0, pulse)
+        assert abs(abs(u[2, 0]) ** 2 - rabi_probability(omega, delta)) <= 1e-8
 
     # rotating frame versus direct lab-frame integration at reduced field
     scale = 100e6 / 92482.5e6
@@ -128,7 +127,7 @@ def test_criterion_4_dynamics_oracles():
                       drive_spins=("e1",))
     z = rng.normal(size=16) + 1j * rng.normal(size=16)
     psi0 = z / np.linalg.norm(z)
-    ref = evolve_pulse(psi0, h0s, pulse)
+    ref = pulse_propagator(h0s, pulse) @ psi0
     psi = integrate_lab_frame(psi0, h0s, pulse, dt=pulse.tau / 4000)
     assert np.linalg.norm(psi - ref) <= 1e-6
     assert time.monotonic() - t0 < 30.0
@@ -185,9 +184,9 @@ def test_criterion_6a_nuclear_gate_direction_symmetry():
     "behaviour. See decisions ledger."))
 def test_criterion_6b_neighbor_displacement_insensitivity():
     t0 = time.monotonic()
-    table = sweep_neighbor_displacement("b", m_range=range(-4, 5), k=2000)
-    base = table[0]
-    worst = max(abs(table[m] - base) for m in range(-4, 5))
+    table = sweep_gate_error("b", m_range=range(-4, 5), k_list=(2000,), displaced_atom=2)
+    base = table[(0, 2000)]
+    worst = max(abs(table[(m, 2000)] - base) for m in range(-4, 5))
     status = "PASS" if worst <= max(0.10 * base, 1e-5) else "FAIL (expected, see ledger)"
     report("6b", f"neighbour-displacement sensitivity {worst / base:.1%}", status, t0)
     assert worst <= max(0.10 * base, 1e-5)

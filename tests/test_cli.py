@@ -9,7 +9,9 @@ import pytest
 from donorpair import cli, protocols
 from donorpair.cli import main
 from donorpair.exchange import exchange_table
-from donorpair.pulses import GATES
+from donorpair.geometry import DEFAULT_GEOMETRY
+from donorpair.pulses import GATES, kn_window
+from donorpair.spectrum import compute_spectrum
 
 
 def run_cli(args, capsys):
@@ -131,6 +133,27 @@ class TestDesign:
                                 "--format", "json"], capsys)
         row = json.loads(out)["rows"][0]
         assert row["detuning_shift_kHz"] == pytest.approx(-1.72, abs=0.05)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_displaced_gate_b_reports_kn_window(self, fmt, capsys):
+        code, out, _ = run_cli(["design", "--gate", "b", "--m1", "-1", "--format", fmt],
+                               capsys)
+        assert code == 0
+        if fmt == "json":
+            row = json.loads(out)["rows"][0]
+        else:
+            header, values = out.strip().split("\n")
+            assert header.endswith(",detuning_shift_kHz,Kn_min,Kn_max")
+            row = {k: int(v) for k, v in zip(header.split(","), values.split(","))
+                   if k.startswith("Kn_")}
+        window = kn_window(compute_spectrum(DEFAULT_GEOMETRY), DEFAULT_GEOMETRY.displaced(m1=-1))
+        assert (row["Kn_min"], row["Kn_max"]) == window == (363, 34120)
+
+    @pytest.mark.parametrize("argv", [["--gate", "b"], ["--gate", "a", "--m1", "-1"]])
+    def test_kn_window_only_for_displaced_gate_b(self, argv, capsys):
+        code, out, _ = run_cli(["design", *argv], capsys)
+        assert code == 0
+        assert "Kn_" not in out.split("\n")[0]
 
 
 class TestSweep:

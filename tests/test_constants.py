@@ -5,8 +5,7 @@ import sys
 
 import pytest
 
-from donorpair.constants import (DEFAULT_CONSTANTS, HBAR, TWO_PI, PhysicalConstants,
-                                 angular, cycles)
+from donorpair.constants import DEFAULT_CONSTANTS, HBAR, TWO_PI, PhysicalConstants
 
 
 def test_effective_bohr_radius_matches_accepted_value():
@@ -30,14 +29,9 @@ def test_inconsistent_bohr_radius_rejected():
 
 
 def test_gyromagnetic_ratios():
-    assert cycles(DEFAULT_CONSTANTS.gamma_e) == pytest.approx(28.025e9)
-    assert cycles(DEFAULT_CONSTANTS.gamma_n) == pytest.approx(17.25144e6)
-    assert cycles(DEFAULT_CONSTANTS.hyperfine_a) == pytest.approx(117.53e6)
-
-
-def test_angular_cycles_roundtrip():
-    assert angular(cycles(1.234e9)) == pytest.approx(1.234e9, rel=1e-15)
-    assert cycles(TWO_PI) == pytest.approx(1.0)
+    assert DEFAULT_CONSTANTS.gamma_e / TWO_PI == pytest.approx(28.025e9)
+    assert DEFAULT_CONSTANTS.gamma_n / TWO_PI == pytest.approx(17.25144e6)
+    assert DEFAULT_CONSTANTS.hyperfine_a / TWO_PI == pytest.approx(117.53e6)
 
 
 def test_si_constants_pinned():

@@ -12,8 +12,7 @@ from donorpair import protocols
 from donorpair import (DEFAULT_GEOMETRY, GATES, DeviceGeometry, DisplacementDistribution,
                        EnsembleConfig, ValidityError, compute_spectra, ensemble_grid,
                        ensemble_init, ensemble_workers, pulse_propagator, run_ee_cnot,
-                       run_initialization, sweep_gate_error,
-                       sweep_neighbor_displacement)
+                       run_initialization, sweep_gate_error)
 from donorpair.protocols import (INIT_SUPPORT, LAW_CODES, _chain_draws, _chain_errors,
                                  _form_coefficients, _form_tables, design_protocol_pulses,
                                  protocol_form)
@@ -87,19 +86,23 @@ class TestSweeps:
         assert all(0.0 <= p <= 1.0 for p in table.values())
 
     def test_neighbor_displacement_baseline_identical(self):
-        table = sweep_neighbor_displacement("b", m_range=(0,), k=2000)
+        table = sweep_gate_error("b", m_range=(0,), k_list=(2000,), displaced_atom=2)
         direct = sweep_gate_error("b", m_range=(0,), k_list=(2000,))
-        assert table[0] == direct[(0, 2000)]
+        assert table[(0, 2000)] == direct[(0, 2000)]
 
     def test_neighbor_displacement_electron_gate_feels_j(self):
         # the electron gate is J-sensitive, so the same neighbour sweep moves it
-        base = sweep_neighbor_displacement("a", m_range=(0,), k=4)[0]
-        moved = sweep_neighbor_displacement("a", m_range=(2,), k=4)[2]
-        assert abs(moved - base) > 10 * base
+        table = sweep_gate_error("a", m_range=(0, 2), k_list=(4,), displaced_atom=2)
+        assert abs(table[(2, 4)] - table[(0, 4)]) > 10 * table[(0, 4)]
 
     def test_unknown_gate_rejected(self):
         with pytest.raises(ValueError):
             sweep_gate_error("x")
+
+    @pytest.mark.parametrize("atom", [0, 3])
+    def test_displaced_atom_outside_the_pair_rejected(self, atom):
+        with pytest.raises(ValueError, match="displaced_atom must be 1 or 2"):
+            sweep_gate_error("a", m_range=(0,), displaced_atom=atom)
 
 
 class TestInitialization:

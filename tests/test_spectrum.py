@@ -81,7 +81,7 @@ class TestHamiltonian:
 
 class TestExactSpectrum:
     def test_labels_and_weights(self, default_spectrum):
-        w = default_spectrum.dominant_weights()
+        w = np.max(np.abs(default_spectrum.eigenvectors) ** 2, axis=0)
         assert w.min() > 0.99
 
     def test_decoupled_corner_states_exact(self, default_spectrum):
@@ -187,6 +187,11 @@ class TestPerturbativeSpectrum:
                             separation_sites=p0.separation_sites, gamma_e=GE, gamma_n=GN)
         assert np.allclose(perturbative_spectrum(p), zeroth_energies(p), atol=1e-9)
 
+    def test_guard_warning_reports_the_margin_in_hz(self):
+        # pair (4, -1) of the default grid lies 40 Hz from the label crossing
+        with pytest.warns(SwapBoundaryWarning, match=r"margin is 40\.0 Hz;"):
+            perturbative_spectrum(effective_params(DEFAULT_GEOMETRY.displaced(4, -1)))
+
     def test_swap_rule_and_guard_warning(self):
         # m2 - m1 = -5 sits within tens of Hz of the label crossing
         p_near = effective_params(DEFAULT_GEOMETRY.displaced(1, -4))
@@ -200,8 +205,8 @@ class TestPerturbativeSpectrum:
             pert = perturbative_spectrum(p_past)
         exact, _ = exact_spectrum(build_h0(p_past))
         assert np.abs(pert - exact).max() <= TWO_PI * 200.0
-        swapped = zeroth_energies(p_past, apply_swap=False)
-        assert abs(swapped[10] - exact[10]) > abs(pert[10] - exact[10])
+        unswapped_10 = zeroth_energies(p_past)[12]   # level 10 before the label exchange
+        assert abs(unswapped_10 - exact[10]) > abs(pert[10] - exact[10])
 
 
 class TestTransitions:
