@@ -13,14 +13,18 @@ run_ee_cnot, run_initialization and protocol_form's coefficients, computed
 before single chains were driven by the ensemble engine's primitives, so a
 change to the single-chain path that moves a bit fails here too. The layer
 pins at the end cover the exchange table, one displaced spectrum and the
-pulse-design functions the same way.
+pulse-design functions the same way, and the stdout pins the CSV output of
+one run of each command.
 """
+import hashlib
+
 import pytest
 
 from donorpair import (DEFAULT_GEOMETRY, GATES, EnsembleConfig, compute_spectrum, design_gate,
                        displacement_detuning, ensemble_grid, interior_qubit_estimate, kn_window,
                        leading_order_design, protocol_form, run_ee_cnot, run_initialization,
                        sweep_gate_error)
+from donorpair.cli import main
 from donorpair.exchange import exchange_table
 from donorpair.protocols import _form_coefficients, design_protocol_pulses
 
@@ -240,3 +244,25 @@ def test_analytic_design_values_are_frozen():
     assert kn_window(compute_spectrum(DEFAULT_GEOMETRY),
                      DEFAULT_GEOMETRY.displaced(m1=-1)) == FROZEN_KN_WINDOW
     assert {m: _hexes(interior_qubit_estimate(m)) for m in FROZEN_INTERIOR} == FROZEN_INTERIOR
+
+
+FROZEN_STDOUT = {   # donorpair command: md5 of its CSV stdout
+    "jtable 40 51": "3433a059099dd639cd57885b9e06bfc9",
+    "spectrum": "7b0ff4d7feb4846f7bb89f979341bab3",
+    "design --gate a --K 1": "926bc5317d7266f2ef7d315781756d1e",
+    "design --gate b --m1 -1": "4471f1a0e6da0507891ddfa522e593f0",
+    "design --gate ee": "42c59f7f311c284dff84953ca93286b0",
+    "sweep --gate a": "c9fdfa291ae4d68b80d6432af1a27eb4",
+    "sweep --gate b": "5c58a08acd08680cd838f8e19990799c",
+    "ee-cnot": "ef7509c12f14848033e1608f6b5978f9",
+    "ensemble --threads 1": "31b42a78c64e7bcaf14e83f52a2ff510",
+}
+
+
+def test_cli_stdout_is_frozen(capsys, monkeypatch):
+    monkeypatch.delenv("DONORPAIR_OUTDIR", raising=False)
+    got = {}
+    for command in FROZEN_STDOUT:
+        assert main(command.split()) == 0
+        got[command] = hashlib.md5(capsys.readouterr().out.encode()).hexdigest()
+    assert got == FROZEN_STDOUT
