@@ -290,27 +290,22 @@ def cmd_design(args, file_cfg) -> tuple[list[dict], list[str], dict]:
     import dataclasses
 
     from .constants import TWO_PI
-    from .pulses import (DEFAULT_K_ELECTRON, DEFAULT_K_NUCLEAR, GATES, design_gate,
-                         displacement_detuning, kn_window, leading_order_design)
+    from .pulses import (DEFAULT_K_ELECTRON, DEFAULT_K_NUCLEAR, GATES, _suppressed_detuning,
+                         design_gate, displacement_detuning, kn_window, leading_order_design)
     from .spectrum import compute_spectrum
 
     geometry = _geometry(args, file_cfg)
     gate = GATES[args.gate]
     default_k = DEFAULT_K_ELECTRON if gate.species == "e" else DEFAULT_K_NUCLEAR
     k = _resolve(args, file_cfg, "K", default_k)
-    gate = gate.with_k(k)
     spec0 = compute_spectrum(geometry.displaced(0, 0))
-    pulse = design_gate(spec0, gate)
-    lead = leading_order_design(gate, geometry.displaced(0, 0))
-    p, q = gate.resonant
-    pp, qp = gate.suppressed
-    delta = ((spec0.exact_energies[qp] - spec0.exact_energies[pp])
-             - (spec0.exact_energies[q] - spec0.exact_energies[p]))
+    pulse = design_gate(spec0, gate, k)
+    lead = leading_order_design(gate, k, geometry.displaced(0, 0))
     omega = pulse.omega_e if gate.species == "e" else pulse.omega_n
     rows = [{
         "gate": gate.name, "K": k,
         "nu_MHz": _mhz(pulse.nu),
-        "Delta_MHz": _mhz(delta),
+        "Delta_MHz": _mhz(_suppressed_detuning(gate, spec0.exact_energies)),
         "Omega_MHz": _mhz(omega),
         "tau_us": pulse.tau * 1e6,
         "B1_mT": pulse.b1_amplitude * 1e3,
@@ -319,9 +314,10 @@ def cmd_design(args, file_cfg) -> tuple[list[dict], list[str], dict]:
     }]
     resolved = {"geometry": dataclasses.asdict(geometry), "gate": args.gate, "K": k}
     if geometry.m1 != 0 or geometry.m2 != 0:
-        rows[0]["detuning_shift_kHz"] = displacement_detuning(gate, geometry) / TWO_PI / 1e3
+        shift = displacement_detuning(gate, geometry)
+        rows[0]["detuning_shift_kHz"] = shift / TWO_PI / 1e3
         if args.gate == "b":   # the usable nuclear-K window of this displacement
-            rows[0]["Kn_min"], rows[0]["Kn_max"] = kn_window(spec0, geometry)
+            rows[0]["Kn_min"], rows[0]["Kn_max"] = kn_window(spec0, shift)
     return rows, list(rows[0].keys()), resolved
 
 

@@ -65,9 +65,6 @@ class EffectiveParams:
     b2: float
     a: float
     j: float
-    separation_sites: int
-    gamma_e: float
-    gamma_n: float
 
     @property
     def b(self) -> float:
@@ -96,13 +93,5 @@ def effective_params(geometry: DeviceGeometry = DEFAULT_GEOMETRY) -> EffectivePa
     db = field_step(geometry)
     b1 = geometry.mean_field_b - delta_b0 + geometry.m1 * db
     b2 = geometry.mean_field_b + delta_b0 + geometry.m2 * db
-    n = geometry.separation_sites
-    return EffectiveParams(
-        b1=b1,
-        b2=b2,
-        a=DEFAULT_CONSTANTS.hyperfine_a,
-        j=j_for_sites(n),
-        separation_sites=n,
-        gamma_e=DEFAULT_CONSTANTS.gamma_e,
-        gamma_n=DEFAULT_CONSTANTS.gamma_n,
-    )
+    return EffectiveParams(b1=b1, b2=b2, a=DEFAULT_CONSTANTS.hyperfine_a,
+                           j=j_for_sites(geometry.separation_sites))

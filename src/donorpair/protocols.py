@@ -128,8 +128,7 @@ def design_protocol_pulses(k_e: int = DEFAULT_K_ELECTRON, k_n: int = DEFAULT_K_N
     for name in PROTOCOL_ORDER:
         if name != "relax":
             gate = GATES[name]
-            k = k_e if gate.species == "e" else k_n
-            pulses[name] = design_gate(spec0, gate.with_k(k))
+            pulses[name] = design_gate(spec0, gate, k_e if gate.species == "e" else k_n)
     return pulses
 
 
@@ -166,7 +165,7 @@ def sweep_gate_error(gate_name: str, m_range=range(-4, 5), k_list=(1,),
     spec0 = compute_spectrum(geometry_nominal.displaced(0, 0))
     out: dict[tuple[int, int], float] = {}
     for k in k_list:
-        pulse = design_gate(spec0, gate.with_k(k))
+        pulse = design_gate(spec0, gate, k)
         for m in m_range:
             displacement = {"m1": m} if displaced_atom == 1 else {"m2": m}
             geom = geometry_nominal.displaced(**displacement)
@@ -180,9 +179,6 @@ def sweep_gate_error(gate_name: str, m_range=range(-4, 5), k_list=(1,),
 class ProtocolRun:
     """Record of one initialization run on one chain."""
 
-    geometry: DeviceGeometry
-    k_e: int
-    k_n: int
     steps: list[tuple[str, float]] = field(default_factory=list)   # (step, P so far)
     pulse_fidelities: dict[str, float] = field(default_factory=dict)
     final_error: float = np.nan
@@ -219,7 +215,7 @@ def run_initialization(geometry: DeviceGeometry,
         raise ValueError("initial must hold 4 or 16 eigenstate amplitudes")
     amps = amps / np.linalg.norm(amps)
 
-    run = ProtocolRun(geometry=geometry, k_e=k_e, k_n=k_n)
+    run = ProtocolRun()
     target = vectors[:, TARGET_STATE]
 
     def error(rho: np.ndarray) -> float:   # 1 - population of the target eigenstate
@@ -286,9 +282,8 @@ def run_ee_cnot(geometry: DeviceGeometry, k_prime: int = 1) -> float:
     electron 2 set, with both nuclei polarized; returns 1 minus the
     population transferred between the corresponding eigenstates.
     """
-    gate = GATES["ee"].with_k(k_prime)
-    spec0 = compute_spectrum(geometry.displaced(0, 0))
-    pulse = design_gate(spec0, gate)
+    gate = GATES["ee"]
+    pulse = design_gate(compute_spectrum(geometry.displaced(0, 0)), gate, k_prime)
     return _chain_transfer_error(geometry, pulse, *gate.resonant)
 
 

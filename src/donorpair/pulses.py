@@ -9,8 +9,7 @@ resonances, which is the error mechanism under study.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from functools import lru_cache
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,7 +71,6 @@ class GateSpec:
     suppressed: tuple[int, int]
     species: str                   # "e" | "n"
     drive_spins: tuple[str, ...]
-    k: int = 1
 
     def __post_init__(self) -> None:
         for pair in (self.resonant, self.suppressed):
@@ -85,14 +83,16 @@ class GateSpec:
         if self.species not in ("e", "n"):
             raise ValueError("species must be 'e' or 'n'")
 
-    def with_k(self, k: int) -> "GateSpec":
-        """This gate with K = k: the gate itself if k is its K, else a cached copy."""
-        return self if k == self.k else _gate_with_k(self, k)
 
+def _suppressed_detuning(gate: GateSpec, energies: np.ndarray) -> float:
+    """Detuning (E_q' - E_p') - (E_q - E_p) of the suppressed pair from the resonant one.
 
-@lru_cache(maxsize=64)
-def _gate_with_k(gate: GateSpec, k: int) -> GateSpec:
-    return replace(gate, k=k)
+    `energies` are labelled level energies; the 2piK condition sets the
+    Rabi frequency from this detuning.
+    """
+    p, q = gate.resonant
+    pp, qp = gate.suppressed
+    return (energies[qp] - energies[pp]) - (energies[q] - energies[p])
 
 
 # The four initialization gates and the electron-electron CNOT.
@@ -133,39 +133,36 @@ class PulseSpec:
     nu: float
     phi: float
     b1_amplitude: float
-    omega_e: float
-    omega_n: float
     tau: float
     drive_spins: tuple[str, ...]
-    gate_name: str = ""
 
     def __post_init__(self) -> None:
         if self.tau <= 0 or self.b1_amplitude < 0:
             raise ValueError("pulse duration must be positive, amplitude nonnegative")
 
+    @property
+    def omega_e(self) -> float:
+        return DEFAULT_CONSTANTS.gamma_e * self.b1_amplitude
 
-def design_gate(spec_ideal: Spectrum, gate: GateSpec) -> PulseSpec:
-    """Pulse implementing `gate` on the chain described by spec_ideal."""
-    p, q = gate.resonant
-    nu = transition_frequency(spec_ideal, p, q)
-    pp, qp = gate.suppressed
-    delta = transition_frequency(spec_ideal, pp, qp) - nu
-    omega = two_pi_k_omega(delta, gate.k)
+    @property
+    def omega_n(self) -> float:
+        return DEFAULT_CONSTANTS.gamma_n * self.b1_amplitude
+
+
+def design_gate(spec_ideal: Spectrum, gate: GateSpec, k: int) -> PulseSpec:
+    """Pulse implementing `gate` at the 2piK condition K = k on the chain of spec_ideal."""
+    omega = two_pi_k_omega(_suppressed_detuning(gate, spec_ideal.exact_energies), k)
     gamma = DEFAULT_CONSTANTS.gamma_e if gate.species == "e" else DEFAULT_CONSTANTS.gamma_n
-    b1 = omega / gamma
     return PulseSpec(
-        nu=nu,
+        nu=transition_frequency(spec_ideal, *gate.resonant),
         phi=0.0,
-        b1_amplitude=b1,
-        omega_e=DEFAULT_CONSTANTS.gamma_e * b1,
-        omega_n=DEFAULT_CONSTANTS.gamma_n * b1,
+        b1_amplitude=omega / gamma,
         tau=pulse_duration(omega),
         drive_spins=gate.drive_spins,
-        gate_name=gate.name,
     )
 
 
-def leading_order_design(gate: GateSpec,
+def leading_order_design(gate: GateSpec, k: int,
                          geometry: DeviceGeometry = DEFAULT_GEOMETRY) -> dict:
     """Analytic pulse parameters from the leading-order level formulas.
 
@@ -178,11 +175,9 @@ def leading_order_design(gate: GateSpec,
 
     e0 = zeroth_energies(effective_params(geometry))
     p, q = gate.resonant
-    pp, qp = gate.suppressed
-    nu = e0[q] - e0[p]
-    delta = (e0[qp] - e0[pp]) - nu
-    omega = two_pi_k_omega(delta, gate.k)
-    return {"nu": nu, "delta": delta, "omega": omega, "tau": pulse_duration(omega)}
+    delta = _suppressed_detuning(gate, e0)
+    omega = two_pi_k_omega(delta, k)
+    return {"nu": e0[q] - e0[p], "delta": delta, "omega": omega, "tau": pulse_duration(omega)}
 
 
 def species_rabi(pulse: PulseSpec, spin: str) -> float:
@@ -202,28 +197,24 @@ def displacement_detuning(gate: GateSpec, geometry: DeviceGeometry) -> float:
     return transition_frequency(actual, p, q) - transition_frequency(nominal, p, q)
 
 
-def kn_window(spec_ideal: Spectrum, geometry_displaced: DeviceGeometry) -> tuple[int, int]:
+def kn_window(spec_ideal: Spectrum, detuning: float) -> tuple[int, int]:
     """Usable K range for the nuclear gate on atom 1.
 
     The lower edge is where the off-resonant flip of the other nucleus
     (detuned by 2*gamma_n*deltaB) reaches amplitude ratio mu = 1; the upper
-    edge is where the Rabi frequency drops to the displacement detuning of
-    the given displaced geometry.
+    edge is where the Rabi frequency drops to `detuning`, the
+    displacement_detuning of GATES["b"] on a displaced chain.
     """
-    gate = GATES["b"]
-    pp, qp = gate.suppressed
-    p, q = gate.resonant
-    delta2 = transition_frequency(spec_ideal, pp, qp) - transition_frequency(spec_ideal, p, q)
+    delta2 = _suppressed_detuning(GATES["b"], spec_ideal.exact_energies)
 
     def k_at_omega(omega_limit: float) -> int:
         return round(0.5 * np.sqrt((delta2 / omega_limit) ** 2 + 1.0))
 
-    delta_omega = 2.0 * spec_ideal.params.gamma_n * spec_ideal.params.delta_b
+    delta_omega = 2.0 * DEFAULT_CONSTANTS.gamma_n * spec_ideal.params.delta_b
     k_min = k_at_omega(2.0 * abs(delta_omega))
-    dprime = displacement_detuning(gate, geometry_displaced)
-    if dprime == 0:
+    if detuning == 0:
         raise ValidityError("upper K edge undefined at zero displacement")
-    k_max = k_at_omega(abs(dprime))
+    k_max = k_at_omega(abs(detuning))
     return k_min, k_max
 
 

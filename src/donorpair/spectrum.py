@@ -10,13 +10,14 @@ hyperfine flip-flops to second order in A.
 """
 from __future__ import annotations
 
+import sys
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import TWO_PI
+from .constants import DEFAULT_CONSTANTS, TWO_PI
 from .geometry import DEFAULT_GEOMETRY, DeviceGeometry, EffectiveParams, effective_params
 from . import register as reg
 
@@ -44,13 +45,13 @@ _STATES = np.arange(reg.DIM)
 
 def build_h0(params: EffectiveParams) -> np.ndarray:
     """Static 16x16 Hamiltonian, entries in angular frequency units."""
-    h = (params.gamma_e * params.b1 * reg.SZ["e1"]
-         + params.gamma_e * params.b2 * reg.SZ["e2"]
-         - params.gamma_n * params.b1 * reg.SZ["n1"]
-         - params.gamma_n * params.b2 * reg.SZ["n2"]
-         + params.a * (reg.HYPERFINE_1 + reg.HYPERFINE_2)
-         + params.j * reg.EXCHANGE)
-    return h
+    ge, gn = DEFAULT_CONSTANTS.gamma_e, DEFAULT_CONSTANTS.gamma_n
+    return (ge * params.b1 * reg.SZ["e1"]
+            + ge * params.b2 * reg.SZ["e2"]
+            - gn * params.b1 * reg.SZ["n1"]
+            - gn * params.b2 * reg.SZ["n2"]
+            + params.a * (reg.HYPERFINE_1 + reg.HYPERFINE_2)
+            + params.j * reg.EXCHANGE)
 
 
 def exact_spectrum(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -97,7 +98,7 @@ def _past_crossing(params: EffectiveParams, e: np.ndarray) -> np.ndarray:
     The dominant component of the upper/lower block eigenstate switches at
     that crossing, so the labels must follow it.
     """
-    if params.a / 2 > params.gamma_e * params.delta_b:
+    if params.a / 2 > DEFAULT_CONSTANTS.gamma_e * params.delta_b:
         e[10], e[12] = e[12], e[10]
     return e
 
@@ -109,32 +110,49 @@ def zeroth_energies(params: EffectiveParams) -> np.ndarray:
 
 def _block_energies(params: EffectiveParams) -> np.ndarray:
     """zeroth_energies before the 10/12 label exchange."""
-    ge_b = params.gamma_e * params.b
-    ge_d = params.gamma_e * params.delta_b
-    gn_b = params.gamma_n * params.b
-    gn_d = params.gamma_n * params.delta_b
+    ge, gn = DEFAULT_CONSTANTS.gamma_e, DEFAULT_CONSTANTS.gamma_n
+    ge_b = ge * params.b
+    ge_d = ge * params.delta_b
+    gn_b = gn * params.b
+    gn_d = gn * params.delta_b
     a, j = params.a, params.j
     sq0 = np.sqrt(ge_d**2 + j**2 / 4)
     sqp = np.sqrt((ge_d + a / 2) ** 2 + j**2 / 4)
     sqm = np.sqrt((ge_d - a / 2) ** 2 + j**2 / 4)
     e = np.empty(reg.DIM)
-    e[0] = (params.gamma_e - params.gamma_n) * params.b + a / 2 + j / 4
+    e[0] = (ge - gn) * params.b + a / 2 + j / 4
     e[1] = ge_b - gn_d + j / 4
     e[2] = -gn_b - j / 4 + sq0
     e[3] = -gn_d - j / 4 + sqp
     e[4] = -gn_b - j / 4 - sq0
     e[5] = -gn_d - j / 4 - sqp
-    e[6] = -(params.gamma_e + params.gamma_n) * params.b - a / 2 + j / 4
+    e[6] = -(ge + gn) * params.b - a / 2 + j / 4
     e[7] = -ge_b - gn_d + j / 4
     e[8] = ge_b + gn_d + j / 4
-    e[9] = (params.gamma_e + params.gamma_n) * params.b - a / 2 + j / 4
+    e[9] = (ge + gn) * params.b - a / 2 + j / 4
     e[10] = gn_d - j / 4 + sqm
     e[11] = gn_b - j / 4 + sq0
     e[12] = gn_d - j / 4 - sqm
     e[13] = gn_b - j / 4 - sq0
     e[14] = -ge_b + gn_d + j / 4
-    e[15] = (-params.gamma_e + params.gamma_n) * params.b + a / 2 + j / 4
+    e[15] = (-ge + gn) * params.b + a / 2 + j / 4
     return e
+
+
+def _caller_stacklevel() -> int:
+    """warnings.warn stacklevel of the first frame outside the library, seen from its caller.
+
+    Library frames run donorpair modules other than the CLI, so a warning
+    names the test, the script or the command that asked for the spectrum
+    (warn's skip_file_prefixes does this only from Python 3.12).
+    """
+    frame, level = sys._getframe(1), 1
+    while frame.f_back is not None:
+        package, _, module = frame.f_globals.get("__name__", "").partition(".")
+        if package != __package__ or module == "cli":
+            break
+        frame, level = frame.f_back, level + 1
+    return level
 
 
 def perturbative_spectrum(params: EffectiveParams) -> np.ndarray:
@@ -143,12 +161,12 @@ def perturbative_spectrum(params: EffectiveParams) -> np.ndarray:
     Levels 10 and 12 exchange labels as in zeroth_energies. Warns when the
     parameters sit within the guard band of that crossing.
     """
-    margin = abs(params.a / 2 - params.gamma_e * params.delta_b)
+    margin = abs(params.a / 2 - DEFAULT_CONSTANTS.gamma_e * params.delta_b)
     if margin < SWAP_GUARD_BAND:
         warnings.warn(
             f"A/2 - gamma_e*deltaB margin is {margin / TWO_PI:.1f} Hz; "
             "labels 10/12 are near their crossing", SwapBoundaryWarning,
-            stacklevel=2)
+            stacklevel=_caller_stacklevel())
     e0 = _block_energies(params)
     a2 = params.a**2 / 4
     e2 = np.zeros(reg.DIM)
@@ -169,7 +187,7 @@ def perturbative_spectrum(params: EffectiveParams) -> np.ndarray:
 
 def small_params(params: EffectiveParams) -> tuple[float, float, float]:
     """Smallness parameters (epsilon, epsilon', xi) of the basis approximation."""
-    two_ge_db = 2 * params.gamma_e * (params.b2 - params.b1)
+    two_ge_db = 2 * DEFAULT_CONSTANTS.gamma_e * (params.b2 - params.b1)
     if params.b2 == params.b1:
         raise ValidityError("epsilon undefined: equal fields at the two atoms")
     denom = two_ge_db - params.a
@@ -177,7 +195,7 @@ def small_params(params: EffectiveParams) -> tuple[float, float, float]:
         raise ValidityError("epsilon' pole: 2*gamma_e*(B2-B1) equals A")
     eps = params.j / two_ge_db
     eps_prime = params.j / abs(denom)
-    xi = params.a / (2 * params.gamma_e * params.b)
+    xi = params.a / (2 * DEFAULT_CONSTANTS.gamma_e * params.b)
     return eps, eps_prime, xi
 
 

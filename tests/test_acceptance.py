@@ -28,7 +28,6 @@ from donorpair.pulses import PulseSpec
 from donorpair.spectrum import build_h0, exact_spectrum, perturbative_spectrum
 
 GE = DEFAULT_CONSTANTS.gamma_e
-GN = DEFAULT_CONSTANTS.gamma_n
 
 REFERENCE_TABLE = {40: 33.75, 41: 22.58, 42: 15.09, 43: 10.07, 44: 6.71,
                    45: 4.465, 46: 2.97, 47: 1.97, 48: 1.306, 49: 0.865,
@@ -49,11 +48,11 @@ def test_criterion_1_exchange_table():
 
 def test_criterion_2_pulse_parameter_regression(default_spectrum):
     t0 = time.monotonic()
-    lead_a = leading_order_design(GATES["a"].with_k(1))
+    lead_a = leading_order_design(GATES["a"], 1)
     assert lead_a["nu"] / TWO_PI / 1e9 == pytest.approx(-92.35, abs=10e-3)
     assert lead_a["delta"] / TWO_PI / 1e6 == pytest.approx(-117.47, abs=0.02)
     assert lead_a["omega"] / TWO_PI / 1e6 == pytest.approx(67.82, abs=0.02)
-    lead_b = leading_order_design(GATES["b"])
+    lead_b = leading_order_design(GATES["b"], 1)
     assert lead_b["nu"] / TWO_PI / 1e6 == pytest.approx(115.655, abs=2e-3)
 
     assert GE * field_step() / TWO_PI == pytest.approx(2.798e6, rel=5e-3)
@@ -64,7 +63,7 @@ def test_criterion_2_pulse_parameter_regression(default_spectrum):
     d2p = displacement_detuning(GATES["b"], geom)
     assert d2p / TWO_PI / 1e3 == pytest.approx(-1.72, abs=0.05)
 
-    k_min, k_max = kn_window(default_spectrum, geom)
+    k_min, k_max = kn_window(default_spectrum, d2p)
     assert abs(k_min - 363) <= 1
     assert abs(k_max - 34148) <= 50
 
@@ -106,8 +105,7 @@ def test_criterion_4_dynamics_oracles():
         omega = TWO_PI * rng.uniform(0.5e6, 80e6)
         delta = TWO_PI * rng.uniform(-200e6, 200e6)
         pulse = PulseSpec(nu=-omega0 - delta, phi=float(rng.uniform(0, 2 * np.pi)),
-                          b1_amplitude=omega / GE, omega_e=omega,
-                          omega_n=omega * GN / GE, tau=np.pi / omega,
+                          b1_amplitude=omega / GE, tau=np.pi / omega,
                           drive_spins=("e1",))
         u = pulse_propagator(h0, pulse)
         assert abs(abs(u[2, 0]) ** 2 - rabi_probability(omega, delta)) <= 1e-8
@@ -116,15 +114,12 @@ def test_criterion_4_dynamics_oracles():
     scale = 100e6 / 92482.5e6
     p0 = effective_params(DEFAULT_GEOMETRY)
     params = EffectiveParams(b1=p0.b1 * scale, b2=p0.b2 * scale, a=p0.a * scale,
-                             j=p0.j * scale, separation_sites=47,
-                             gamma_e=GE, gamma_n=GN)
+                             j=p0.j * scale)
     h0s = build_h0(params)
     energies, _ = exact_spectrum(h0s)
     omega = TWO_PI * 2e6
     pulse = PulseSpec(nu=energies[15] - energies[13], phi=0.25,
-                      b1_amplitude=omega / GE, omega_e=omega,
-                      omega_n=omega * GN / GE, tau=np.pi / omega,
-                      drive_spins=("e1",))
+                      b1_amplitude=omega / GE, tau=np.pi / omega, drive_spins=("e1",))
     z = rng.normal(size=16) + 1j * rng.normal(size=16)
     psi0 = z / np.linalg.norm(z)
     ref = pulse_propagator(h0s, pulse) @ psi0

@@ -6,12 +6,12 @@ import sys
 
 import pytest
 
-from donorpair import cli, protocols
+from donorpair import cli, protocols, spectrum
 from donorpair.cli import main
 from donorpair.exchange import exchange_table
 from donorpair.geometry import DEFAULT_GEOMETRY
-from donorpair.pulses import GATES, kn_window
-from donorpair.spectrum import compute_spectrum
+from donorpair.pulses import GATES, displacement_detuning, kn_window
+from donorpair.spectrum import compute_spectra, compute_spectrum
 
 
 def run_cli(args, capsys):
@@ -146,8 +146,23 @@ class TestDesign:
             assert header.endswith(",detuning_shift_kHz,Kn_min,Kn_max")
             row = {k: int(v) for k, v in zip(header.split(","), values.split(","))
                    if k.startswith("Kn_")}
-        window = kn_window(compute_spectrum(DEFAULT_GEOMETRY), DEFAULT_GEOMETRY.displaced(m1=-1))
+        window = kn_window(compute_spectrum(DEFAULT_GEOMETRY), displacement_detuning(
+            GATES["b"], DEFAULT_GEOMETRY.displaced(m1=-1)))
         assert (row["Kn_min"], row["Kn_max"]) == window == (363, 34120)
+
+    def test_displaced_gate_b_solves_three_chains(self, monkeypatch, capsys):
+        # the nominal chain for the design, then the nominal and displaced
+        # chains of the one displacement_detuning that the Kn window reuses
+        solved = []
+
+        def counting_spectra(geometries):
+            solved.extend((g.m1, g.m2) for g in geometries)
+            return compute_spectra(geometries)
+
+        monkeypatch.setattr(spectrum, "compute_spectra", counting_spectra)
+        code, _, _ = run_cli(["design", "--gate", "b", "--m1", "-1"], capsys)
+        assert code == 0
+        assert solved == [(0, 0), (0, 0), (-1, 0)]
 
     @pytest.mark.parametrize("argv", [["--gate", "b"], ["--gate", "a", "--m1", "-1"]])
     def test_kn_window_only_for_displaced_gate_b(self, argv, capsys):

@@ -14,13 +14,16 @@ before single chains were driven by the ensemble engine's primitives, so a
 change to the single-chain path that moves a bit fails here too. The layer
 pins at the end cover the exchange table, one displaced spectrum and the
 pulse-design functions the same way, and the stdout pins the CSV output of
-one run of each command.
+one run of each command. The record pin lists the fields of the public
+records, which hold only what nothing else can derive.
 """
+import dataclasses
 import hashlib
 
 import pytest
 
-from donorpair import (DEFAULT_GEOMETRY, GATES, EnsembleConfig, compute_spectrum, design_gate,
+from donorpair import (DEFAULT_GEOMETRY, GATES, EffectiveParams, EnsembleConfig, GateSpec,
+                       ProtocolRun, PulseSpec, compute_spectrum, design_gate,
                        displacement_detuning, ensemble_grid, interior_qubit_estimate, kn_window,
                        leading_order_design, protocol_form, run_ee_cnot, run_initialization,
                        sweep_gate_error)
@@ -196,19 +199,19 @@ FROZEN_SPECTRUM = {   # compute_spectrum(displaced(1, -1))
                       "-0x1.0e95daf7fe688p+39", "-0x1.0e3f330c8be89p+39"),
     "smallness": ("0x1.227835b49d657p-6", "0x1.105132539e32cp-5", "0x1.4d244b726654cp-11"),
 }
-FROZEN_DESIGNS = {   # design_gate(nominal spectrum, GATES[name]) at its own K: (nu, omega_e, tau)
+FROZEN_DESIGNS = {   # design_gate(nominal spectrum, GATES[name]) at K = 1: (nu, omega_e, tau)
     "a": ("-0x1.0e38b4c38083cp+39", "0x1.96632b2957ab5p+28", "0x1.faa0e38f8f87bp-28"),
     "b": ("0x1.5a9e5bb77f800p+29", "0x1.425a24599b8b6p+39", "0x1.faa0e38f8f75fp-28"),
     "c": ("-0x1.0e9b3a3a22927p+39", "0x1.9696ae89ce704p+28", "0x1.fa60b37877281p-28"),
     "d": ("0x1.5adc69cb05400p+29", "0x1.428300c2b9802p+39", "0x1.fa60b378771d6p-28"),
     "ee": ("-0x1.0e38b4c38083cp+39", "0x1.b438a96ade901p+22", "0x1.d7faafc342355p-22"),
 }
-FROZEN_LEADING = {   # leading_order_design(GATES["b"].with_k(2000))
+FROZEN_LEADING = {   # leading_order_design(GATES["b"], 2000)
     "nu": "0x1.5a81b72f82c00p+29", "delta": "-0x1.5ff1195b5621dp+29",
     "omega": "0x1.68636eabe243ep+17", "tau": "0x1.1da584d058fe9p-16",
 }
 FROZEN_DETUNING = "0x1.d8133e74d0000p+23"   # displacement_detuning(GATES["a"], displaced(m1=-1))
-FROZEN_KN_WINDOW = (363, 34120)             # kn_window(nominal spectrum, displaced(m1=-1))
+FROZEN_KN_WINDOW = (363, 34120)   # kn_window(nominal spectrum, gate b's detuning at m1=-1)
 FROZEN_INTERIOR = {   # interior_qubit_estimate(m): (detuning, Rabi, Rabi error)
     1: ("0x1.0006c44c564d0p+20", "0x1.b438c079411e2p+22", "0x1.b9b8613f59b0fp+21"),
     -1: ("0x1.0006c44c564d0p+20", "0x1.b438c079411e2p+22", "-0x1.25e73eee47c24p+21"),
@@ -232,17 +235,17 @@ def test_displaced_spectrum_is_frozen():
 def test_pulse_designs_are_frozen():
     spec0 = compute_spectrum(DEFAULT_GEOMETRY)
     got = {name: _hexes((p.nu, p.omega_e, p.tau))
-           for name, gate in GATES.items() for p in [design_gate(spec0, gate)]}
+           for name, gate in GATES.items() for p in [design_gate(spec0, gate, 1)]}
     assert got == FROZEN_DESIGNS
 
 
 def test_analytic_design_values_are_frozen():
-    lead = leading_order_design(GATES["b"].with_k(2000))
+    lead = leading_order_design(GATES["b"], 2000)
     assert {key: float(value).hex() for key, value in lead.items()} == FROZEN_LEADING
     detuning = displacement_detuning(GATES["a"], DEFAULT_GEOMETRY.displaced(m1=-1))
     assert float(detuning).hex() == FROZEN_DETUNING
-    assert kn_window(compute_spectrum(DEFAULT_GEOMETRY),
-                     DEFAULT_GEOMETRY.displaced(m1=-1)) == FROZEN_KN_WINDOW
+    assert kn_window(compute_spectrum(DEFAULT_GEOMETRY), displacement_detuning(
+        GATES["b"], DEFAULT_GEOMETRY.displaced(m1=-1))) == FROZEN_KN_WINDOW
     assert {m: _hexes(interior_qubit_estimate(m)) for m in FROZEN_INTERIOR} == FROZEN_INTERIOR
 
 
@@ -266,3 +269,16 @@ def test_cli_stdout_is_frozen(capsys, monkeypatch):
         assert main(command.split()) == 0
         got[command] = hashlib.md5(capsys.readouterr().out.encode()).hexdigest()
     assert got == FROZEN_STDOUT
+
+
+FROZEN_FIELDS = {   # record: names of its dataclass fields
+    GateSpec: ("name", "resonant", "suppressed", "species", "drive_spins"),
+    PulseSpec: ("nu", "phi", "b1_amplitude", "tau", "drive_spins"),
+    EffectiveParams: ("b1", "b2", "a", "j"),
+    ProtocolRun: ("steps", "pulse_fidelities", "final_error"),
+}
+
+
+def test_record_fields_are_frozen():
+    got = {record: tuple(f.name for f in dataclasses.fields(record)) for record in FROZEN_FIELDS}
+    assert got == FROZEN_FIELDS

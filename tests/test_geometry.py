@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from donorpair import DEFAULT_GEOMETRY, DeviceGeometry, effective_params, field_step
+from donorpair import DEFAULT_GEOMETRY, DeviceGeometry, effective_params, field_step, j_for_sites
 from donorpair.constants import DEFAULT_CONSTANTS, TWO_PI
 
 GE = DEFAULT_CONSTANTS.gamma_e
@@ -37,7 +37,8 @@ def test_single_site_displacement_lowers_field_and_j():
     p0 = effective_params(DEFAULT_GEOMETRY)
     p = effective_params(DEFAULT_GEOMETRY.displaced(m1=-1))
     assert p0.b1 - p.b1 == pytest.approx(9.985e-5, rel=1e-3)
-    assert p.separation_sites == 48
+    assert DEFAULT_GEOMETRY.displaced(m1=-1).separation_sites == 48
+    assert p.j == j_for_sites(48)
     assert p.j / TWO_PI == pytest.approx(1.306e6, rel=0.01)
 
 
@@ -45,7 +46,8 @@ def test_rigid_translation_preserves_separation_and_j():
     p0 = effective_params(DEFAULT_GEOMETRY)
     p = effective_params(DEFAULT_GEOMETRY.displaced(m1=2, m2=2))
     db = field_step()
-    assert p.separation_sites == p0.separation_sites
+    assert (DEFAULT_GEOMETRY.displaced(m1=2, m2=2).separation_sites
+            == DEFAULT_GEOMETRY.separation_sites)
     assert p.j == p0.j
     assert p.b1 - p0.b1 == pytest.approx(2 * db, rel=1e-12)
     assert p.b2 - p0.b2 == pytest.approx(2 * db, rel=1e-12)

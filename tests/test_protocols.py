@@ -10,9 +10,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from donorpair import protocols
 from donorpair import (DEFAULT_GEOMETRY, GATES, DeviceGeometry, DisplacementDistribution,
-                       EnsembleConfig, ValidityError, compute_spectra, ensemble_grid,
-                       ensemble_init, ensemble_workers, pulse_propagator, run_ee_cnot,
-                       run_initialization, sweep_gate_error)
+                       EnsembleConfig, ValidityError, compute_spectra, compute_spectrum,
+                       design_gate, ensemble_grid, ensemble_init, ensemble_workers,
+                       pulse_propagator, run_ee_cnot, run_initialization, sweep_gate_error)
 from donorpair.protocols import (INIT_SUPPORT, LAW_CODES, _chain_draws, _chain_errors,
                                  _form_coefficients, _form_tables, design_protocol_pulses,
                                  protocol_form)
@@ -132,8 +132,9 @@ class TestInitialization:
         # the form-table cache keys on tuple(pulses.items()), so the order is part of the key
         pulses = design_protocol_pulses(1, 2000)
         assert list(pulses) == ["a", "b", "c", "d"]
-        assert [pulse.gate_name for pulse in pulses.values()] == [
-            GATES[name].name for name in ("a", "b", "c", "d")]
+        spec0 = compute_spectrum(DEFAULT_GEOMETRY)
+        assert list(pulses.values()) == [design_gate(spec0, GATES[name], k) for name, k
+                                         in (("a", 1), ("b", 2000), ("c", 1), ("d", 2000))]
 
 
 class TestEeCnot:

@@ -7,7 +7,7 @@ from donorpair import (DEFAULT_GEOMETRY, GATES, compute_spectrum, design_gate,
                        interior_qubit_estimate, j_for_sites, kn_window,
                        leading_order_design, nonresonant_mu, pulse_duration,
                        rabi_probability, transition_frequency, two_pi_k_omega)
-from donorpair.constants import TWO_PI
+from donorpair.constants import DEFAULT_CONSTANTS, TWO_PI
 from donorpair.pulses import GateSpec
 from donorpair.spectrum import ValidityError
 
@@ -82,7 +82,7 @@ class TestMu:
         delta2 = (transition_frequency(default_spectrum, 12, 13)
                   - transition_frequency(default_spectrum, 14, 15))
         omega = two_pi_k_omega(delta2, 363)
-        delta_omega = 2 * default_spectrum.params.gamma_n * default_spectrum.params.delta_b
+        delta_omega = 2 * DEFAULT_CONSTANTS.gamma_n * default_spectrum.params.delta_b
         assert nonresonant_mu(omega, delta_omega) == pytest.approx(1.0, rel=1e-2)
 
     def test_vanishes_with_drive(self):
@@ -120,7 +120,7 @@ class TestGateSpecs:
 
 class TestDesign:
     def test_first_gate_parameters(self, default_spectrum):
-        pulse = design_gate(default_spectrum, GATES["a"].with_k(1))
+        pulse = design_gate(default_spectrum, GATES["a"], 1)
         assert pulse.nu / TWO_PI / 1e9 == pytest.approx(-92.35, abs=0.01)
         assert pulse.omega_e / MHZ == pytest.approx(67.82, abs=0.02)
         assert pulse.tau == pytest.approx(np.pi / pulse.omega_e, rel=1e-15)
@@ -128,11 +128,11 @@ class TestDesign:
             17.25144e6 / 28.025e9, rel=1e-12)
 
     def test_leading_order_values(self):
-        lead_a = leading_order_design(GATES["a"].with_k(1))
+        lead_a = leading_order_design(GATES["a"], 1)
         assert lead_a["nu"] / TWO_PI / 1e9 == pytest.approx(-92.35, abs=0.01)
         assert lead_a["delta"] / MHZ == pytest.approx(-117.47, abs=0.02)
         assert lead_a["omega"] / MHZ == pytest.approx(67.82, abs=0.02)
-        lead_b = leading_order_design(GATES["b"])
+        lead_b = leading_order_design(GATES["b"], 1)
         assert lead_b["nu"] / MHZ == pytest.approx(115.655, abs=2e-3)
 
     def test_nuclear_gate_shares_the_suppressed_detuning(self, default_spectrum):
@@ -143,7 +143,7 @@ class TestDesign:
         assert abs(delta2 - delta1) <= TWO_PI * 1.0
 
     def test_two_electron_gate_detuned_by_j(self, default_spectrum):
-        pulse = design_gate(default_spectrum, GATES["ee"].with_k(1))
+        pulse = design_gate(default_spectrum, GATES["ee"], 1)
         e = default_spectrum.exact_energies
         delta_e = (e[11] - e[9]) - pulse.nu
         j = default_spectrum.params.j
@@ -152,8 +152,8 @@ class TestDesign:
         assert pulse.omega_e / j == pytest.approx(0.58, abs=0.01)
 
     def test_designed_pulse_satisfies_both_rabi_conditions(self, default_spectrum):
-        gate = GATES["a"].with_k(1)
-        pulse = design_gate(default_spectrum, gate)
+        gate = GATES["a"]
+        pulse = design_gate(default_spectrum, gate, 1)
         delta = (transition_frequency(default_spectrum, *gate.suppressed)
                  - transition_frequency(default_spectrum, *gate.resonant))
         assert rabi_probability(pulse.omega_e, 0.0) == pytest.approx(1.0, abs=1e-14)
@@ -178,7 +178,8 @@ class TestDisplacementDetuning:
 
 class TestKnWindow:
     def test_window_edges(self, default_spectrum):
-        k_min, k_max = kn_window(default_spectrum, DEFAULT_GEOMETRY.displaced(m1=-1))
+        k_min, k_max = kn_window(default_spectrum, displacement_detuning(
+            GATES["b"], DEFAULT_GEOMETRY.displaced(m1=-1)))
         assert abs(k_min - 363) <= 1
         assert abs(k_max - 34148) <= 50
 
@@ -186,13 +187,14 @@ class TestKnWindow:
         from donorpair.geometry import DeviceGeometry
         steep = DeviceGeometry(gradient=2.6e5, m1=-1)
         spec = compute_spectrum(steep.displaced(0, 0))
-        k_min_steep, _ = kn_window(spec, steep)
-        k_min, _ = kn_window(default_spectrum, DEFAULT_GEOMETRY.displaced(m1=-1))
+        k_min_steep, _ = kn_window(spec, displacement_detuning(GATES["b"], steep))
+        k_min, _ = kn_window(default_spectrum, displacement_detuning(
+            GATES["b"], DEFAULT_GEOMETRY.displaced(m1=-1)))
         assert k_min_steep < k_min
 
     def test_undefined_at_zero_displacement(self, default_spectrum):
         with pytest.raises(ValidityError):
-            kn_window(default_spectrum, DEFAULT_GEOMETRY)
+            kn_window(default_spectrum, displacement_detuning(GATES["b"], DEFAULT_GEOMETRY))
 
 
 class TestInteriorQubit:

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from donorpair import (DEFAULT_GEOMETRY, DegenerateLabelError, DeviceGeometry,
+from donorpair import (DEFAULT_GEOMETRY, DegenerateLabelError, DeviceGeometry, EnsembleConfig,
                        SwapBoundaryWarning, build_h0, compute_spectra, compute_spectrum,
-                       effective_params,
-                       exact_spectrum, perturbative_spectrum, small_params,
-                       transition_frequency, zeroth_energies)
+                       effective_params, ensemble_init, exact_spectrum, perturbative_spectrum,
+                       small_params, transition_frequency, zeroth_energies)
+from donorpair import protocols
 from donorpair.constants import DEFAULT_CONSTANTS, TWO_PI
 from donorpair.geometry import EffectiveParams
 from donorpair.spectrum import ValidityError
@@ -53,9 +53,7 @@ class TestHamiltonian:
         assert oracle[2, 1] == pytest.approx(default_params.a / 2, rel=1e-14)
         # every off-diagonal hyperfine element matches the ladder-operator form
         p_diagless = EffectiveParams(b1=default_params.b1, b2=default_params.b2,
-                                     a=default_params.a, j=0.0,
-                                     separation_sites=default_params.separation_sites,
-                                     gamma_e=GE, gamma_n=GN)
+                                     a=default_params.a, j=0.0)
         h_no_j = build_h0(p_diagless)
         off = h_no_j - np.diag(np.diag(h_no_j))
         assert np.allclose(off, oracle, atol=1e-6)
@@ -104,8 +102,7 @@ class TestExactSpectrum:
 
     def test_zeeman_limit_diagonal(self):
         p0 = effective_params(DEFAULT_GEOMETRY)
-        p = EffectiveParams(b1=p0.b1, b2=p0.b2, a=0.0, j=0.0,
-                            separation_sites=p0.separation_sites, gamma_e=GE, gamma_n=GN)
+        p = EffectiveParams(b1=p0.b1, b2=p0.b2, a=0.0, j=0.0)
         h = build_h0(p)
         energies, _ = exact_spectrum(h)
         assert np.allclose(energies, np.diag(h).real, atol=1e-3)
@@ -183,14 +180,24 @@ class TestPerturbativeSpectrum:
 
     def test_corrections_vanish_without_hyperfine(self):
         p0 = effective_params(DEFAULT_GEOMETRY)
-        p = EffectiveParams(b1=p0.b1, b2=p0.b2, a=0.0, j=p0.j,
-                            separation_sites=p0.separation_sites, gamma_e=GE, gamma_n=GN)
+        p = EffectiveParams(b1=p0.b1, b2=p0.b2, a=0.0, j=p0.j)
         assert np.allclose(perturbative_spectrum(p), zeroth_energies(p), atol=1e-9)
 
     def test_guard_warning_reports_the_margin_in_hz(self):
         # pair (4, -1) of the default grid lies 40 Hz from the label crossing
         with pytest.warns(SwapBoundaryWarning, match=r"margin is 40\.0 Hz;"):
             perturbative_spectrum(effective_params(DEFAULT_GEOMETRY.displaced(4, -1)))
+
+    @pytest.mark.parametrize("solve", [
+        lambda: compute_spectrum(DEFAULT_GEOMETRY.displaced(4, -1)),
+        # law A can draw pair (4, -1), so its form table solves that chain
+        lambda: ensemble_init(EnsembleConfig(num_chains=1, num_realizations=1, law="A")),
+    ], ids=["compute_spectrum", "ensemble_init"])
+    def test_guard_warning_names_the_caller(self, solve, monkeypatch):
+        monkeypatch.setattr(protocols, "_FORM_TABLES", {})   # no table solved before
+        with pytest.warns(SwapBoundaryWarning, match=r"margin is 40\.0 Hz;") as record:
+            solve()
+        assert {w.filename for w in record} == {__file__}
 
     def test_swap_rule_and_guard_warning(self):
         # m2 - m1 = -5 sits within tens of Hz of the label crossing
@@ -243,14 +250,11 @@ class TestSmallness:
 
     def test_vanish_without_exchange(self, default_params):
         p = EffectiveParams(b1=default_params.b1, b2=default_params.b2,
-                            a=default_params.a, j=0.0,
-                            separation_sites=default_params.separation_sites,
-                            gamma_e=GE, gamma_n=GN)
+                            a=default_params.a, j=0.0)
         eps, eps_p, _ = small_params(p)
         assert eps == 0 and eps_p == 0
 
     def test_pole_guards(self, default_params):
-        p = EffectiveParams(b1=3.3, b2=3.3, a=default_params.a, j=default_params.j,
-                            separation_sites=47, gamma_e=GE, gamma_n=GN)
+        p = EffectiveParams(b1=3.3, b2=3.3, a=default_params.a, j=default_params.j)
         with pytest.raises(ValidityError):
             small_params(p)
