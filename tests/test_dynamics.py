@@ -13,7 +13,6 @@ from donorpair.pulses import PulseSpec
 from donorpair import register as reg
 
 GE = DEFAULT_CONSTANTS.gamma_e
-GN = DEFAULT_CONSTANTS.gamma_n
 
 E1_FLIPPED = 2   # |0010>: basis state 0 with electron 1 flipped
 
