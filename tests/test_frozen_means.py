@@ -249,7 +249,7 @@ def test_analytic_design_values_are_frozen():
     assert {m: _hexes(interior_qubit_estimate(m)) for m in FROZEN_INTERIOR} == FROZEN_INTERIOR
 
 
-FROZEN_STDOUT = {   # donorpair command: md5 of its CSV stdout
+FROZEN_STDOUT = {   # donorpair command: md5 of its stdout (CSV unless --format json)
     "jtable 40 51": "3433a059099dd639cd57885b9e06bfc9",
     "spectrum": "7b0ff4d7feb4846f7bb89f979341bab3",
     "design --gate a --K 1": "926bc5317d7266f2ef7d315781756d1e",
@@ -257,8 +257,10 @@ FROZEN_STDOUT = {   # donorpair command: md5 of its CSV stdout
     "design --gate ee": "42c59f7f311c284dff84953ca93286b0",
     "sweep --gate a": "c9fdfa291ae4d68b80d6432af1a27eb4",
     "sweep --gate b": "5c58a08acd08680cd838f8e19990799c",
+    "sweep --gate b --displaced-atom 2": "84e16419ff0c5692009906e7844856dc",
     "ee-cnot": "ef7509c12f14848033e1608f6b5978f9",
     "ensemble --threads 1": "31b42a78c64e7bcaf14e83f52a2ff510",
+    "ensemble --threads 1 --format json": "63d639da4295fcffe69ad6acd52e963f",
 }
 
 
