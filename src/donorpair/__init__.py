@@ -8,7 +8,7 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "constants": ("DEFAULT_CONSTANTS", "PhysicalConstants", "TWO_PI"),
+    "constants": ("TWO_PI",),
     "exchange": ("delta_j", "delta_j_series", "herring_flicker", "j_for_sites"),
     "geometry": ("DEFAULT_GEOMETRY", "DeviceGeometry", "EffectiveParams", "effective_params",
                  "field_step"),
@@ -21,9 +21,9 @@ _EXPORTS = {
                "nonresonant_mu", "pulse_duration", "rabi_probability", "two_pi_k_omega"),
     "dynamics": ("StepSizeError", "integrate_lab_frame", "pulse_propagator", "relax_electrons",
                  "relax_electrons_adjoint", "rotating_hamiltonian"),
-    "protocols": ("DisplacementDistribution", "EnsembleConfig", "EnsembleResult", "ProtocolRun",
-                  "ensemble_grid", "ensemble_init", "ensemble_workers", "protocol_form",
-                  "run_ee_cnot", "run_initialization", "sweep_gate_error"),
+    "protocols": ("EnsembleConfig", "EnsembleResult", "ProtocolRun", "ensemble_grid",
+                  "ensemble_init", "ensemble_workers", "protocol_form", "run_ee_cnot",
+                  "run_initialization", "sweep_gate_error"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

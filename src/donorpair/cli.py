@@ -21,11 +21,6 @@ PERT_FLAG_THRESHOLD_HZ = 100.0
 GATE_NAMES = ("a", "b", "c", "d", "ee")   # sorted(pulses.GATES), without importing pulses
 GATE_HELP = "required, as this flag or as the configuration file's gate"
 
-GEOMETRY_KEYS = ("N0", "gradient_T_per_m", "b_tesla", "m1", "m2")
-CONFIG_KEYS = GEOMETRY_KEYS + (
-    "gate", "K", "Kn", "chains", "realizations", "law", "seed", "threads",
-    "out", "format")
-
 
 def _mhz(omega: float) -> float:
     from .constants import TWO_PI
@@ -67,7 +62,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="gate error versus displacement for several K")
     p.add_argument("--gate", choices=("a", "b"), default=None, help=GATE_HELP)
     p.add_argument("--K", default=None, help="comma-separated K values")
-    p.add_argument("--displaced-atom", type=int, choices=(1, 2), default=1)
+    p.add_argument("--displaced-atom", type=int, choices=(1, 2), default=None,
+                   help="the atom moved by m (default 1)")
 
     p = sub.add_parser("ensemble", parents=[common],
                        help="initialization error over an ensemble of chains")
@@ -100,26 +96,29 @@ def _load_config_file(path: str | None) -> dict:
     data = json.loads(text)
     if not isinstance(data, dict):
         raise ValueError("the configuration file must hold one JSON object")
-    unknown = set(data) - set(CONFIG_KEYS)
-    if unknown:
-        raise ValueError(f"unknown configuration keys: {sorted(unknown)}")
     return data
 
 
-def _command_parser(parser: argparse.ArgumentParser, command: str) -> argparse.ArgumentParser:
+def _command_parsers(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return sub.choices[command]
+    return sub.choices
 
 
-def _check_config_types(parser: argparse.ArgumentParser, command: str,
-                        file_cfg: dict) -> None:
-    """Reject a configuration value that the command's own flag could not give.
+def _check_config(parser: argparse.ArgumentParser, command: str, file_cfg: dict) -> None:
+    """Reject a configuration key or value that no flag could give.
 
-    An int flag takes a JSON integer, a float flag any JSON number, and every
-    other flag a string (a comma list such as --Kn stays one string); a bool
-    is never a number. Keys without a flag in this command are left alone.
+    The keys are the dests of the subcommands' option flags (not their
+    positionals). For the command's own flags, an int flag takes a JSON
+    integer, a float flag any JSON number, and every other flag a string (a
+    comma list such as --Kn stays one string); a bool is never a number.
+    Keys of other commands' flags are left alone.
     """
-    flags = {a.dest: a for a in _command_parser(parser, command)._actions}
+    keys = {a.dest for p in _command_parsers(parser).values() for a in p._actions
+            if a.option_strings and a.dest != "help"}
+    unknown = set(file_cfg) - keys
+    if unknown:
+        raise ValueError(f"unknown configuration keys: {sorted(unknown)}")
+    flags = {a.dest: a for a in _command_parsers(parser)[command]._actions}
     for key, value in file_cfg.items():
         if key not in flags:
             continue
@@ -324,17 +323,17 @@ def cmd_design(args, file_cfg) -> tuple[list[dict], list[str], dict]:
 def cmd_sweep(args, file_cfg) -> tuple[list[dict], list[str], dict]:
     import dataclasses
 
+    from .geometry import DISPLACEMENTS
     from .protocols import sweep_gate_error
 
     geometry = _nominal_geometry(args, file_cfg)
     default_k = "1,2,3,4" if args.gate == "a" else "700,2000,5000,10000,30000"
     k_list = _list(args, file_cfg, "K", default_k, int)
-    table = sweep_gate_error(args.gate, range(-4, 5), tuple(k_list),
-                             displaced_atom=args.displaced_atom,
-                             geometry_nominal=geometry)
-    rows = [{"m": m, "K": k, "P": table[(m, k)]}
-            for k in k_list for m in range(-4, 5)]
-    resolved = {"gate": args.gate, "K": k_list, "displaced_atom": args.displaced_atom,
+    displaced_atom = _resolve(args, file_cfg, "displaced_atom", 1)
+    table = sweep_gate_error(args.gate, DISPLACEMENTS, tuple(k_list),
+                             displaced_atom=displaced_atom, geometry_nominal=geometry)
+    rows = [{"m": m, "K": k, "P": table[(m, k)]} for k in k_list for m in DISPLACEMENTS]
+    resolved = {"gate": args.gate, "K": k_list, "displaced_atom": displaced_atom,
                 "geometry": dataclasses.asdict(geometry)}
     return rows, ["m", "K", "P"], resolved
 
@@ -370,14 +369,13 @@ def cmd_ensemble(args, file_cfg) -> tuple[list[dict], list[str], dict]:
 def cmd_ee_cnot(args, file_cfg) -> tuple[list[dict], list[str], dict]:
     import dataclasses
 
-    from .protocols import run_ee_cnot
+    from .geometry import DISPLACEMENTS
+    from .protocols import sweep_gate_error
 
     k = _resolve(args, file_cfg, "K", 1)
     geometry = _nominal_geometry(args, file_cfg)
-    rows = []
-    for m in range(-4, 5):
-        p_e = run_ee_cnot(geometry.displaced(m1=m), k_prime=k)
-        rows.append({"m": m, "P_e": p_e})
+    table = sweep_gate_error("ee", DISPLACEMENTS, (k,), geometry_nominal=geometry)
+    rows = [{"m": m, "P_e": table[(m, k)]} for m in DISPLACEMENTS]
     return rows, ["m", "P_e"], {"K_prime": k, "geometry": dataclasses.asdict(geometry)}
 
 
@@ -397,11 +395,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         file_cfg = _load_config_file(args.config)
-        _check_config_types(parser, args.command, file_cfg)
+        _check_config(parser, args.command, file_cfg)
         if "gate" in vars(args):
             args.gate = _resolve(args, file_cfg, "gate", None)
             if args.gate is None:
-                _command_parser(parser, args.command).error(
+                _command_parsers(parser)[args.command].error(
                     "the following arguments are required: --gate")
         fmt = _resolve(args, file_cfg, "format", "csv")
         path = _output_path(args, file_cfg, fmt)

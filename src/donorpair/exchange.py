@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .constants import DEFAULT_CONSTANTS, HBAR
+from .constants import BOHR_RADIUS_AB, COULOMB_PREFACTOR, HBAR, KAPPA, LATTICE_STEP_A0
 
 # Printed regression coefficients of the quartic fit to dJ/J0 versus the
 # displacement step m at nominal 47-site separation (diagnostic only; the
@@ -20,9 +20,8 @@ def herring_flicker(a: float) -> float:
     """Exchange constant J (angular frequency) at electron separation a (m)."""
     if a <= 0:
         raise ValueError("separation must be positive")
-    ab = DEFAULT_CONSTANTS.bohr_radius_ab
-    energy = (1.642 * DEFAULT_CONSTANTS.coulomb_prefactor / (DEFAULT_CONSTANTS.kappa * ab)
-              * (a / ab) ** 2.5 * np.exp(-2.0 * a / ab))
+    energy = (1.642 * COULOMB_PREFACTOR / (KAPPA * BOHR_RADIUS_AB)
+              * (a / BOHR_RADIUS_AB) ** 2.5 * np.exp(-2.0 * a / BOHR_RADIUS_AB))
     return energy / HBAR
 
 
@@ -30,7 +29,7 @@ def j_for_sites(n: int) -> float:
     """J at a separation of n lattice steps (n-1 interstitial sites)."""
     if n < 1:
         raise ValueError("site separation must be >= 1")
-    return herring_flicker(n * DEFAULT_CONSTANTS.lattice_step_a0)
+    return herring_flicker(n * LATTICE_STEP_A0)
 
 
 def delta_j(m: int, n0: int = 47) -> float:
@@ -57,6 +56,6 @@ def exchange_table(n_min: int, n_max: int):
         raise ValueError(f"need 1 <= n_min <= n_max, got {n_min} and {n_max}")
     rows = []
     for n in range(n_min, n_max + 1):
-        a = n * DEFAULT_CONSTANTS.lattice_step_a0
+        a = n * LATTICE_STEP_A0
         rows.append((n, a * 1e9, j_for_sites(n) / (2 * np.pi) / 1e6))
     return rows

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .constants import DEFAULT_CONSTANTS, TWO_PI
+from .constants import GAMMA_E, HYPERFINE_A, LATTICE_STEP_A0, TWO_PI
 from .exchange import j_for_sites
 
 # Nominal fields are pinned by the mean field b and the half-difference
@@ -20,6 +20,7 @@ NOMINAL_MEAN_FIELD_T = 3.3
 NOMINAL_GAMMA_E_DELTA_B = TWO_PI * 65.76e6
 
 MAX_DISPLACEMENT = 4
+DISPLACEMENTS = range(-MAX_DISPLACEMENT, MAX_DISPLACEMENT + 1)   # every m a chain may have
 
 
 @dataclass(frozen=True)
@@ -77,7 +78,7 @@ class EffectiveParams:
 
 def field_step(geometry: DeviceGeometry = DEFAULT_GEOMETRY) -> float:
     """Per-site field increment dB = gradient * a0 (tesla)."""
-    return geometry.gradient * DEFAULT_CONSTANTS.lattice_step_a0
+    return geometry.gradient * LATTICE_STEP_A0
 
 
 def effective_params(geometry: DeviceGeometry = DEFAULT_GEOMETRY) -> EffectiveParams:
@@ -87,11 +88,11 @@ def effective_params(geometry: DeviceGeometry = DEFAULT_GEOMETRY) -> EffectivePa
     gamma_e*deltaB at the default layout and scales with gradient*N0 for
     other layouts (deltaB is the gradient times half the chain length).
     """
-    delta_b0 = (NOMINAL_GAMMA_E_DELTA_B / DEFAULT_CONSTANTS.gamma_e
+    delta_b0 = (NOMINAL_GAMMA_E_DELTA_B / GAMMA_E
                 * (geometry.gradient * geometry.n0)
                 / (DEFAULT_GEOMETRY.gradient * DEFAULT_GEOMETRY.n0))
     db = field_step(geometry)
     b1 = geometry.mean_field_b - delta_b0 + geometry.m1 * db
     b2 = geometry.mean_field_b + delta_b0 + geometry.m2 * db
-    return EffectiveParams(b1=b1, b2=b2, a=DEFAULT_CONSTANTS.hyperfine_a,
+    return EffectiveParams(b1=b1, b2=b2, a=HYPERFINE_A,
                            j=j_for_sites(geometry.separation_sites))

@@ -49,13 +49,12 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from .dynamics import (pulse_propagator, relax_electrons,
                        relax_electrons_adjoint)
-from .geometry import DEFAULT_GEOMETRY, DeviceGeometry
+from .geometry import DEFAULT_GEOMETRY, DISPLACEMENTS, MAX_DISPLACEMENT, DeviceGeometry
 from .pulses import (DEFAULT_K_ELECTRON, DEFAULT_K_NUCLEAR, GATES, PulseSpec,
                      design_gate)
 from .spectrum import compute_spectra, compute_spectrum
@@ -64,60 +63,37 @@ INIT_SUPPORT = (6, 7, 14, 15)     # electrons relaxed, nuclei arbitrary
 TARGET_STATE = 15
 PROTOCOL_ORDER = ("a", "b", "relax", "c", "d", "relax")
 
-LAW_CODES = {"none": 0, "A": 1, "B": 2}
+LAW_CODES = {"none": 0, "A": 1, "B": 2}   # seed component of each law's streams
 MAX_CHAINS = 2**32   # largest num_chains accepted per realization
 CHAINS_PER_WORKER = 200_000   # grid chains per pool worker; fewer do not pay for its start-up
 
+# r_m, the probability of a displacement of magnitude |m| = 1, ..., 4 (direction uniform)
+LAWS = {"none": (0.0,) * MAX_DISPLACEMENT,
+        **{law: tuple(base * 0.5**m for m in range(1, MAX_DISPLACEMENT + 1))
+           for law, base in (("A", 0.5), ("B", 0.25))}}
 
-@dataclass(frozen=True)
-class DisplacementDistribution:
-    """Probability r_m of a displacement of magnitude |m| (direction uniform)."""
-
-    law: str
-    r: tuple[float, float, float, float] = ()
-
-    def __post_init__(self) -> None:
-        if not self.r:
-            if self.law == "none":
-                object.__setattr__(self, "r", (0.0, 0.0, 0.0, 0.0))
-            elif self.law in ("A", "B"):
-                base = 0.5 if self.law == "A" else 0.25
-                object.__setattr__(self, "r", tuple(base * 0.5**m for m in range(1, 5)))
-            else:
-                raise ValueError(f"unknown displacement law {self.law!r}")
-        if any(x < 0 for x in self.r):
-            raise ValueError("displacement probabilities must be nonnegative")
-        if sum(self.r) > 1.0:
-            raise ValueError("displacement probabilities sum beyond 1")
-
-    @property
-    def magnitudes(self) -> tuple[int, ...]:
-        """Every |m| that displacements() may return: 0 and each m with r_m > 0."""
-        return (0,) + tuple(m for m, rm in enumerate(self.r, start=1) if rm > 0)
-
-    def displacements(self, magnitude: np.ndarray, sign: np.ndarray) -> np.ndarray:
-        """Signed displacements m from uniforms in [0, 1), elementwise.
-
-        |m| is the first k with magnitude < r_1 + ... + r_k (the partial
-        sums added in order), or 0 if there is none; a sign uniform below
-        0.5 makes m positive.
-        """
-        thresholds, signed = self._rule
-        k = np.searchsorted(thresholds, magnitude, side="right")
-        return signed[k + (len(self.r) + 1) * (sign < 0.5)]
-
-    @cached_property
-    def _rule(self) -> tuple[np.ndarray, np.ndarray]:
-        """The partial sums of r, and m for each k + (len(r) + 1) * (sign < 0.5).
-
-        k is the number of partial sums at most the magnitude uniform; k =
-        len(r) means |m| = 0.
-        """
-        mags = np.arange(1, len(self.r) + 2) % (len(self.r) + 1)   # 1, ..., len(r), 0
-        return np.cumsum(self.r), np.concatenate([-mags, mags])
+# _displacements' rule: the partial sums of each law's r, and m for each
+# k + (MAX_DISPLACEMENT + 1) * (sign < 0.5), where k is the number of partial
+# sums at most the magnitude uniform (k = MAX_DISPLACEMENT means |m| = 0)
+_THRESHOLDS = {law: np.cumsum(r) for law, r in LAWS.items()}
+_MAGS = np.arange(1, MAX_DISPLACEMENT + 2) % (MAX_DISPLACEMENT + 1)   # 1, ..., 4, 0
+_SIGNED = np.concatenate([-_MAGS, _MAGS])
 
 
-_LAWS = {law: DisplacementDistribution(law) for law in LAW_CODES}
+def _displacements(law: str, magnitude: np.ndarray, sign: np.ndarray) -> np.ndarray:
+    """Signed displacements m of `law` from uniforms in [0, 1), elementwise.
+
+    |m| is the first k with magnitude < r_1 + ... + r_k (the partial sums
+    added in order), or 0 if there is none; a sign uniform below 0.5 makes m
+    positive.
+    """
+    k = np.searchsorted(_THRESHOLDS[law], magnitude, side="right")
+    return _SIGNED[k + (MAX_DISPLACEMENT + 1) * (sign < 0.5)]
+
+
+def _pair_index(m1, m2):
+    """Row of the displacement pair (m1, m2) in a form table; ints or int arrays."""
+    return (m1 + MAX_DISPLACEMENT) * len(DISPLACEMENTS) + (m2 + MAX_DISPLACEMENT)
 
 
 def design_protocol_pulses(k_e: int = DEFAULT_K_ELECTRON, k_n: int = DEFAULT_K_NUCLEAR,
@@ -147,7 +123,7 @@ def _chain_transfer_error(geometry: DeviceGeometry, pulse: PulseSpec, source: in
 
 # -- single-gate sweeps ------------------------------------------------------
 
-def sweep_gate_error(gate_name: str, m_range=range(-4, 5), k_list=(1,),
+def sweep_gate_error(gate_name: str, m_range=DISPLACEMENTS, k_list=(1,),
                      displaced_atom: int = 1,
                      geometry_nominal: DeviceGeometry = DEFAULT_GEOMETRY) -> dict[tuple[int, int], float]:
     """Error table P[(m, K)] of one gate versus displacement and K.
@@ -319,9 +295,18 @@ class EnsembleConfig:
 @dataclass(frozen=True)
 class EnsembleResult:
     config: EnsembleConfig
-    mean_error: float
-    stderr: float
     realization_means: tuple[float, ...]
+
+    @property
+    def mean_error(self) -> float:
+        """Mean of realization_means."""
+        return float(np.array(self.realization_means).mean())
+
+    @property
+    def stderr(self) -> float:
+        """Standard error of mean_error over the realizations; 0 for one realization."""
+        means = np.array(self.realization_means)
+        return float(means.std(ddof=1) / np.sqrt(len(means))) if len(means) > 1 else 0.0
 
 
 _CHAIN_BLOCK = 1024   # chains per draw block: the stream is drawn in whole blocks of this many
@@ -341,9 +326,8 @@ def _chain_draws(config: EnsembleConfig,
     only the unit of the stream: up to _CHUNK_BLOCKS consecutive blocks are
     drawn into the arrays of one evaluation chunk, fresh for each chunk so
     that a yielded chunk stays valid, and the chunk's uniforms are mapped to
-    pair indices (m1 + 4) * 9 + (m2 + 4) by one displacements call.
+    pair indices _pair_index(m1, m2) by one _displacements call.
     """
-    dist = _LAWS[config.law]
     rng = np.random.default_rng([config.seed, LAW_CODES[config.law],
                                  config.k_n, config.k_e, realization])
     for start in range(0, config.num_chains, _CHUNK_BLOCKS * _CHAIN_BLOCK):
@@ -353,8 +337,8 @@ def _chain_draws(config: EnsembleConfig,
         for block in range(0, rows, _CHAIN_BLOCK):
             rng.random(out=uniforms[block:block + _CHAIN_BLOCK])
             rng.standard_normal(out=normals[block:block + _CHAIN_BLOCK])
-        m = dist.displacements(uniforms[:n, :2], uniforms[:n, 2:])
-        yield m[:, 0] * 9 + m[:, 1] + 40, normals[:n]
+        m = _displacements(config.law, uniforms[:n, :2], uniforms[:n, 2:])
+        yield _pair_index(m[:, 0], m[:, 1]), normals[:n]
 
 
 _PAIRS = tuple(itertools.combinations(range(4), 2))   # the six (j, k) with j < k
@@ -381,7 +365,7 @@ def _form_tables(keys: Sequence[tuple[DeviceGeometry, tuple[tuple[str, PulseSpec
                                       tuple[int, ...]]]) -> list[np.ndarray]:
     """Read-only (81, 16) _form_coefficients table of each (geometry, pulses, magnitudes).
 
-    Row (m1 + 4) * 9 + (m2 + 4) of a table holds the coefficients of
+    Row _pair_index(m1, m2) of a table holds the coefficients of
     protocol_form for the chain displaced by (m1, m2) from the nominal
     `geometry` under `pulses`, for |m1| and |m2| in `magnitudes`; the other
     rows are NaN. The tables missing from the process cache are solved
@@ -430,8 +414,8 @@ def _solve_form_tables(keys: Sequence[tuple]) -> list[np.ndarray]:
             rows = slice(None)
         forms = _protocol_forms(vectors[rows], {name: propagators[pulse][rows]
                                                 for name, pulse in key_pulses})
-        table = np.full((81, 16), np.nan)
-        table[[(m1 + 4) * 9 + (m2 + 4) for m1, m2 in key_pairs]] = _form_coefficients(forms)
+        table = np.full((len(DISPLACEMENTS) ** 2, 16), np.nan)
+        table[[_pair_index(m1, m2) for m1, m2 in key_pairs]] = _form_coefficients(forms)
         table.flags.writeable = False
         tables.append(table)
     return tables
@@ -522,8 +506,8 @@ def ensemble_grid(configs: Sequence[EnsembleConfig]) -> list[EnsembleResult]:
     for config in configs:
         pulses = design_protocol_pulses(config.k_e, config.k_n,
                                         geometry_nominal=config.geometry)
-        keys.append((config.geometry, tuple(pulses.items()),
-                     _LAWS[config.law].magnitudes))
+        magnitudes = (0,) + tuple(m for m, rm in enumerate(LAWS[config.law], start=1) if rm > 0)
+        keys.append((config.geometry, tuple(pulses.items()), magnitudes))
     tasks = [(config, r, table) for config, table in zip(configs, _form_tables(keys))
              for r in range(config.num_realizations)]
     workers = ensemble_workers(configs)
@@ -533,14 +517,6 @@ def ensemble_grid(configs: Sequence[EnsembleConfig]) -> list[EnsembleResult]:
             means = list(pool.map(_run_realization, *zip(*tasks)))
     else:
         means = [_run_realization(*task) for task in tasks]
-    results = []
-    for config in configs:
-        means_arr = np.array(means[:config.num_realizations])
-        del means[:config.num_realizations]
-        stderr = (means_arr.std(ddof=1) / np.sqrt(len(means_arr))
-                  if len(means_arr) > 1 else 0.0)
-        results.append(EnsembleResult(config=config,
-                                      mean_error=float(means_arr.mean()),
-                                      stderr=float(stderr),
-                                      realization_means=tuple(float(x) for x in means_arr)))
-    return results
+    means = iter(means)
+    return [EnsembleResult(config, tuple(itertools.islice(means, config.num_realizations)))
+            for config in configs]

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import DEFAULT_CONSTANTS
+from .constants import GAMMA_E, GAMMA_N
 from .exchange import delta_j, j_for_sites
 from .geometry import DEFAULT_GEOMETRY, DeviceGeometry
 from .spectrum import Spectrum, ValidityError, compute_spectrum, transition_frequency, zeroth_energies
@@ -142,17 +142,17 @@ class PulseSpec:
 
     @property
     def omega_e(self) -> float:
-        return DEFAULT_CONSTANTS.gamma_e * self.b1_amplitude
+        return GAMMA_E * self.b1_amplitude
 
     @property
     def omega_n(self) -> float:
-        return DEFAULT_CONSTANTS.gamma_n * self.b1_amplitude
+        return GAMMA_N * self.b1_amplitude
 
 
 def design_gate(spec_ideal: Spectrum, gate: GateSpec, k: int) -> PulseSpec:
     """Pulse implementing `gate` at the 2piK condition K = k on the chain of spec_ideal."""
     omega = two_pi_k_omega(_suppressed_detuning(gate, spec_ideal.exact_energies), k)
-    gamma = DEFAULT_CONSTANTS.gamma_e if gate.species == "e" else DEFAULT_CONSTANTS.gamma_n
+    gamma = GAMMA_E if gate.species == "e" else GAMMA_N
     return PulseSpec(
         nu=transition_frequency(spec_ideal, *gate.resonant),
         phi=0.0,
@@ -210,7 +210,7 @@ def kn_window(spec_ideal: Spectrum, detuning: float) -> tuple[int, int]:
     def k_at_omega(omega_limit: float) -> int:
         return round(0.5 * np.sqrt((delta2 / omega_limit) ** 2 + 1.0))
 
-    delta_omega = 2.0 * DEFAULT_CONSTANTS.gamma_n * spec_ideal.params.delta_b
+    delta_omega = 2.0 * GAMMA_N * spec_ideal.params.delta_b
     k_min = k_at_omega(2.0 * abs(delta_omega))
     if detuning == 0:
         raise ValidityError("upper K edge undefined at zero displacement")

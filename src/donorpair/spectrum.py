@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import DEFAULT_CONSTANTS, TWO_PI
+from .constants import GAMMA_E, GAMMA_N, TWO_PI
 from .geometry import DEFAULT_GEOMETRY, DeviceGeometry, EffectiveParams, effective_params
 from . import register as reg
 
@@ -45,11 +45,10 @@ _STATES = np.arange(reg.DIM)
 
 def build_h0(params: EffectiveParams) -> np.ndarray:
     """Static 16x16 Hamiltonian, entries in angular frequency units."""
-    ge, gn = DEFAULT_CONSTANTS.gamma_e, DEFAULT_CONSTANTS.gamma_n
-    return (ge * params.b1 * reg.SZ["e1"]
-            + ge * params.b2 * reg.SZ["e2"]
-            - gn * params.b1 * reg.SZ["n1"]
-            - gn * params.b2 * reg.SZ["n2"]
+    return (GAMMA_E * params.b1 * reg.SZ["e1"]
+            + GAMMA_E * params.b2 * reg.SZ["e2"]
+            - GAMMA_N * params.b1 * reg.SZ["n1"]
+            - GAMMA_N * params.b2 * reg.SZ["n2"]
             + params.a * (reg.HYPERFINE_1 + reg.HYPERFINE_2)
             + params.j * reg.EXCHANGE)
 
@@ -98,7 +97,7 @@ def _past_crossing(params: EffectiveParams, e: np.ndarray) -> np.ndarray:
     The dominant component of the upper/lower block eigenstate switches at
     that crossing, so the labels must follow it.
     """
-    if params.a / 2 > DEFAULT_CONSTANTS.gamma_e * params.delta_b:
+    if params.a / 2 > GAMMA_E * params.delta_b:
         e[10], e[12] = e[12], e[10]
     return e
 
@@ -110,7 +109,7 @@ def zeroth_energies(params: EffectiveParams) -> np.ndarray:
 
 def _block_energies(params: EffectiveParams) -> np.ndarray:
     """zeroth_energies before the 10/12 label exchange."""
-    ge, gn = DEFAULT_CONSTANTS.gamma_e, DEFAULT_CONSTANTS.gamma_n
+    ge, gn = GAMMA_E, GAMMA_N
     ge_b = ge * params.b
     ge_d = ge * params.delta_b
     gn_b = gn * params.b
@@ -161,7 +160,7 @@ def perturbative_spectrum(params: EffectiveParams) -> np.ndarray:
     Levels 10 and 12 exchange labels as in zeroth_energies. Warns when the
     parameters sit within the guard band of that crossing.
     """
-    margin = abs(params.a / 2 - DEFAULT_CONSTANTS.gamma_e * params.delta_b)
+    margin = abs(params.a / 2 - GAMMA_E * params.delta_b)
     if margin < SWAP_GUARD_BAND:
         warnings.warn(
             f"A/2 - gamma_e*deltaB margin is {margin / TWO_PI:.1f} Hz; "
@@ -187,7 +186,7 @@ def perturbative_spectrum(params: EffectiveParams) -> np.ndarray:
 
 def small_params(params: EffectiveParams) -> tuple[float, float, float]:
     """Smallness parameters (epsilon, epsilon', xi) of the basis approximation."""
-    two_ge_db = 2 * DEFAULT_CONSTANTS.gamma_e * (params.b2 - params.b1)
+    two_ge_db = 2 * GAMMA_E * (params.b2 - params.b1)
     if params.b2 == params.b1:
         raise ValidityError("epsilon undefined: equal fields at the two atoms")
     denom = two_ge_db - params.a
@@ -195,7 +194,7 @@ def small_params(params: EffectiveParams) -> tuple[float, float, float]:
         raise ValidityError("epsilon' pole: 2*gamma_e*(B2-B1) equals A")
     eps = params.j / two_ge_db
     eps_prime = params.j / abs(denom)
-    xi = params.a / (2 * DEFAULT_CONSTANTS.gamma_e * params.b)
+    xi = params.a / (2 * GAMMA_E * params.b)
     return eps, eps_prime, xi
 
 

@@ -7,10 +7,9 @@ import numpy as np
 import pytest
 
 import donorpair
-from donorpair import (DEFAULT_GEOMETRY, DisplacementDistribution, compute_spectrum,
-                       effective_params, protocol_form)
+from donorpair import DEFAULT_GEOMETRY, compute_spectrum, effective_params, protocol_form
 from donorpair import protocols
-from donorpair.protocols import design_protocol_pulses
+from donorpair.protocols import LAWS, design_protocol_pulses
 
 
 @pytest.fixture(scope="session")
@@ -47,7 +46,7 @@ def exact_law_mean():
                 for m1 in range(-4, 5) for m2 in range(-4, 5)}
 
     def exact(k_n, law):
-        r = DisplacementDistribution(law).r
+        r = LAWS[law]
         prob = {0: 1.0 - sum(r)}
         for mag, rm in enumerate(r, start=1):
             prob[mag] = prob[-mag] = rm / 2

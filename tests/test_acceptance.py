@@ -21,13 +21,12 @@ from donorpair import (DEFAULT_GEOMETRY, GATES,
                        run_ee_cnot, sweep_gate_error, transition_frequency,
                        two_pi_k_omega, interior_qubit_estimate)
 from donorpair.cli import main as cli_main
-from donorpair.constants import DEFAULT_CONSTANTS, TWO_PI
+from donorpair.constants import GAMMA_E as GE, TWO_PI
 from donorpair.geometry import EffectiveParams, effective_params, field_step
 from donorpair.protocols import EnsembleConfig, ensemble_init
 from donorpair.pulses import PulseSpec
 from donorpair.spectrum import build_h0, exact_spectrum, perturbative_spectrum
 
-GE = DEFAULT_CONSTANTS.gamma_e
 
 REFERENCE_TABLE = {40: 33.75, 41: 22.58, 42: 15.09, 43: 10.07, 44: 6.71,
                    45: 4.465, 46: 2.97, 47: 1.97, 48: 1.306, 49: 0.865,

@@ -1,4 +1,5 @@
 import concurrent.futures
+import hashlib
 import json
 import os
 import subprocess
@@ -66,7 +67,7 @@ class TestJtable:
 
 
 def gate_choices(command: str) -> tuple:
-    flags = cli._command_parser(cli.build_parser(), command)._actions
+    flags = cli._command_parsers(cli.build_parser())[command]._actions
     return next(a.choices for a in flags if a.dest == "gate")
 
 
@@ -363,6 +364,19 @@ class TestEeCnot:
         assert moved.split("\n")[0] == "m,P_e"
         assert moved != nominal
 
+    def test_solves_nominal_and_nine_displaced_chains(self, monkeypatch, capsys):
+        # one nominal chain for the design, then each displaced chain once
+        solved = []
+
+        def counting_spectra(geometries):
+            solved.extend((g.m1, g.m2) for g in geometries)
+            return compute_spectra(geometries)
+
+        monkeypatch.setattr(spectrum, "compute_spectra", counting_spectra)
+        code, _, _ = run_cli(["ee-cnot"], capsys)
+        assert code == 0
+        assert solved == [(0, 0)] + [(m, 0) for m in range(-4, 5)]
+
     def test_displacement_flags_rejected(self, capsys):
         code, out, err = run_cli(["ee-cnot", "--m2", "-1"], capsys)
         assert code == 3
@@ -387,6 +401,39 @@ class TestConfigFile:
         code, _, err = run_cli(["--config", str(cfg), "spectrum"], capsys)
         assert code == 3
         assert "bogus" in err
+
+    @pytest.mark.parametrize("key", ["n_min", "config", "help"])
+    def test_keys_are_subcommand_option_flags(self, key, tmp_path, capsys):
+        # a positional, a global flag and --help are no configuration keys
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: 1}))
+        code, _, err = run_cli(["--config", str(cfg), "jtable", "40", "41"], capsys)
+        assert code == 3
+        assert f"unknown configuration keys: [{key!r}]" in err
+
+    def test_displaced_atom_from_file(self, tmp_path, capsys):
+        # --displaced-atom resolves flag > file > 1, like every other flag
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"displaced_atom": 2}))
+        argv = ["sweep", "--gate", "b", "--K", "2000"]
+        _, by_flag, _ = run_cli(argv + ["--displaced-atom", "2"], capsys)
+        code, by_file, _ = run_cli(["--config", str(path)] + argv, capsys)
+        assert code == 0
+        assert by_file == by_flag
+        assert hashlib.md5(by_file.encode()).hexdigest() == "9a3cb481cafca5ee0a886b43fd858684"
+        _, plain, _ = run_cli(argv, capsys)
+        code, flag_wins, _ = run_cli(["--config", str(path)] + argv + ["--displaced-atom", "1"],
+                                     capsys)
+        assert code == 0
+        assert flag_wins == plain != by_file
+
+    def test_displaced_atom_not_a_choice_rejected(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"displaced_atom": 3}))
+        code, out, err = run_cli(["--config", str(path), "sweep", "--gate", "b"], capsys)
+        assert code == 3
+        assert out == ""
+        assert "configuration key 'displaced_atom' must be one of [1, 2]" in err
 
     def test_out_file(self, tmp_path, capsys):
         out_path = tmp_path / "table.csv"

@@ -6,13 +6,12 @@ from donorpair import (DEFAULT_GEOMETRY, GATES, StepSizeError, build_h0,
                        compute_spectra, design_gate, effective_params, integrate_lab_frame,
                        pulse_propagator, rabi_probability, relax_electrons,
                        rotating_hamiltonian)
-from donorpair.constants import DEFAULT_CONSTANTS, TWO_PI
+from donorpair.constants import GAMMA_E as GE, TWO_PI
 from donorpair.dynamics import relax_electrons_adjoint
 from donorpair.geometry import EffectiveParams
 from donorpair.pulses import PulseSpec
 from donorpair import register as reg
 
-GE = DEFAULT_CONSTANTS.gamma_e
 
 E1_FLIPPED = 2   # |0010>: basis state 0 with electron 1 flipped
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from donorpair import delta_j, delta_j_series, herring_flicker, j_for_sites
-from donorpair.constants import DEFAULT_CONSTANTS, TWO_PI
+from donorpair.constants import BOHR_RADIUS_AB, LATTICE_STEP_A0, TWO_PI
 
 # Reference couplings J/2pi (MHz) versus separation in lattice steps.
 REFERENCE_TABLE = {
@@ -70,8 +70,8 @@ def test_series_tracks_exact_quotient_for_small_m():
 
 def test_exact_linear_coefficient():
     # d(ln J)/dm for separation N0 - m equals 2 a0/aB - 5/(2 N0)
-    a0 = DEFAULT_CONSTANTS.lattice_step_a0
-    ab = DEFAULT_CONSTANTS.bohr_radius_ab
+    a0 = LATTICE_STEP_A0
+    ab = BOHR_RADIUS_AB
     eps = 1e-3
     n0 = 47
     jp = herring_flicker((n0 - eps) * a0)

@@ -13,7 +13,7 @@ run_ee_cnot, run_initialization and protocol_form's coefficients, computed
 before single chains were driven by the ensemble engine's primitives, so a
 change to the single-chain path that moves a bit fails here too. The layer
 pins at the end cover the exchange table, one displaced spectrum and the
-pulse-design functions the same way, and the stdout pins the CSV output of
+pulse-design functions the same way, and the stdout pins the output of
 one run of each command. The record pin lists the fields of the public
 records, which hold only what nothing else can derive.
 """
@@ -22,8 +22,8 @@ import hashlib
 
 import pytest
 
-from donorpair import (DEFAULT_GEOMETRY, GATES, EffectiveParams, EnsembleConfig, GateSpec,
-                       ProtocolRun, PulseSpec, compute_spectrum, design_gate,
+from donorpair import (DEFAULT_GEOMETRY, GATES, EffectiveParams, EnsembleConfig,
+                       EnsembleResult, GateSpec, ProtocolRun, PulseSpec, compute_spectrum, design_gate,
                        displacement_detuning, ensemble_grid, interior_qubit_estimate, kn_window,
                        leading_order_design, protocol_form, run_ee_cnot, run_initialization,
                        sweep_gate_error)
@@ -164,7 +164,7 @@ def test_protocol_form_coefficients_are_frozen():
 
 
 # Layer pins, taken before the exchange, geometry, spectrum and pulse-design
-# functions read their constants from DEFAULT_CONSTANTS directly: float.hex
+# functions read their constants directly: float.hex
 # of each value, so a change that moves one bit of a layer fails here.
 FROZEN_JTABLE = {   # exchange_table(40, 51): N -> (a in nm, J/2pi in MHz)
     40: ("0x1.eb851eb851eb8p+4", "0x1.0dfc10eb75a6cp+5"),
@@ -278,6 +278,7 @@ FROZEN_FIELDS = {   # record: names of its dataclass fields
     PulseSpec: ("nu", "phi", "b1_amplitude", "tau", "drive_spins"),
     EffectiveParams: ("b1", "b2", "a", "j"),
     ProtocolRun: ("steps", "pulse_fidelities", "final_error"),
+    EnsembleResult: ("config", "realization_means"),
 }
 
 

@@ -2,10 +2,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from donorpair import DEFAULT_GEOMETRY, DeviceGeometry, effective_params, field_step, j_for_sites
-from donorpair.constants import DEFAULT_CONSTANTS, TWO_PI
+from donorpair.constants import GAMMA_E as GE, GAMMA_N as GN, TWO_PI
 
-GE = DEFAULT_CONSTANTS.gamma_e
-GN = DEFAULT_CONSTANTS.gamma_n
 
 displacements = st.integers(min_value=-4, max_value=4)
 

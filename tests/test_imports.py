@@ -10,7 +10,7 @@ import donorpair
 
 # every name the package exports, by defining module
 EXPORTS = {
-    "constants": ["DEFAULT_CONSTANTS", "PhysicalConstants", "TWO_PI"],
+    "constants": ["TWO_PI"],
     "exchange": ["delta_j", "delta_j_series", "herring_flicker", "j_for_sites"],
     "geometry": ["DEFAULT_GEOMETRY", "DeviceGeometry", "EffectiveParams", "effective_params",
                  "field_step"],
@@ -24,9 +24,9 @@ EXPORTS = {
                "two_pi_k_omega"],
     "dynamics": ["StepSizeError", "integrate_lab_frame", "pulse_propagator", "relax_electrons",
                  "relax_electrons_adjoint", "rotating_hamiltonian"],
-    "protocols": ["DisplacementDistribution", "EnsembleConfig", "EnsembleResult", "ProtocolRun",
-                  "ensemble_grid", "ensemble_init", "ensemble_workers", "protocol_form",
-                  "run_ee_cnot", "run_initialization", "sweep_gate_error"],
+    "protocols": ["EnsembleConfig", "EnsembleResult", "ProtocolRun", "ensemble_grid",
+                  "ensemble_init", "ensemble_workers", "protocol_form", "run_ee_cnot",
+                  "run_initialization", "sweep_gate_error"],
 }
 PINNED = [name for names in EXPORTS.values() for name in names]
 

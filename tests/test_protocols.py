@@ -9,13 +9,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from donorpair import protocols
-from donorpair import (DEFAULT_GEOMETRY, GATES, DeviceGeometry, DisplacementDistribution,
-                       EnsembleConfig, ValidityError, compute_spectra, compute_spectrum,
+from donorpair import (DEFAULT_GEOMETRY, GATES, DeviceGeometry, EnsembleConfig, ValidityError, compute_spectra, compute_spectrum,
                        design_gate, ensemble_grid, ensemble_init, ensemble_workers,
                        pulse_propagator, run_ee_cnot, run_initialization, sweep_gate_error)
-from donorpair.protocols import (INIT_SUPPORT, LAW_CODES, _chain_draws, _chain_errors,
-                                 _form_coefficients, _form_tables, design_protocol_pulses,
-                                 protocol_form)
+from donorpair.protocols import (INIT_SUPPORT, LAW_CODES, LAWS, _chain_draws, _chain_errors,
+                                 _displacements, _form_coefficients, _form_tables,
+                                 design_protocol_pulses, protocol_form)
 
 # Frozen cross-implementation values (independent prototype of the same
 # model run ahead of this package; tolerances cover BLAS-level variation).
@@ -55,7 +54,7 @@ def reference_chains(config: EnsembleConfig, realization: int):
     """
     rng = np.random.default_rng([config.seed, LAW_CODES[config.law],
                                  config.k_n, config.k_e, realization])
-    r = DisplacementDistribution(config.law).r
+    r = LAWS[config.law]
     chains = 0
     while chains < config.num_chains:
         uniforms, normals = rng.random((1024, 4)), rng.standard_normal((1024, 8))
@@ -177,45 +176,34 @@ class TestSingleChainProperties:
 
 class TestDistribution:
     def test_law_tables(self):
-        a = DisplacementDistribution("A")
-        b = DisplacementDistribution("B")
-        assert sum(a.r) == pytest.approx(0.46875)
-        assert sum(b.r) == pytest.approx(0.234375)
-        assert DisplacementDistribution("none").r == (0.0, 0.0, 0.0, 0.0)
-
-    def test_invalid_laws_rejected(self):
-        with pytest.raises(ValueError):
-            DisplacementDistribution("C")
-        with pytest.raises(ValueError):
-            DisplacementDistribution("A", r=(0.5, 0.3, 0.2, 0.2))
+        assert LAWS["A"] == (0.25, 0.125, 0.0625, 0.03125)
+        assert LAWS["B"] == (0.125, 0.0625, 0.03125, 0.015625)
+        assert LAWS["none"] == (0.0, 0.0, 0.0, 0.0)
+        assert sorted(LAWS) == sorted(LAW_CODES)
 
     def test_sampling_statistics(self):
         rng = np.random.default_rng(123)
-        dist = DisplacementDistribution("A")
         uniforms = rng.random((40000, 2))
-        draws = dist.displacements(uniforms[:, 0], uniforms[:, 1])
+        draws = _displacements("A", uniforms[:, 0], uniforms[:, 1])
         assert abs((draws == 0).mean() - 0.53125) < 0.01
         for mag in (1, 2, 3, 4):
             assert abs((np.abs(draws) == mag).mean() - 0.5 ** (mag + 1)) < 0.01
         signed = draws[draws != 0]
         assert abs((signed > 0).mean() - 0.5) < 0.02
 
-    @given(data=st.data(),
-           dist=st.one_of(st.sampled_from(sorted(LAW_CODES)).map(DisplacementDistribution),
-                          st.tuples(*[st.one_of(st.just(0.0), st.floats(0.0, 0.25))] * 4)
-                          .map(lambda r: DisplacementDistribution("A", r=r))))
+    @given(data=st.data(), law=st.sampled_from(sorted(LAWS)))
     @settings(max_examples=80)
-    def test_displacements_match_scalar_rule(self, data, dist):
+    def test_displacements_match_scalar_rule(self, data, law):
         # uniforms exactly on a cumulative threshold, or just below it, included
-        thresholds = list(itertools.accumulate(dist.r))
+        thresholds = list(itertools.accumulate(LAWS[law]))
         edges = thresholds + [float(np.nextafter(t, 0.0)) for t in thresholds]
         unit = st.floats(0.0, 1.0, exclude_max=True)
         mags = data.draw(st.lists(st.one_of(unit, st.sampled_from(edges)), min_size=1,
                                   max_size=40))
         signs = data.draw(st.lists(st.one_of(unit, st.just(0.5)), min_size=len(mags),
                                    max_size=len(mags)))
-        got = dist.displacements(np.array(mags), np.array(signs))
-        assert got.tolist() == [scalar_displacement(dist.r, m, s) for m, s in zip(mags, signs)]
+        got = _displacements(law, np.array(mags), np.array(signs))
+        assert got.tolist() == [scalar_displacement(LAWS[law], m, s) for m, s in zip(mags, signs)]
 
     @given(seed=st.integers(0, 2**31))
     @settings(max_examples=20)

@@ -7,7 +7,7 @@ from donorpair import (DEFAULT_GEOMETRY, GATES, compute_spectrum, design_gate,
                        interior_qubit_estimate, j_for_sites, kn_window,
                        leading_order_design, nonresonant_mu, pulse_duration,
                        rabi_probability, transition_frequency, two_pi_k_omega)
-from donorpair.constants import DEFAULT_CONSTANTS, TWO_PI
+from donorpair.constants import GAMMA_N, TWO_PI
 from donorpair.pulses import GateSpec
 from donorpair.spectrum import ValidityError
 
@@ -82,7 +82,7 @@ class TestMu:
         delta2 = (transition_frequency(default_spectrum, 12, 13)
                   - transition_frequency(default_spectrum, 14, 15))
         omega = two_pi_k_omega(delta2, 363)
-        delta_omega = 2 * DEFAULT_CONSTANTS.gamma_n * default_spectrum.params.delta_b
+        delta_omega = 2 * GAMMA_N * default_spectrum.params.delta_b
         assert nonresonant_mu(omega, delta_omega) == pytest.approx(1.0, rel=1e-2)
 
     def test_vanishes_with_drive(self):

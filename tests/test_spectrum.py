@@ -9,18 +9,15 @@ from donorpair import (DEFAULT_GEOMETRY, DegenerateLabelError, DeviceGeometry, E
                        effective_params, ensemble_init, exact_spectrum, perturbative_spectrum,
                        small_params, transition_frequency, zeroth_energies)
 from donorpair import protocols
-from donorpair.constants import DEFAULT_CONSTANTS, TWO_PI
+from donorpair.constants import GAMMA_E as GE, GAMMA_N as GN, HYPERFINE_A, TWO_PI
 from donorpair.geometry import EffectiveParams
 from donorpair.spectrum import ValidityError
 from donorpair import register as reg
 
-GE = DEFAULT_CONSTANTS.gamma_e
-GN = DEFAULT_CONSTANTS.gamma_n
-
 
 def _flip_flop_oracle() -> np.ndarray:
     """(A/2)(I+S- + I-S+) per atom, built directly from raising/lowering ops."""
-    a = DEFAULT_CONSTANTS.hyperfine_a
+    a = HYPERFINE_A
     out = np.zeros((16, 16), dtype=complex)
     for e, n in (("e1", "n1"), ("e2", "n2")):
         out += a / 2 * (reg.RAISE[n] @ reg.LOWER[e] + reg.LOWER[n] @ reg.RAISE[e])
