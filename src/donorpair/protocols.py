@@ -63,7 +63,7 @@ INIT_SUPPORT = (6, 7, 14, 15)     # electrons relaxed, nuclei arbitrary
 TARGET_STATE = 15
 PROTOCOL_ORDER = ("a", "b", "relax", "c", "d", "relax")
 
-LAW_CODES = {"none": 0, "A": 1, "B": 2}   # seed component of each law's streams
+LAW_CODES = {"none": 0, "A": 1, "B": 2}
 MAX_CHAINS = 2**32   # largest num_chains accepted per realization
 CHAINS_PER_WORKER = 200_000   # grid chains per pool worker; fewer do not pay for its start-up
 
