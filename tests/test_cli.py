@@ -384,7 +384,70 @@ class TestEeCnot:
         assert "--m2" in err
 
 
+CHEAP_RUNS = {   # dest: flag value of the cheap run that each command starts from
+    "jtable": {},
+    "spectrum": {},
+    "design": {"gate": "ee", "K": "1"},
+    "sweep": {"gate": "a", "K": "1"},
+    "ensemble": {"chains": "4", "realizations": "1", "law": "none", "Kn": "2000"},
+    "ee-cnot": {},
+}
+CONFIG_VALUES = {   # dest: (the value in the file, a different flag value)
+    "N0": (49, 50),
+    "gradient_T_per_m": (1.35e5, 1.4e5),
+    "b_tesla": (3.2, 3.4),
+    "m1": (-1, 1),
+    "m2": (1, -1),
+    "format": ("json", "csv"),
+    "gate": ("b", "a"),
+    "K": (2, 1),
+    "displaced_atom": (2, 1),
+    "chains": (5, 4),
+    "realizations": (2, 1),
+    "law": ("A", "none"),
+    "Kn": ("700", "2000"),
+    "seed": (1, 2),
+    "threads": (2, 1),
+}
+# jtable reads no geometry, and the commands that set the displacements
+# reject m1 and m2 from either source: there no value changes the output
+INERT_KEYS = ({("jtable", k) for k in ("N0", "gradient_T_per_m", "b_tesla", "m1", "m2")}
+              | {(c, k) for c in ("sweep", "ensemble", "ee-cnot") for k in ("m1", "m2")})
+
+
+def config_keys() -> list[tuple[str, str, str]]:
+    """(command, dest, flag) of every configuration key each command accepts."""
+    return [(command, a.dest, a.option_strings[0])
+            for command, p in cli._command_parsers(cli.build_parser()).items()
+            for a in p._actions if a.option_strings and a.dest != "help"]
+
+
 class TestConfigFile:
+    @pytest.mark.parametrize("command, dest, flag", config_keys())
+    def test_file_equals_flag(self, command, dest, flag, tmp_path, capsys):
+        # each key of the file gives what its flag gives, and a flag beats the file
+        base = [command] + (["40", "41"] if command == "jtable" else [])
+        for key, value in CHEAP_RUNS[command].items():
+            if key != dest:
+                base += ["--" + key.replace("_", "-"), value]
+        if dest == "out":
+            value, other = str(tmp_path / "one.csv"), str(tmp_path / "two.csv")
+        elif (command, dest) == ("sweep", "K"):
+            value, other = "1,2", "1"
+        else:
+            value, other = CONFIG_VALUES[dest]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({dest: value}))
+        by_flag = run_cli(base + [flag, str(value)], capsys)
+        by_file = run_cli(["--config", str(path)] + base, capsys)
+        assert by_file == by_flag
+        beaten = run_cli(["--config", str(path)] + base + [flag, str(other)], capsys)
+        by_other = run_cli(base + [flag, str(other)], capsys)
+        assert beaten == by_other
+        if (command, dest) not in INERT_KEYS:
+            assert by_file[0] == 0
+            assert by_file != by_other
+
     def test_precedence(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"m1": -1, "format": "json"}))
