@@ -6,6 +6,12 @@ terminated); --format json wraps results and the resolved configuration in
 a single document. Exit status: 0 success, 2 usage error, 3 physics
 validity guard or invalid option value, 1 internal error.
 
+argparse resolves every option as flag > --config file > default: main
+checks the file's values for the command and makes them that subcommand's
+defaults, then parses the command line again. Defaults that live in library
+modules (--N0, the fields, the --K of design, sweep and ensemble) stay None
+in the parser and are filled in by the command.
+
 Each command imports the layers it runs when it runs, so --version, --help
 and usage errors start without numpy.
 """
@@ -42,7 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--m1", type=int, default=None, help="displacement of atom 1 (sites)")
     common.add_argument("--m2", type=int, default=None, help="displacement of atom 2 (sites)")
     common.add_argument("--out", default=None, help="output path (default stdout)")
-    common.add_argument("--format", choices=("csv", "json"), default=None)
+    common.add_argument("--format", choices=("csv", "json"), default="csv")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -62,22 +68,23 @@ def build_parser() -> argparse.ArgumentParser:
                        help="gate error versus displacement for several K")
     p.add_argument("--gate", choices=("a", "b"), default=None, help=GATE_HELP)
     p.add_argument("--K", default=None, help="comma-separated K values")
-    p.add_argument("--displaced-atom", type=int, choices=(1, 2), default=None,
+    p.add_argument("--displaced-atom", type=int, choices=(1, 2), default=1,
                    help="the atom moved by m (default 1)")
 
     p = sub.add_parser("ensemble", parents=[common],
                        help="initialization error over an ensemble of chains")
-    p.add_argument("--chains", type=int, default=None)
-    p.add_argument("--realizations", type=int, default=None)
-    p.add_argument("--law", default=None, help="comma-separated laws from {A,B,none}")
-    p.add_argument("--Kn", default=None, help="comma-separated nuclear K values")
+    p.add_argument("--chains", type=int, default=2000)
+    p.add_argument("--realizations", type=int, default=8)
+    p.add_argument("--law", default="A,B,none", help="comma-separated laws from {A,B,none}")
+    p.add_argument("--Kn", default="700,2000,5000,10000",
+                   help="comma-separated nuclear K values")
     p.add_argument("--K", type=int, default=None, help="electron K")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--threads", type=int, default=_usable_cpus())
 
     p = sub.add_parser("ee-cnot", parents=[common],
                        help="two-electron CNOT error versus displacement")
-    p.add_argument("--K", type=int, default=None)
+    p.add_argument("--K", type=int, default=1)
 
     return parser
 
@@ -93,7 +100,10 @@ def _load_config_file(path: str | None) -> dict:
     except OSError as exc:
         raise ValueError(f"cannot read the configuration file {path!r}: "
                          f"{exc.strerror or exc}") from exc
-    data = json.loads(text)
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"the configuration file {path!r} is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ValueError("the configuration file must hold one JSON object")
     return data
@@ -104,14 +114,16 @@ def _command_parsers(parser: argparse.ArgumentParser) -> dict[str, argparse.Argu
     return sub.choices
 
 
-def _check_config(parser: argparse.ArgumentParser, command: str, file_cfg: dict) -> None:
-    """Reject a configuration key or value that no flag could give.
+def _check_config(parser: argparse.ArgumentParser, command: str, file_cfg: dict) -> dict:
+    """The file's values for the command's own flags; reject any no flag could give.
 
     The keys are the dests of the subcommands' option flags (not their
     positionals). For the command's own flags, an int flag takes a JSON
     integer, a float flag any JSON number, and every other flag a string (a
     comma list such as --Kn stays one string); a bool is never a number.
-    Keys of other commands' flags are left alone.
+    Keys of other commands' flags are accepted and dropped. argparse checks
+    neither the type nor the choices of a default, so this is the only check
+    a file value gets.
     """
     keys = {a.dest for p in _command_parsers(parser).values() for a in p._actions
             if a.option_strings and a.dest != "help"}
@@ -119,9 +131,8 @@ def _check_config(parser: argparse.ArgumentParser, command: str, file_cfg: dict)
     if unknown:
         raise ValueError(f"unknown configuration keys: {sorted(unknown)}")
     flags = {a.dest: a for a in _command_parsers(parser)[command]._actions}
-    for key, value in file_cfg.items():
-        if key not in flags:
-            continue
+    values = {key: value for key, value in file_cfg.items() if key in flags}
+    for key, value in values.items():
         kinds = {int: (int,), float: (int, float)}.get(flags[key].type, (str,))
         if isinstance(value, bool) or not isinstance(value, kinds):
             wanted = " or ".join(k.__name__ for k in kinds)
@@ -130,54 +141,41 @@ def _check_config(parser: argparse.ArgumentParser, command: str, file_cfg: dict)
         choices = flags[key].choices
         if choices is not None and value not in choices:
             raise ValueError(f"configuration key {key!r} must be one of {sorted(choices)}")
+    return values
 
 
-def _resolve(args: argparse.Namespace, file_cfg: dict, key: str, default):
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    if key in file_cfg:
-        return file_cfg[key]
-    return default
+def _geometry(args: argparse.Namespace) -> DeviceGeometry:
+    from .geometry import DeviceGeometry
+
+    given = {"n0": args.N0, "gradient": args.gradient_T_per_m,
+             "mean_field_b": args.b_tesla, "m1": args.m1, "m2": args.m2}
+    return DeviceGeometry(**{k: v for k, v in given.items() if v is not None})
 
 
-def _geometry(args: argparse.Namespace, file_cfg: dict) -> DeviceGeometry:
-    from .geometry import DEFAULT_GEOMETRY, DeviceGeometry
-
-    return DeviceGeometry(
-        n0=_resolve(args, file_cfg, "N0", DEFAULT_GEOMETRY.n0),
-        gradient=_resolve(args, file_cfg, "gradient_T_per_m", DEFAULT_GEOMETRY.gradient),
-        mean_field_b=_resolve(args, file_cfg, "b_tesla", DEFAULT_GEOMETRY.mean_field_b),
-        m1=_resolve(args, file_cfg, "m1", 0),
-        m2=_resolve(args, file_cfg, "m2", 0),
-    )
-
-
-def _nominal_geometry(args: argparse.Namespace, file_cfg: dict) -> DeviceGeometry:
+def _nominal_geometry(args: argparse.Namespace) -> DeviceGeometry:
     """Geometry of a command that draws or sweeps the displacements itself."""
-    given = [k for k in ("m1", "m2") if _resolve(args, file_cfg, k, None) is not None]
+    given = [k for k in ("m1", "m2") if getattr(args, k) is not None]
     if given:
         raise ValueError(f"{args.command} sets the displacements itself; "
                          f"drop {', '.join('--' + k for k in given)}")
-    return _geometry(args, file_cfg)
+    return _geometry(args)
 
 
-def _list(args: argparse.Namespace, file_cfg: dict, key: str, default: str,
-          kind=str) -> list:
+def _list(text: str, option: str, kind=str) -> list:
     """Comma-separated option value as a list of str or int.
 
     An empty list, or an item that is not an integer where kind is int, is a
     validity error that names the option.
     """
     values = []
-    for item in str(_resolve(args, file_cfg, key, default)).split(","):
+    for item in text.split(","):
         if item:
             try:
                 values.append(kind(item))
             except ValueError:
-                raise ValueError(f"--{key}: {item!r} is not an integer") from None
+                raise ValueError(f"--{option}: {item!r} is not an integer") from None
     if not values:
-        raise ValueError(f"--{key} lists no values")
+        raise ValueError(f"--{option} lists no values")
     return values
 
 
@@ -188,7 +186,7 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _output_path(args, file_cfg, fmt: str) -> Path | None:
+def _output_path(args) -> Path | None:
     """The file the command writes, or None for stdout; checked before any work.
 
     The nearest existing ancestor of the file must be a directory: missing
@@ -197,13 +195,13 @@ def _output_path(args, file_cfg, fmt: str) -> Path | None:
     """
     from pathlib import Path
 
-    out = _resolve(args, file_cfg, "out", None)
-    if out is not None:
-        path = Path(out)
-        if path.is_dir() or str(out).endswith(os.sep):
-            path = path / f"{args.command}.{fmt}"
+    name = f"{args.command}.{args.format}"
+    if args.out is not None:
+        path = Path(args.out)
+        if path.is_dir() or args.out.endswith(os.sep):
+            path = path / name
     elif outdir := os.environ.get("DONORPAIR_OUTDIR"):   # always a directory, made if missing
-        path = Path(outdir) / f"{args.command}.{fmt}"
+        path = Path(outdir) / name
     else:
         return None
     ancestor = next(a for a in path.parents if a.exists())
@@ -244,7 +242,7 @@ def _format_cell(x) -> str:
     return str(x)
 
 
-def cmd_jtable(args, file_cfg) -> tuple[list[dict], list[str], dict]:
+def cmd_jtable(args) -> tuple[list[dict], list[str], dict]:
     from .exchange import exchange_table
 
     rows = [{"N": n, "a_nm": a, "J_MHz": j}
@@ -252,14 +250,14 @@ def cmd_jtable(args, file_cfg) -> tuple[list[dict], list[str], dict]:
     return rows, ["N", "a_nm", "J_MHz"], {"n_min": args.n_min, "n_max": args.n_max}
 
 
-def cmd_spectrum(args, file_cfg) -> tuple[list[dict], list[str], dict]:
+def cmd_spectrum(args) -> tuple[list[dict], list[str], dict]:
     import dataclasses
 
     from . import register as reg
     from .constants import TWO_PI
     from .spectrum import compute_spectrum
 
-    geometry = _geometry(args, file_cfg)
+    geometry = _geometry(args)
     spec = compute_spectrum(geometry)
     rows = []
     worst = 0.0
@@ -285,7 +283,7 @@ def cmd_spectrum(args, file_cfg) -> tuple[list[dict], list[str], dict]:
     return rows, ["level", "ket", "exact_MHz", "pert_MHz", "zeroth_MHz", "dev_Hz"], resolved
 
 
-def cmd_design(args, file_cfg) -> tuple[list[dict], list[str], dict]:
+def cmd_design(args) -> tuple[list[dict], list[str], dict]:
     import dataclasses
 
     from .constants import TWO_PI
@@ -293,10 +291,10 @@ def cmd_design(args, file_cfg) -> tuple[list[dict], list[str], dict]:
                          design_gate, displacement_detuning, kn_window, leading_order_design)
     from .spectrum import compute_spectrum
 
-    geometry = _geometry(args, file_cfg)
+    geometry = _geometry(args)
     gate = GATES[args.gate]
     default_k = DEFAULT_K_ELECTRON if gate.species == "e" else DEFAULT_K_NUCLEAR
-    k = _resolve(args, file_cfg, "K", default_k)
+    k = default_k if args.K is None else args.K
     spec0 = compute_spectrum(geometry.displaced(0, 0))
     pulse = design_gate(spec0, gate, k)
     lead = leading_order_design(gate, k, geometry.displaced(0, 0))
@@ -320,63 +318,57 @@ def cmd_design(args, file_cfg) -> tuple[list[dict], list[str], dict]:
     return rows, list(rows[0].keys()), resolved
 
 
-def cmd_sweep(args, file_cfg) -> tuple[list[dict], list[str], dict]:
+def cmd_sweep(args) -> tuple[list[dict], list[str], dict]:
     import dataclasses
 
     from .geometry import DISPLACEMENTS
     from .protocols import sweep_gate_error
 
-    geometry = _nominal_geometry(args, file_cfg)
+    geometry = _nominal_geometry(args)
     default_k = "1,2,3,4" if args.gate == "a" else "700,2000,5000,10000,30000"
-    k_list = _list(args, file_cfg, "K", default_k, int)
-    displaced_atom = _resolve(args, file_cfg, "displaced_atom", 1)
+    k_list = _list(default_k if args.K is None else args.K, "K", int)
     table = sweep_gate_error(args.gate, DISPLACEMENTS, tuple(k_list),
-                             displaced_atom=displaced_atom, geometry_nominal=geometry)
+                             displaced_atom=args.displaced_atom, geometry_nominal=geometry)
     rows = [{"m": m, "K": k, "P": table[(m, k)]} for k in k_list for m in DISPLACEMENTS]
-    resolved = {"gate": args.gate, "K": k_list, "displaced_atom": displaced_atom,
+    resolved = {"gate": args.gate, "K": k_list, "displaced_atom": args.displaced_atom,
                 "geometry": dataclasses.asdict(geometry)}
     return rows, ["m", "K", "P"], resolved
 
 
-def cmd_ensemble(args, file_cfg) -> tuple[list[dict], list[str], dict]:
+def cmd_ensemble(args) -> tuple[list[dict], list[str], dict]:
     import dataclasses
 
     from .protocols import EnsembleConfig, ensemble_grid, ensemble_workers
     from .pulses import DEFAULT_K_ELECTRON
 
-    laws = _list(args, file_cfg, "law", "A,B,none")
-    kns = _list(args, file_cfg, "Kn", "700,2000,5000,10000", int)
-    chains = _resolve(args, file_cfg, "chains", 2000)
-    realizations = _resolve(args, file_cfg, "realizations", 8)
-    seed = _resolve(args, file_cfg, "seed", 0)
-    threads = _resolve(args, file_cfg, "threads", _usable_cpus())
-    k_e = _resolve(args, file_cfg, "K", DEFAULT_K_ELECTRON)
-    geometry = _nominal_geometry(args, file_cfg)
-    configs = [EnsembleConfig(num_chains=chains, num_realizations=realizations,
-                              law=law, k_e=k_e, k_n=kn, seed=seed, threads=threads,
+    laws = _list(args.law, "law")
+    kns = _list(args.Kn, "Kn", int)
+    k_e = DEFAULT_K_ELECTRON if args.K is None else args.K
+    geometry = _nominal_geometry(args)
+    configs = [EnsembleConfig(num_chains=args.chains, num_realizations=args.realizations,
+                              law=law, k_e=k_e, k_n=kn, seed=args.seed, threads=args.threads,
                               geometry=geometry)
                for kn in kns for law in laws]
     rows = [{"K_n": r.config.k_n, "law": r.config.law,
              "mean_P": r.mean_error, "stderr": r.stderr}
             for r in ensemble_grid(configs)]
-    resolved = {"chains": chains, "realizations": realizations, "laws": laws,
-                "Kn": kns, "K_e": k_e, "seed": seed, "threads": threads,
+    resolved = {"chains": args.chains, "realizations": args.realizations, "laws": laws,
+                "Kn": kns, "K_e": k_e, "seed": args.seed, "threads": args.threads,
                 "workers": ensemble_workers(configs),
                 "geometry": dataclasses.asdict(geometry)}
     return rows, ["K_n", "law", "mean_P", "stderr"], resolved
 
 
-def cmd_ee_cnot(args, file_cfg) -> tuple[list[dict], list[str], dict]:
+def cmd_ee_cnot(args) -> tuple[list[dict], list[str], dict]:
     import dataclasses
 
     from .geometry import DISPLACEMENTS
     from .protocols import sweep_gate_error
 
-    k = _resolve(args, file_cfg, "K", 1)
-    geometry = _nominal_geometry(args, file_cfg)
-    table = sweep_gate_error("ee", DISPLACEMENTS, (k,), geometry_nominal=geometry)
-    rows = [{"m": m, "P_e": table[(m, k)]} for m in DISPLACEMENTS]
-    return rows, ["m", "P_e"], {"K_prime": k, "geometry": dataclasses.asdict(geometry)}
+    geometry = _nominal_geometry(args)
+    table = sweep_gate_error("ee", DISPLACEMENTS, (args.K,), geometry_nominal=geometry)
+    rows = [{"m": m, "P_e": table[(m, args.K)]} for m in DISPLACEMENTS]
+    return rows, ["m", "P_e"], {"K_prime": args.K, "geometry": dataclasses.asdict(geometry)}
 
 
 # each command returns its (rows, header, resolved config); main writes them
@@ -394,17 +386,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        file_cfg = _load_config_file(args.config)
-        _check_config(parser, args.command, file_cfg)
-        if "gate" in vars(args):
-            args.gate = _resolve(args, file_cfg, "gate", None)
-            if args.gate is None:
-                _command_parsers(parser)[args.command].error(
-                    "the following arguments are required: --gate")
-        fmt = _resolve(args, file_cfg, "format", "csv")
-        path = _output_path(args, file_cfg, fmt)
-        rows, header, resolved = COMMANDS[args.command](args, file_cfg)
-        _emit(rows, header, resolved, args.command, fmt, path)
+        # the file's values become the command's defaults: flag > file > default
+        command = _command_parsers(parser)[args.command]
+        command.set_defaults(**_check_config(parser, args.command,
+                                             _load_config_file(args.config)))
+        args = parser.parse_args(argv)
+        if "gate" in vars(args) and args.gate is None:
+            command.error("the following arguments are required: --gate")
+        path = _output_path(args)
+        rows, header, resolved = COMMANDS[args.command](args)
+        _emit(rows, header, resolved, args.command, args.format, path)
     except ValueError as exc:   # spectrum.ValidityError included
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .pulses import PulseSpec, species_rabi
+from .pulses import PulseSpec
 from . import register as reg
 
 
@@ -29,12 +29,12 @@ def _drive_lowering(pulse: PulseSpec) -> np.ndarray:
     """Sum of (+-Omega_s / 2) L_s over the driven spins: the drive's lowering part.
 
     Nuclear terms carry a minus sign (opposite gyromagnetic sign), and
-    Omega_s is the species Rabi frequency of the shared field.
+    Omega_s is the species Rabi frequency of the shared field (omega_e or omega_n).
     """
     lower = np.zeros((reg.DIM, reg.DIM), dtype=complex)
     for spin in pulse.drive_spins:
-        sign = 1.0 if spin.startswith("e") else -1.0
-        lower += sign * 0.5 * species_rabi(pulse, spin) * reg.LOWER[spin]
+        sign, omega = (1.0, pulse.omega_e) if spin.startswith("e") else (-1.0, pulse.omega_n)
+        lower += sign * 0.5 * omega * reg.LOWER[spin]
     return lower
 
 

@@ -87,6 +87,8 @@ def effective_params(geometry: DeviceGeometry = DEFAULT_GEOMETRY) -> EffectivePa
     The nominal half-difference deltaB is calibrated to the quoted
     gamma_e*deltaB at the default layout and scales with gradient*N0 for
     other layouts (deltaB is the gradient times half the chain length).
+    A chain whose local fields have no positive mean (a gradient so large
+    that B1 + B2 cancels) is a ValueError.
     """
     delta_b0 = (NOMINAL_GAMMA_E_DELTA_B / GAMMA_E
                 * (geometry.gradient * geometry.n0)
@@ -94,5 +96,8 @@ def effective_params(geometry: DeviceGeometry = DEFAULT_GEOMETRY) -> EffectivePa
     db = field_step(geometry)
     b1 = geometry.mean_field_b - delta_b0 + geometry.m1 * db
     b2 = geometry.mean_field_b + delta_b0 + geometry.m2 * db
+    if b1 + b2 <= 0:
+        raise ValueError(f"the local fields B1 = {b1!r} T and B2 = {b2!r} T of {geometry} "
+                         f"have no positive mean")
     return EffectiveParams(b1=b1, b2=b2, a=HYPERFINE_A,
                            j=j_for_sites(geometry.separation_sites))

@@ -180,11 +180,6 @@ def leading_order_design(gate: GateSpec, k: int,
     return {"nu": e0[q] - e0[p], "delta": delta, "omega": omega, "tau": pulse_duration(omega)}
 
 
-def species_rabi(pulse: PulseSpec, spin: str) -> float:
-    """Rabi frequency a given spin sees under the pulse's shared field."""
-    return pulse.omega_e if spin.startswith("e") else pulse.omega_n
-
-
 def displacement_detuning(gate: GateSpec, geometry: DeviceGeometry) -> float:
     """Detuning of the resonant pair in a displaced chain from the nominal pulse.
 

@@ -112,6 +112,24 @@ class TestSpectrum:
         assert "finite" in err and "Eigenvalues" not in err
 
 
+@pytest.mark.parametrize("gradient", ["1e30", "1e200"])
+@pytest.mark.parametrize("argv", [
+    ["spectrum"],
+    ["sweep", "--gate", "a", "--K", "1"],
+    ["ensemble", "--chains", "4", "--realizations", "1", "--law", "none", "--Kn", "2000"],
+    ["ee-cnot"],
+])
+def test_huge_gradient_rejected(argv, gradient, monkeypatch, capsys):
+    # B1 + B2 cancels to 0: a validity error before any chain, not a crash
+    def no_run(*args):
+        raise AssertionError("a chain ran with no positive mean field")
+    monkeypatch.setattr(protocols, "_run_realization", no_run)
+    code, out, err = run_cli(argv + ["--gradient-T-per-m", gradient], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: the local fields B1 = ") and "no positive mean" in err
+
+
 class TestDesign:
     def test_gate_a(self, capsys):
         code, out, _ = run_cli(["design", "--gate", "a", "--K", "1",
@@ -580,6 +598,16 @@ class TestConfigFile:
         assert code == 3
         assert out == ""
         assert err.startswith("error: ") and str(path) in err
+
+    def test_invalid_json_names_the_file(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text("{N0: 48}")
+        code, out, err = run_cli(["--config", str(path), "spectrum"], capsys)
+        assert code == 3
+        assert out == ""
+        assert err == (f"error: the configuration file {str(path)!r} is not valid JSON: "
+                       "Expecting property name enclosed in double quotes: "
+                       "line 1 column 2 (char 1)\n")
 
     @pytest.mark.parametrize("document", [5, [1], "N0"])
     def test_non_object_document_rejected(self, document, tmp_path, capsys):

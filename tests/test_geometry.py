@@ -83,3 +83,12 @@ def test_geometry_validation():
 def test_non_finite_field_rejected(field, value):
     with pytest.raises(ValueError, match="finite"):
         DeviceGeometry(**{field: value})
+
+
+@pytest.mark.parametrize("gradient", [1e30, 1e200])
+def test_no_positive_mean_field_rejected(gradient):
+    # so large a gradient cancels B1 + B2 to 0 in floating point
+    geometry = DeviceGeometry(gradient=gradient)
+    with pytest.raises(ValueError, match=r"B1 = -.* T and B2 = .* T of DeviceGeometry\(") as exc:
+        effective_params(geometry)
+    assert "no positive mean" in str(exc.value) and repr(gradient) in str(exc.value)
