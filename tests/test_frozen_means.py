@@ -14,7 +14,8 @@ before single chains were driven by the ensemble engine's primitives, so a
 change to the single-chain path that moves a bit fails here too. The layer
 pins at the end cover the exchange table, one displaced spectrum and the
 pulse-design functions the same way, and the stdout pins the output of
-one run of each command. The record pin lists the fields of the public
+one run of each command (and the "# config:" line that a CSV run writes
+to stderr). The record pin lists the fields of the public
 records, which hold only what nothing else can derive.
 """
 import dataclasses
@@ -261,6 +262,9 @@ FROZEN_STDOUT = {   # donorpair command: md5 of its stdout (CSV unless --format 
     "ee-cnot": "ef7509c12f14848033e1608f6b5978f9",
     "ensemble --threads 1": "31b42a78c64e7bcaf14e83f52a2ff510",
     "ensemble --threads 1 --format json": "63d639da4295fcffe69ad6acd52e963f",
+    "spectrum --m1 2 --format json": "9152759f4e148e08ea5feb20ae6e7d33",
+    "design --gate b --m1 -1 --format json": "2a96ac6155deb4d85c6335cd5be08567",
+    "ee-cnot --format json": "521b48c60337baf6db2f5a31d5a8e6f4",
 }
 
 
@@ -271,6 +275,30 @@ def test_cli_stdout_is_frozen(capsys, monkeypatch):
         assert main(command.split()) == 0
         got[command] = hashlib.md5(capsys.readouterr().out.encode()).hexdigest()
     assert got == FROZEN_STDOUT
+
+
+FROZEN_CONFIG_LINE = {   # donorpair command (CSV): md5 of the "# config:" line on stderr
+    "jtable 40 51": "b4ffb47f8cfab214b3e5a69fbb646fa2",
+    "spectrum": "57f73f7f0cc98536dca90be1e3acef2e",
+    "design --gate a --K 1": "7f3368f4f1004580e82827771ce4c212",
+    "design --gate b --m1 -1": "9a5937b1971248cc0f5ed763ea2e7297",
+    "design --gate ee": "7b8e4538e98ddaeed4a3fc0e8771eabf",
+    "sweep --gate a": "fe1ccac3614402700f58c6a422c88dd2",
+    "sweep --gate b": "22190f5eee5526ab06525c2091d0b4ec",
+    "sweep --gate b --displaced-atom 2": "d8393e30b74382586f82070b76acef03",
+    "ee-cnot": "af9b528ed1bbd47f5ca5cfc06316b3b5",
+    "ensemble --threads 1": "d30399fcabd10a45fc68e83a7bfac2f6",
+}
+
+
+def test_cli_config_line_is_frozen(capsys, monkeypatch):
+    monkeypatch.delenv("DONORPAIR_OUTDIR", raising=False)
+    got = {}
+    for command in FROZEN_CONFIG_LINE:
+        assert main(command.split()) == 0
+        line, = [x for x in capsys.readouterr().err.splitlines() if x.startswith("# config:")]
+        got[command] = hashlib.md5(line.encode()).hexdigest()
+    assert got == FROZEN_CONFIG_LINE
 
 
 FROZEN_FIELDS = {   # record: names of its dataclass fields
