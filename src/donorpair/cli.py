@@ -1,7 +1,8 @@
 """Command-line interface: tables, pulse design, sweeps and ensemble runs.
 
-Subcommands: jtable, spectrum, design, sweep, ensemble, ee-cnot. Tabular
-results go to CSV (deterministic formatting, header row, newline
+Subcommands: jtable, spectrum, design, sweep, ensemble, ee-cnot; all but
+jtable, which reads no chain layout, take the layout flags --N0 to --m2.
+Tabular results go to CSV (deterministic formatting, header row, newline
 terminated); --format json wraps results and the resolved configuration in
 a single document. Exit status: 0 success, 2 usage error, 3 physics
 validity guard or invalid option value, 1 internal error.
@@ -41,37 +42,38 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     parser.add_argument("--config", help="JSON file with default option values")
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--N0", type=int, default=None, help="nominal site separation")
-    common.add_argument("--gradient-T-per-m", type=float, default=None, dest="gradient_T_per_m")
-    common.add_argument("--b-tesla", type=float, default=None, dest="b_tesla")
-    common.add_argument("--m1", type=int, default=None, help="displacement of atom 1 (sites)")
-    common.add_argument("--m2", type=int, default=None, help="displacement of atom 2 (sites)")
-    common.add_argument("--out", default=None, help="output path (default stdout)")
-    common.add_argument("--format", choices=("csv", "json"), default="csv")
+    layout = argparse.ArgumentParser(add_help=False)   # every command but jtable
+    layout.add_argument("--N0", type=int, default=None, help="nominal site separation")
+    layout.add_argument("--gradient-T-per-m", type=float, default=None, dest="gradient_T_per_m")
+    layout.add_argument("--b-tesla", type=float, default=None, dest="b_tesla")
+    layout.add_argument("--m1", type=int, default=None, help="displacement of atom 1 (sites)")
+    layout.add_argument("--m2", type=int, default=None, help="displacement of atom 2 (sites)")
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--out", default=None, help="output path (default stdout)")
+    output.add_argument("--format", choices=("csv", "json"), default="csv")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("jtable", parents=[common],
+    p = sub.add_parser("jtable", parents=[output],
                        help="exchange constant versus donor separation")
     p.add_argument("n_min", type=int)
     p.add_argument("n_max", type=int)
 
-    sub.add_parser("spectrum", parents=[common],
+    sub.add_parser("spectrum", parents=[layout, output],
                    help="labelled level energies, exact and perturbative")
 
-    p = sub.add_parser("design", parents=[common], help="pulse parameters of one gate")
+    p = sub.add_parser("design", parents=[layout, output], help="pulse parameters of one gate")
     p.add_argument("--gate", choices=GATE_NAMES, default=None, help=GATE_HELP)
     p.add_argument("--K", type=int, default=None)
 
-    p = sub.add_parser("sweep", parents=[common],
+    p = sub.add_parser("sweep", parents=[layout, output],
                        help="gate error versus displacement for several K")
     p.add_argument("--gate", choices=("a", "b"), default=None, help=GATE_HELP)
     p.add_argument("--K", default=None, help="comma-separated K values")
     p.add_argument("--displaced-atom", type=int, choices=(1, 2), default=1,
                    help="the atom moved by m (default 1)")
 
-    p = sub.add_parser("ensemble", parents=[common],
+    p = sub.add_parser("ensemble", parents=[layout, output],
                        help="initialization error over an ensemble of chains")
     p.add_argument("--chains", type=int, default=2000)
     p.add_argument("--realizations", type=int, default=8)
@@ -82,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threads", type=int, default=_usable_cpus())
 
-    p = sub.add_parser("ee-cnot", parents=[common],
+    p = sub.add_parser("ee-cnot", parents=[layout, output],
                        help="two-electron CNOT error versus displacement")
     p.add_argument("--K", type=int, default=1)
 
@@ -213,17 +215,18 @@ def _output_path(args) -> Path | None:
 def _emit(rows: list[dict], header: list[str], resolved: dict, command: str,
           fmt: str, path: Path | None) -> None:
     import json
+    from dataclasses import asdict
 
     resolved = dict(resolved, command=command, version=__version__)
     if fmt == "json":
         doc = {"config": resolved, "columns": header, "rows": rows}
-        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        text = json.dumps(doc, indent=2, sort_keys=True, default=asdict) + "\n"
     else:
         lines = [",".join(header)]
         for row in rows:
             lines.append(",".join(_format_cell(row[h]) for h in header))
         text = "\n".join(lines) + "\n"
-        print(f"# config: {json.dumps(resolved, sort_keys=True)}", file=sys.stderr)
+        print(f"# config: {json.dumps(resolved, sort_keys=True, default=asdict)}", file=sys.stderr)
     if path is None:
         sys.stdout.write(text)
     else:
@@ -251,8 +254,6 @@ def cmd_jtable(args) -> tuple[list[dict], list[str], dict]:
 
 
 def cmd_spectrum(args) -> tuple[list[dict], list[str], dict]:
-    import dataclasses
-
     from . import register as reg
     from .constants import TWO_PI
     from .spectrum import compute_spectrum
@@ -274,7 +275,7 @@ def cmd_spectrum(args) -> tuple[list[dict], list[str], dict]:
         })
     eps, eps_p, xi = spec.smallness
     resolved = {
-        "geometry": dataclasses.asdict(geometry),
+        "geometry": geometry,
         "J_MHz": _mhz(spec.params.j),
         "epsilon": eps, "epsilon_prime": eps_p, "xi": xi,
         "max_pert_dev_Hz": worst,
@@ -284,8 +285,6 @@ def cmd_spectrum(args) -> tuple[list[dict], list[str], dict]:
 
 
 def cmd_design(args) -> tuple[list[dict], list[str], dict]:
-    import dataclasses
-
     from .constants import TWO_PI
     from .pulses import (DEFAULT_K_ELECTRON, DEFAULT_K_NUCLEAR, GATES, _suppressed_detuning,
                          design_gate, displacement_detuning, kn_window, leading_order_design)
@@ -309,7 +308,7 @@ def cmd_design(args) -> tuple[list[dict], list[str], dict]:
         "nu_leading_MHz": _mhz(lead["nu"]),
         "Delta_leading_MHz": _mhz(lead["delta"]),
     }]
-    resolved = {"geometry": dataclasses.asdict(geometry), "gate": args.gate, "K": k}
+    resolved = {"geometry": geometry, "gate": args.gate, "K": k}
     if geometry.m1 != 0 or geometry.m2 != 0:
         shift = displacement_detuning(gate, geometry)
         rows[0]["detuning_shift_kHz"] = shift / TWO_PI / 1e3
@@ -319,8 +318,6 @@ def cmd_design(args) -> tuple[list[dict], list[str], dict]:
 
 
 def cmd_sweep(args) -> tuple[list[dict], list[str], dict]:
-    import dataclasses
-
     from .geometry import DISPLACEMENTS
     from .protocols import sweep_gate_error
 
@@ -331,13 +328,11 @@ def cmd_sweep(args) -> tuple[list[dict], list[str], dict]:
                              displaced_atom=args.displaced_atom, geometry_nominal=geometry)
     rows = [{"m": m, "K": k, "P": table[(m, k)]} for k in k_list for m in DISPLACEMENTS]
     resolved = {"gate": args.gate, "K": k_list, "displaced_atom": args.displaced_atom,
-                "geometry": dataclasses.asdict(geometry)}
+                "geometry": geometry}
     return rows, ["m", "K", "P"], resolved
 
 
 def cmd_ensemble(args) -> tuple[list[dict], list[str], dict]:
-    import dataclasses
-
     from .protocols import EnsembleConfig, ensemble_grid, ensemble_workers
     from .pulses import DEFAULT_K_ELECTRON
 
@@ -355,20 +350,18 @@ def cmd_ensemble(args) -> tuple[list[dict], list[str], dict]:
     resolved = {"chains": args.chains, "realizations": args.realizations, "laws": laws,
                 "Kn": kns, "K_e": k_e, "seed": args.seed, "threads": args.threads,
                 "workers": ensemble_workers(configs),
-                "geometry": dataclasses.asdict(geometry)}
+                "geometry": geometry}
     return rows, ["K_n", "law", "mean_P", "stderr"], resolved
 
 
 def cmd_ee_cnot(args) -> tuple[list[dict], list[str], dict]:
-    import dataclasses
-
     from .geometry import DISPLACEMENTS
     from .protocols import sweep_gate_error
 
     geometry = _nominal_geometry(args)
     table = sweep_gate_error("ee", DISPLACEMENTS, (args.K,), geometry_nominal=geometry)
     rows = [{"m": m, "P_e": table[(m, args.K)]} for m in DISPLACEMENTS]
-    return rows, ["m", "P_e"], {"K_prime": args.K, "geometry": dataclasses.asdict(geometry)}
+    return rows, ["m", "P_e"], {"K_prime": args.K, "geometry": geometry}
 
 
 # each command returns its (rows, header, resolved config); main writes them

@@ -96,10 +96,16 @@ def _pair_index(m1, m2):
     return (m1 + MAX_DISPLACEMENT) * len(DISPLACEMENTS) + (m2 + MAX_DISPLACEMENT)
 
 
+def _check_nominal(geometry: DeviceGeometry, name: str) -> None:
+    if geometry.m1 != 0 or geometry.m2 != 0:
+        raise ValueError(f"{name} must be nominal (m1 = m2 = 0), not {geometry}")
+
+
 def design_protocol_pulses(k_e: int = DEFAULT_K_ELECTRON, k_n: int = DEFAULT_K_NUCLEAR,
                            geometry_nominal: DeviceGeometry = DEFAULT_GEOMETRY) -> dict[str, PulseSpec]:
-    """Pulses for the gates of PROTOCOL_ORDER, in its order, designed for the nominal chain."""
-    spec0 = compute_spectrum(geometry_nominal.displaced(0, 0))
+    """Pulses for the gates of PROTOCOL_ORDER, in its order, for the undisplaced geometry_nominal."""
+    _check_nominal(geometry_nominal, "geometry_nominal")
+    spec0 = compute_spectrum(geometry_nominal)
     pulses = {}
     for name in PROTOCOL_ORDER:
         if name != "relax":
@@ -128,17 +134,18 @@ def sweep_gate_error(gate_name: str, m_range=DISPLACEMENTS, k_list=(1,),
                      geometry_nominal: DeviceGeometry = DEFAULT_GEOMETRY) -> dict[tuple[int, int], float]:
     """Error table P[(m, K)] of one gate versus displacement and K.
 
-    The pulse is designed for the nominal chain at each K; the displaced
-    chain, with atom `displaced_atom` (1 or 2) moved by m sites, is driven
-    from the gate's resonant source eigenstate.
+    The pulse is designed at each K for geometry_nominal (undisplaced, or a
+    ValueError); the displaced chain, with atom `displaced_atom` (1 or 2)
+    moved by m sites, is driven from the gate's resonant source eigenstate.
     """
     if gate_name not in GATES:
         raise ValueError(f"unknown gate {gate_name!r}")
     if displaced_atom not in (1, 2):
         raise ValueError(f"displaced_atom must be 1 or 2, got {displaced_atom!r}")
+    _check_nominal(geometry_nominal, "geometry_nominal")
     gate = GATES[gate_name]
     p, q = gate.resonant
-    spec0 = compute_spectrum(geometry_nominal.displaced(0, 0))
+    spec0 = compute_spectrum(geometry_nominal)
     out: dict[tuple[int, int], float] = {}
     for k in k_list:
         pulse = design_gate(spec0, gate, k)
@@ -169,9 +176,11 @@ def run_initialization(geometry: DeviceGeometry,
 
     `initial` gives amplitudes on the labelled eigenstates: either 4 values
     on the relaxed-electron manifold (|0110>, |0111>, |1110>, |1111>) or all
-    16. Defaults to the |0110>-like eigenstate. Relaxation after the second
-    and fourth pulses resets the electrons; the figure of merit is
-    P = 1 - population of the |1111>-like eigenstate.
+    16; zero or non-finite amplitudes are a ValueError. Defaults to the
+    |0110>-like eigenstate. Relaxation after the second and fourth pulses
+    resets the electrons; the figure of merit is P = 1 - population of the
+    |1111>-like eigenstate. k_e and k_n are read only to design the default
+    pulses, design_protocol_pulses(k_e, k_n); they are unused with `pulses`.
     """
     if pulses is None:
         pulses = design_protocol_pulses(k_e, k_n)
@@ -189,7 +198,9 @@ def run_initialization(geometry: DeviceGeometry,
         amps = np.asarray(initial, dtype=complex)
     else:
         raise ValueError("initial must hold 4 or 16 eigenstate amplitudes")
-    amps = amps / np.linalg.norm(amps)
+    if not 0 < (norm := np.linalg.norm(amps)) < np.inf:   # NaN fails too
+        raise ValueError(f"initial amplitudes must be finite and not all zero; norm {norm}")
+    amps = amps / norm
 
     run = ProtocolRun()
     target = vectors[:, TARGET_STATE]
@@ -287,9 +298,7 @@ class EnsembleConfig:
             raise ValueError("seed must be non-negative")
         if self.threads < 1:
             raise ValueError("threads must be positive")
-        if self.geometry.m1 != 0 or self.geometry.m2 != 0:
-            raise ValueError("ensemble geometry must be nominal (m1 = m2 = 0); "
-                             "chains draw their own displacements")
+        _check_nominal(self.geometry, "ensemble geometry")   # chains draw their own displacements
 
 
 @dataclass(frozen=True)
@@ -358,7 +367,7 @@ def _form_coefficients(form: np.ndarray) -> np.ndarray:
 
 
 _FORM_TABLES: dict[tuple, np.ndarray] = {}   # _form_tables cache, oldest first
-_FORM_TABLE_CACHE = 8     # the CLI's default grid: 4 K_n x 2 law supports, about 10 KB each
+_FORM_TABLE_CACHE = 8     # for repeated ensemble_init calls: 4 K_n x 2 law supports, ~10 KB each
 
 
 def _form_tables(keys: Sequence[tuple[DeviceGeometry, tuple[tuple[str, PulseSpec], ...],

@@ -61,15 +61,14 @@ def error_estimate(r: float, epsilon: float, mu: float) -> float:
 class GateSpec:
     """A conditional spin flip: resonant pair driven, suppressed pair silenced.
 
-    drive_spins lists the register spins coupled to the pulse field; species
-    selects whether the 2piK condition constrains the electron or nuclear
-    Rabi frequency.
+    drive_spins lists the register spins coupled to the pulse field; species,
+    read from the resonant pair, selects whether the 2piK condition
+    constrains the electron or nuclear Rabi frequency.
     """
 
     name: str
     resonant: tuple[int, int]      # (p, q): q is p with the target spin flipped
     suppressed: tuple[int, int]
-    species: str                   # "e" | "n"
     drive_spins: tuple[str, ...]
 
     def __post_init__(self) -> None:
@@ -80,8 +79,11 @@ class GateSpec:
             raise ValueError("resonant and suppressed pairs flip different spins")
         if self.resonant == self.suppressed:
             raise ValueError("resonant and suppressed pairs coincide")
-        if self.species not in ("e", "n"):
-            raise ValueError("species must be 'e' or 'n'")
+
+    @property
+    def species(self) -> str:
+        """The species, "e" or "n", of the spin the resonant pair flips."""
+        return reg.flipped_bit(*self.resonant)[0]
 
 
 def _suppressed_detuning(gate: GateSpec, energies: np.ndarray) -> float:
@@ -105,16 +107,11 @@ def _suppressed_detuning(gate: GateSpec, energies: np.ndarray) -> float:
 # xi*gamma_e/gamma_n ~ 1.03 times the nominal nuclear Rabi frequency,
 # doubling every designed rotation angle.
 GATES = {
-    "a": GateSpec("CN_n1e1", resonant=(13, 15), suppressed=(12, 14),
-                  species="e", drive_spins=("e1",)),
-    "b": GateSpec("CN_e1n1", resonant=(14, 15), suppressed=(12, 13),
-                  species="n", drive_spins=("n1", "n2")),
-    "c": GateSpec("CN_n2e2", resonant=(11, 15), suppressed=(3, 7),
-                  species="e", drive_spins=("e2",)),
-    "d": GateSpec("CN_e2n2", resonant=(7, 15), suppressed=(3, 11),
-                  species="n", drive_spins=("n1", "n2")),
-    "ee": GateSpec("CN_e2e1", resonant=(13, 15), suppressed=(9, 11),
-                   species="e", drive_spins=("e1", "e2")),
+    "a": GateSpec("CN_n1e1", resonant=(13, 15), suppressed=(12, 14), drive_spins=("e1",)),
+    "b": GateSpec("CN_e1n1", resonant=(14, 15), suppressed=(12, 13), drive_spins=("n1", "n2")),
+    "c": GateSpec("CN_n2e2", resonant=(11, 15), suppressed=(3, 7), drive_spins=("e2",)),
+    "d": GateSpec("CN_e2n2", resonant=(7, 15), suppressed=(3, 11), drive_spins=("n1", "n2")),
+    "ee": GateSpec("CN_e2e1", resonant=(13, 15), suppressed=(9, 11), drive_spins=("e1", "e2")),
 }
 
 DEFAULT_K_ELECTRON = 1

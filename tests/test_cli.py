@@ -65,6 +65,23 @@ class TestJtable:
             capture_output=True, text=True, env=source_env)
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("dest, value", [
+        ("N0", 0), ("gradient_T_per_m", 1.4e5), ("b_tesla", -1.0), ("m1", 9), ("m2", 1)],
+        ids=["N0", "gradient_T_per_m", "b_tesla", "m1", "m2"])
+    def test_layout_flags_refused(self, dest, value, tmp_path, capsys):
+        # jtable reads no chain layout: its flags are usage errors, and a
+        # configuration file's layout key is another command's, so dropped
+        flag = "--" + dest.replace("_", "-")
+        with pytest.raises(SystemExit) as exc:
+            main(["jtable", "40", "41", flag, str(value)])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({dest: value}))
+        code, out, _ = run_cli(["--config", str(cfg), "jtable", "40", "41"], capsys)
+        assert (code, out) == run_cli(["jtable", "40", "41"], capsys)[:2]
+        assert code == 0
+
 
 def gate_choices(command: str) -> tuple:
     flags = cli._command_parsers(cli.build_parser())[command]._actions
@@ -427,10 +444,9 @@ CONFIG_VALUES = {   # dest: (the value in the file, a different flag value)
     "seed": (1, 2),
     "threads": (2, 1),
 }
-# jtable reads no geometry, and the commands that set the displacements
-# reject m1 and m2 from either source: there no value changes the output
-INERT_KEYS = ({("jtable", k) for k in ("N0", "gradient_T_per_m", "b_tesla", "m1", "m2")}
-              | {(c, k) for c in ("sweep", "ensemble", "ee-cnot") for k in ("m1", "m2")})
+# the commands that set the displacements reject m1 and m2 from either
+# source: there no value changes the output
+INERT_KEYS = {(c, k) for c in ("sweep", "ensemble", "ee-cnot") for k in ("m1", "m2")}
 
 
 def config_keys() -> list[tuple[str, str, str]]:

@@ -302,7 +302,7 @@ def test_cli_config_line_is_frozen(capsys, monkeypatch):
 
 
 FROZEN_FIELDS = {   # record: names of its dataclass fields
-    GateSpec: ("name", "resonant", "suppressed", "species", "drive_spins"),
+    GateSpec: ("name", "resonant", "suppressed", "drive_spins"),
     PulseSpec: ("nu", "phi", "b1_amplitude", "tau", "drive_spins"),
     EffectiveParams: ("b1", "b2", "a", "j"),
     ProtocolRun: ("steps", "pulse_fidelities", "final_error"),

@@ -127,6 +127,12 @@ class TestInitialization:
         with pytest.raises(ValueError):
             run_initialization(DEFAULT_GEOMETRY, initial=np.ones(5))
 
+    @pytest.mark.parametrize("initial", [np.zeros(4), [np.nan, 0, 0, 1], [np.inf, 0, 0, 0]])
+    def test_rejects_state_without_a_norm(self, initial):
+        # normalizing it would turn every step's error into NaN
+        with pytest.raises(ValueError, match="finite and not all zero"):
+            run_initialization(DEFAULT_GEOMETRY, initial=initial)
+
     def test_pulses_follow_protocol_order(self):
         # the form-table cache keys on tuple(pulses.items()), so the order is part of the key
         pulses = design_protocol_pulses(1, 2000)
@@ -499,8 +505,15 @@ class TestEnsemble:
         assert abs(result.mean_error - exact) <= 5 * result.stderr
 
     def test_geometry_must_be_nominal(self):
-        with pytest.raises(ValueError):
-            EnsembleConfig(geometry=DEFAULT_GEOMETRY.displaced(m1=1))
+        # each sets the displacements or designs for the nominal chain, so
+        # the m1, m2 of a displaced geometry would be ignored
+        uses = (lambda g: EnsembleConfig(geometry=g),
+                lambda g: sweep_gate_error("a", (1,), (1,), geometry_nominal=g),
+                lambda g: design_protocol_pulses(geometry_nominal=g))
+        for use in uses:
+            for displaced in (DEFAULT_GEOMETRY.displaced(m1=1), DEFAULT_GEOMETRY.displaced(0, 3)):
+                with pytest.raises(ValueError, match="must be nominal"):
+                    use(displaced)
 
     def test_errors_in_unit_interval(self):
         r = ensemble_init(SMALL)

@@ -111,11 +111,14 @@ class TestGateSpecs:
 
     def test_invalid_pairs_rejected(self):
         with pytest.raises(ValueError):
-            GateSpec("bad", resonant=(13, 14), suppressed=(12, 14),
-                     species="e", drive_spins=("e1",))
+            GateSpec("bad", resonant=(13, 14), suppressed=(12, 14), drive_spins=("e1",))
         with pytest.raises(ValueError):
-            GateSpec("bad", resonant=(13, 15), suppressed=(12, 13),
-                     species="e", drive_spins=("e1",))
+            GateSpec("bad", resonant=(13, 15), suppressed=(12, 13), drive_spins=("e1",))
+
+    def test_species_is_the_flipped_spin(self):
+        # the resonant pair fixes which species the 2piK condition constrains
+        assert {name: gate.species for name, gate in GATES.items()} == {
+            "a": "e", "b": "n", "c": "e", "d": "n", "ee": "e"}
 
 
 class TestDesign:
