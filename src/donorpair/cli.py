@@ -286,8 +286,8 @@ def cmd_spectrum(args) -> tuple[list[dict], list[str], dict]:
 
 def cmd_design(args) -> tuple[list[dict], list[str], dict]:
     from .constants import TWO_PI
-    from .pulses import (DEFAULT_K_ELECTRON, DEFAULT_K_NUCLEAR, GATES, _suppressed_detuning,
-                         design_gate, displacement_detuning, kn_window, leading_order_design)
+    from .pulses import (DEFAULT_K_ELECTRON, DEFAULT_K_NUCLEAR, GATES, _detuning_from,
+                         _suppressed_detuning, design_gate, kn_window, leading_order_design)
     from .spectrum import compute_spectrum
 
     geometry = _geometry(args)
@@ -310,7 +310,7 @@ def cmd_design(args) -> tuple[list[dict], list[str], dict]:
     }]
     resolved = {"geometry": geometry, "gate": args.gate, "K": k}
     if geometry.m1 != 0 or geometry.m2 != 0:
-        shift = displacement_detuning(gate, geometry)
+        shift = _detuning_from(spec0, gate, geometry)
         rows[0]["detuning_shift_kHz"] = shift / TWO_PI / 1e3
         if args.gate == "b":   # the usable nuclear-K window of this displacement
             rows[0]["Kn_min"], rows[0]["Kn_max"] = kn_window(spec0, shift)

@@ -87,8 +87,11 @@ def effective_params(geometry: DeviceGeometry = DEFAULT_GEOMETRY) -> EffectivePa
     The nominal half-difference deltaB is calibrated to the quoted
     gamma_e*deltaB at the default layout and scales with gradient*N0 for
     other layouts (deltaB is the gradient times half the chain length).
-    A chain whose local fields have no positive mean (a gradient so large
-    that B1 + B2 cancels) is a ValueError.
+    The model covers only chains whose local fields B1 and B2 are both
+    positive and whose Zeeman terms gamma_e*B1, gamma_e*B2 are finite; any
+    other chain is a ValueError naming the field, checked in this order: no
+    positive mean (a gradient so large that B1 + B2 cancels), a field not
+    positive (B1 < 0 from a gradient of about 1.9e8 T/m), a field too large.
     """
     delta_b0 = (NOMINAL_GAMMA_E_DELTA_B / GAMMA_E
                 * (geometry.gradient * geometry.n0)
@@ -99,5 +102,12 @@ def effective_params(geometry: DeviceGeometry = DEFAULT_GEOMETRY) -> EffectivePa
     if b1 + b2 <= 0:
         raise ValueError(f"the local fields B1 = {b1!r} T and B2 = {b2!r} T of {geometry} "
                          f"have no positive mean")
+    for name, field in (("B1", b1), ("B2", b2)):
+        if field <= 0:
+            raise ValueError(f"the local field {name} = {field!r} T of {geometry} "
+                             f"is not positive")
+        if not math.isfinite(GAMMA_E * field):
+            raise ValueError(f"the local field {name} = {field!r} T of {geometry} "
+                             f"is too large: its Zeeman term gamma_e*{name} is not finite")
     return EffectiveParams(b1=b1, b2=b2, a=HYPERFINE_A,
                            j=j_for_sites(geometry.separation_sites))

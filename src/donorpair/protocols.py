@@ -36,11 +36,15 @@ workers only draw and evaluate chains.
 A chain is four uniforms (its displacement pair) and eight normals
 z = x + iy. The stream is drawn in draw blocks of _CHAIN_BLOCK chains, the
 unit that fixes which draws belong to which chain; up to _CHUNK_BLOCKS
-consecutive draw blocks form one evaluation chunk, whose uniforms are
-mapped to pair indices in one call and whose errors
+consecutive draw blocks form one evaluation chunk. A chunk's uniforms are
+mapped to table rows by one lookup per chain: one searchsorted codes both
+magnitude rows of a contiguous copy, and a 100-entry table built at import
+maps each pair of displacement codes to its row. Its errors
 1 - Re(z^H M z) / (z^H z) (a = z / |z|) are evaluated together with
-elementwise arithmetic, so each chain's error is the same whatever chunk it
-falls in.
+elementwise arithmetic on contiguous rows: the normals copied once to
+(8, n), and the table read through its transpose, one coefficient column
+per feature, gathered by the chunk's rows. So each chain's error is the
+same whatever chunk it falls in.
 run_initialization is the Schroedinger-picture reference that records the
 population after every step.
 """
@@ -72,28 +76,36 @@ LAWS = {"none": (0.0,) * MAX_DISPLACEMENT,
         **{law: tuple(base * 0.5**m for m in range(1, MAX_DISPLACEMENT + 1))
            for law, base in (("A", 0.5), ("B", 0.25))}}
 
-# _displacements' rule: the partial sums of each law's r, and m for each
-# k + (MAX_DISPLACEMENT + 1) * (sign < 0.5), where k is the number of partial
-# sums at most the magnitude uniform (k = MAX_DISPLACEMENT means |m| = 0)
-_THRESHOLDS = {law: np.cumsum(r) for law, r in LAWS.items()}
-_MAGS = np.arange(1, MAX_DISPLACEMENT + 2) % (MAX_DISPLACEMENT + 1)   # 1, ..., 4, 0
-_SIGNED = np.concatenate([-_MAGS, _MAGS])
-
-
-def _displacements(law: str, magnitude: np.ndarray, sign: np.ndarray) -> np.ndarray:
-    """Signed displacements m of `law` from uniforms in [0, 1), elementwise.
-
-    |m| is the first k with magnitude < r_1 + ... + r_k (the partial sums
-    added in order), or 0 if there is none; a sign uniform below 0.5 makes m
-    positive.
-    """
-    k = np.searchsorted(_THRESHOLDS[law], magnitude, side="right")
-    return _SIGNED[k + (MAX_DISPLACEMENT + 1) * (sign < 0.5)]
-
-
 def _pair_index(m1, m2):
     """Row of the displacement pair (m1, m2) in a form table; ints or int arrays."""
     return (m1 + MAX_DISPLACEMENT) * len(DISPLACEMENTS) + (m2 + MAX_DISPLACEMENT)
+
+
+# _pair_rows' rule. An atom's magnitude code k is the number of partial sums
+# of its law's r at most its magnitude uniform (k = MAX_DISPLACEMENT means
+# |m| = 0), its displacement code is k + (MAX_DISPLACEMENT + 1) * (sign < 0.5)
+# and its m is _SIGNED[code]; _CODE_ROWS[len(_SIGNED) * c1 + c2] is the
+# form-table row of the codes (c1, c2) of atoms 1 and 2.
+_THRESHOLDS = {law: np.cumsum(r) for law, r in LAWS.items()}
+_MAGS = np.arange(1, MAX_DISPLACEMENT + 2) % (MAX_DISPLACEMENT + 1)   # 1, ..., 4, 0
+_SIGNED = np.concatenate([-_MAGS, _MAGS])
+_CODE_ROWS = _pair_index(_SIGNED[:, None], _SIGNED).ravel()
+
+
+def _pair_rows(law: str, uniforms: np.ndarray) -> np.ndarray:
+    """Form-table row _pair_index(m1, m2) of each chain, from its four uniforms.
+
+    `uniforms` holds one row (m1 magnitude, m2 magnitude, m1 sign, m2 sign)
+    of uniforms in [0, 1) per chain. |m| is the first k with magnitude <
+    r_1 + ... + r_k (the partial sums added in order), or 0 if there is
+    none; a sign uniform below 0.5 makes m positive. The uniforms are copied
+    once into contiguous (4, n) rows, one searchsorted codes both magnitude
+    rows, and one lookup in _CODE_ROWS maps each code pair to its row.
+    """
+    u = np.ascontiguousarray(uniforms.T)
+    codes = np.searchsorted(_THRESHOLDS[law], u[:2], side="right")
+    codes += (MAX_DISPLACEMENT + 1) * (u[2:] < 0.5)
+    return _CODE_ROWS[len(_SIGNED) * codes[0] + codes[1]]
 
 
 def _check_nominal(geometry: DeviceGeometry, name: str) -> None:
@@ -180,10 +192,11 @@ def run_initialization(geometry: DeviceGeometry,
     |0110>-like eigenstate. Relaxation after the second and fourth pulses
     resets the electrons; the figure of merit is P = 1 - population of the
     |1111>-like eigenstate. k_e and k_n are read only to design the default
-    pulses, design_protocol_pulses(k_e, k_n); they are unused with `pulses`.
+    pulses, design_protocol_pulses(k_e, k_n, geometry.displaced(0, 0)) for
+    the nominal layout of `geometry`; they are unused with `pulses`.
     """
     if pulses is None:
-        pulses = design_protocol_pulses(k_e, k_n)
+        pulses = design_protocol_pulses(k_e, k_n, geometry.displaced(0, 0))
     spec = compute_spectrum(geometry)
     vectors = spec.eigenvectors
     propagators = {name: pulse_propagator(spec.hamiltonian, p) for name, p in pulses.items()}
@@ -324,7 +337,7 @@ _CHUNK_BLOCKS = 4     # draw blocks per evaluation chunk (fastest measured); bou
 
 def _chain_draws(config: EnsembleConfig,
                  realization: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Pair index and eight normals of each chain of a realization, a chunk at a time.
+    """Form-table row and eight normals of each chain of a realization, a chunk at a time.
 
     The realization's one stream, default_rng([seed, law code, k_n, k_e,
     realization]), is drawn in blocks of _CHAIN_BLOCK chains: first a
@@ -335,7 +348,7 @@ def _chain_draws(config: EnsembleConfig,
     only the unit of the stream: up to _CHUNK_BLOCKS consecutive blocks are
     drawn into the arrays of one evaluation chunk, fresh for each chunk so
     that a yielded chunk stays valid, and the chunk's uniforms are mapped to
-    pair indices _pair_index(m1, m2) by one _displacements call.
+    rows _pair_index(m1, m2) by one _pair_rows call.
     """
     rng = np.random.default_rng([config.seed, LAW_CODES[config.law],
                                  config.k_n, config.k_e, realization])
@@ -346,8 +359,7 @@ def _chain_draws(config: EnsembleConfig,
         for block in range(0, rows, _CHAIN_BLOCK):
             rng.random(out=uniforms[block:block + _CHAIN_BLOCK])
             rng.standard_normal(out=normals[block:block + _CHAIN_BLOCK])
-        m = _displacements(config.law, uniforms[:n, :2], uniforms[:n, 2:])
-        yield _pair_index(m[:, 0], m[:, 1]), normals[:n]
+        yield _pair_rows(config.law, uniforms[:n]), normals[:n]
 
 
 _PAIRS = tuple(itertools.combinations(range(4), 2))   # the six (j, k) with j < k
@@ -430,28 +442,32 @@ def _solve_form_tables(keys: Sequence[tuple]) -> list[np.ndarray]:
     return tables
 
 
-def _chain_errors(coeffs: np.ndarray, normals: np.ndarray) -> np.ndarray:
-    """Protocol error 1 - (c . f) / (f_0 + f_1 + f_2 + f_3) of each row.
+def _chain_errors(columns: np.ndarray, pairs: np.ndarray, normals: np.ndarray) -> np.ndarray:
+    """Protocol error 1 - (c . f) / (f_0 + f_1 + f_2 + f_3) of each chain.
 
-    `coeffs` holds one row c = _form_coefficients(M) per chain and `normals`
-    eight standard normals, z = normals[:4] + i normals[4:]; z / |z| is a
-    Haar-random initial state, c . f = Re(z^H M z) and f_0 + ... + f_3 =
-    z^H z. Each feature is computed for all rows at once and the 16
-    products are added in coefficient order, with elementwise arithmetic
-    only (no BLAS, no pairwise sums), so a row's error does not depend on
-    the other rows or on how many there are. Every temporary holds one value
-    per row and the products are taken in place: (rows, 16) temporaries
-    measured slower, as the allocator returned and re-faulted their pages.
+    `columns` is a transposed form table, (16, rows): columns[i] holds
+    coefficient i of _form_coefficients for every table row. Chain n reads
+    row pairs[n] and its eight standard normals normals[n], z = normals[n, :4]
+    + i normals[n, 4:]; z / |z| is a Haar-random initial state, c . f =
+    Re(z^H M z) and f_0 + ... + f_3 = z^H z. The normals are copied once
+    into contiguous (8, n) rows; each feature is computed for all chains at
+    once, multiplied by columns[i].take(pairs), and the 16 products are added
+    in coefficient order, with elementwise arithmetic only (no BLAS, no
+    pairwise sums), so a chain's error does not depend on the other chains
+    or on how many there are. Every temporary holds one value per chain and
+    the products are taken in place: (n, 16) temporaries measured slower, as
+    the allocator returned and re-faulted their pages.
     """
-    x, y = normals.T[:4], normals.T[4:]
+    t = np.ascontiguousarray(normals.T)
+    x, y = t[:4], t[4:]
     norms = [x[j] * x[j] + y[j] * y[j] for j in range(4)]
     features = itertools.chain(norms,
                                (x[j] * x[k] + y[j] * y[k] for j, k in _PAIRS),
                                (x[j] * y[k] - y[j] * x[k] for j, k in _PAIRS))
     norm = norms[0] + norms[1] + norms[2] + norms[3]
-    quad = np.zeros(len(normals))
-    for c, f in zip(coeffs.T, features):
-        f *= c
+    quad = np.zeros(len(pairs))
+    for c, f in zip(columns, features):
+        f *= c.take(pairs)
         quad += f
     quad /= norm
     return 1.0 - quad
@@ -461,16 +477,17 @@ def _run_realization(config: EnsembleConfig, realization: int,
                      table: np.ndarray) -> float:
     """Mean protocol error over the chains of one realization.
 
-    `table` is the realization's _form_tables entry; each evaluation chunk
-    of _chain_draws (up to _CHUNK_BLOCKS draw blocks) gathers its chains'
-    coefficient rows from it, _chain_errors evaluates them in one pass, and
-    the errors are added one by one in chain order: np.cumsum adds
-    sequentially, and the running total is carried into each chunk's first
-    error. So the mean is the same bit for bit whatever the chunk size.
+    `table` is the realization's _form_tables entry, read through its
+    transpose, a view, as _chain_errors' coefficient columns. Each
+    evaluation chunk of _chain_draws (up to _CHUNK_BLOCKS draw blocks) is
+    evaluated by one _chain_errors call, and the errors are added one by one
+    in chain order: np.cumsum adds sequentially, and the running total is
+    carried into each chunk's first error. So the mean is the same bit for
+    bit whatever the chunk size.
     """
-    total = 0.0
+    columns, total = table.T, 0.0
     for pairs, normals in _chain_draws(config, realization):
-        errors = _chain_errors(table[pairs], normals)
+        errors = _chain_errors(columns, pairs, normals)
         errors[0] += total
         total = float(np.cumsum(errors)[-1])
     return total / config.num_chains

@@ -183,10 +183,14 @@ def displacement_detuning(gate: GateSpec, geometry: DeviceGeometry) -> float:
     Computed from exact spectra of the nominal and displaced chains; zero by
     construction at zero displacement.
     """
-    nominal = compute_spectrum(geometry.displaced(0, 0))
+    return _detuning_from(compute_spectrum(geometry.displaced(0, 0)), gate, geometry)
+
+
+def _detuning_from(spec_nominal: Spectrum, gate: GateSpec, geometry: DeviceGeometry) -> float:
+    """displacement_detuning, given the spectrum of the nominal chain of `geometry`."""
     actual = compute_spectrum(geometry)
     p, q = gate.resonant
-    return transition_frequency(actual, p, q) - transition_frequency(nominal, p, q)
+    return transition_frequency(actual, p, q) - transition_frequency(spec_nominal, p, q)
 
 
 def kn_window(spec_ideal: Spectrum, detuning: float) -> tuple[int, int]:

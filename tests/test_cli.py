@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -147,6 +148,32 @@ def test_huge_gradient_rejected(argv, gradient, monkeypatch, capsys):
     assert err.startswith("error: the local fields B1 = ") and "no positive mean" in err
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--gradient-T-per-m", "2e8", "= -0.30996363137308736 T of DeviceGeometry(n0=47, "
+                                  "gradient=200000000.0, mean_field_b=3.3, m1=0, m2=0) "
+                                  "is not positive"),
+    ("--b-tesla", "1e300", "= 1e+300 T of DeviceGeometry(n0=47, gradient=130000.0, "
+                           "mean_field_b=1e+300, m1=0, m2=0) is too large"),
+])
+@pytest.mark.parametrize("argv", [
+    ["spectrum"],
+    ["ensemble", "--chains", "4", "--realizations", "1", "--law", "A", "--Kn", "2000"],
+])
+def test_field_outside_the_model_rejected(argv, flag, value, message, monkeypatch, capsys):
+    # B1 < 0 with a positive mean, or a Zeeman term that overflows: refused
+    # by name before any arithmetic on the field
+    def no_run(*args):
+        raise AssertionError("a chain ran with a field outside the model")
+    monkeypatch.setattr(protocols, "_run_realization", no_run)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(argv + [flag, value], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: the local field B1 ") and message in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
 class TestDesign:
     def test_gate_a(self, capsys):
         code, out, _ = run_cli(["design", "--gate", "a", "--K", "1",
@@ -186,9 +213,9 @@ class TestDesign:
             GATES["b"], DEFAULT_GEOMETRY.displaced(m1=-1)))
         assert (row["Kn_min"], row["Kn_max"]) == window == (363, 34120)
 
-    def test_displaced_gate_b_solves_three_chains(self, monkeypatch, capsys):
-        # the nominal chain for the design, then the nominal and displaced
-        # chains of the one displacement_detuning that the Kn window reuses
+    def test_displaced_gate_b_solves_two_chains(self, monkeypatch, capsys):
+        # the nominal chain once, for the design and the detuning shift that
+        # the Kn window reuses, then the displaced chain of that shift
         solved = []
 
         def counting_spectra(geometries):
@@ -198,7 +225,7 @@ class TestDesign:
         monkeypatch.setattr(spectrum, "compute_spectra", counting_spectra)
         code, _, _ = run_cli(["design", "--gate", "b", "--m1", "-1"], capsys)
         assert code == 0
-        assert solved == [(0, 0), (0, 0), (-1, 0)]
+        assert solved == [(0, 0), (-1, 0)]
 
     @pytest.mark.parametrize("argv", [["--gate", "b"], ["--gate", "a", "--m1", "-1"]])
     def test_kn_window_only_for_displaced_gate_b(self, argv, capsys):

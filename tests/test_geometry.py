@@ -85,6 +85,22 @@ def test_non_finite_field_rejected(field, value):
         DeviceGeometry(**{field: value})
 
 
+@pytest.mark.parametrize("geometry, message", [
+    # B1 < 0 while the mean stays positive, from a gradient of about 1.9e8 T/m
+    (DeviceGeometry(gradient=2e8), "B1 = -0.30996363137308736 T of DeviceGeometry(n0=47, "
+                                   "gradient=200000000.0, mean_field_b=3.3, m1=0, m2=0) "
+                                   "is not positive"),
+    # gamma_e * B overflows to inf
+    (DeviceGeometry(mean_field_b=1e300), "B1 = 1e+300 T of DeviceGeometry(n0=47, "
+                                         "gradient=130000.0, mean_field_b=1e+300, m1=0, m2=0) "
+                                         "is too large: its Zeeman term gamma_e*B1 is not finite"),
+])
+def test_field_outside_the_model_rejected(geometry, message):
+    with pytest.raises(ValueError) as exc:
+        effective_params(geometry)
+    assert str(exc.value).startswith("the local field ") and message in str(exc.value)
+
+
 @pytest.mark.parametrize("gradient", [1e30, 1e200])
 def test_no_positive_mean_field_rejected(gradient):
     # so large a gradient cancels B1 + B2 to 0 in floating point

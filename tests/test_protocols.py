@@ -13,7 +13,7 @@ from donorpair import (DEFAULT_GEOMETRY, GATES, DeviceGeometry, EnsembleConfig, 
                        design_gate, ensemble_grid, ensemble_init, ensemble_workers,
                        pulse_propagator, run_ee_cnot, run_initialization, sweep_gate_error)
 from donorpair.protocols import (INIT_SUPPORT, LAW_CODES, LAWS, _chain_draws, _chain_errors,
-                                 _displacements, _form_coefficients, _form_tables,
+                                 _form_coefficients, _form_tables, _pair_rows,
                                  design_protocol_pulses, protocol_form)
 
 # Frozen cross-implementation values (independent prototype of the same
@@ -63,6 +63,11 @@ def reference_chains(config: EnsembleConfig, realization: int):
             chains += 1
 
 
+def row_of(m1: int, m2: int) -> int:
+    """Form-table row of the displacement pair (m1, m2): m1 major, both from -4."""
+    return (m1 + 4) * 9 + (m2 + 4)
+
+
 def random_forms(rng: np.random.Generator, n: int) -> np.ndarray:
     """n random 4x4 Hermitian matrices with spectrum in [0, 1], like protocol forms."""
     q, _ = np.linalg.qr(rng.normal(size=(n, 4, 4)) + 1j * rng.normal(size=(n, 4, 4)))
@@ -109,6 +114,12 @@ class TestInitialization:
         for (m1, kn), want in FROZEN_INIT.items():
             run = run_initialization(DEFAULT_GEOMETRY.displaced(m1=m1), k_e=1, k_n=kn)
             assert run.final_error == pytest.approx(want, rel=1e-3), (m1, kn)
+
+    def test_default_pulses_are_designed_for_the_chains_layout(self):
+        for geometry in (DeviceGeometry(n0=48), DeviceGeometry(n0=48).displaced(m1=1)):
+            pulses = design_protocol_pulses(1, 2000, DeviceGeometry(n0=48))
+            assert (run_initialization(geometry, 1, 2000).final_error
+                    == run_initialization(geometry, 1, 2000, pulses=pulses).final_error)
 
     def test_records_steps_and_fidelities(self):
         run = run_initialization(DEFAULT_GEOMETRY, k_n=10000)
@@ -189,13 +200,13 @@ class TestDistribution:
 
     def test_sampling_statistics(self):
         rng = np.random.default_rng(123)
-        uniforms = rng.random((40000, 2))
-        draws = _displacements("A", uniforms[:, 0], uniforms[:, 1])
-        assert abs((draws == 0).mean() - 0.53125) < 0.01
-        for mag in (1, 2, 3, 4):
-            assert abs((np.abs(draws) == mag).mean() - 0.5 ** (mag + 1)) < 0.01
-        signed = draws[draws != 0]
-        assert abs((signed > 0).mean() - 0.5) < 0.02
+        rows = _pair_rows("A", rng.random((40000, 4)))
+        for draws in (rows // 9 - 4, rows % 9 - 4):   # m1, m2
+            assert abs((draws == 0).mean() - 0.53125) < 0.01
+            for mag in (1, 2, 3, 4):
+                assert abs((np.abs(draws) == mag).mean() - 0.5 ** (mag + 1)) < 0.01
+            signed = draws[draws != 0]
+            assert abs((signed > 0).mean() - 0.5) < 0.02
 
     @given(data=st.data(), law=st.sampled_from(sorted(LAWS)))
     @settings(max_examples=80)
@@ -204,12 +215,39 @@ class TestDistribution:
         thresholds = list(itertools.accumulate(LAWS[law]))
         edges = thresholds + [float(np.nextafter(t, 0.0)) for t in thresholds]
         unit = st.floats(0.0, 1.0, exclude_max=True)
-        mags = data.draw(st.lists(st.one_of(unit, st.sampled_from(edges)), min_size=1,
-                                  max_size=40))
-        signs = data.draw(st.lists(st.one_of(unit, st.just(0.5)), min_size=len(mags),
-                                   max_size=len(mags)))
-        got = _displacements(law, np.array(mags), np.array(signs))
-        assert got.tolist() == [scalar_displacement(LAWS[law], m, s) for m, s in zip(mags, signs)]
+        mag = st.one_of(unit, st.sampled_from(edges))
+        sign = st.one_of(unit, st.just(0.5))
+        chains = data.draw(st.lists(st.tuples(mag, mag, sign, sign), min_size=1, max_size=40))
+        got = _pair_rows(law, np.array(chains))
+        r = LAWS[law]
+        assert got.tolist() == [row_of(scalar_displacement(r, mag1, sign1),
+                                       scalar_displacement(r, mag2, sign2))
+                                for mag1, mag2, sign1, sign2 in chains]
+
+    @pytest.mark.parametrize("law", sorted(LAWS))
+    def test_every_code_pair_maps_to_its_row(self, law):
+        # every (magnitude code, sign) of atom 1 against every one of atom 2:
+        # magnitude uniforms at 0, exactly on each partial sum, just below it
+        # and just below 1; sign uniforms at 0, around 0.5 and just below 1
+        thresholds = list(itertools.accumulate(LAWS[law]))
+        mags = sorted({0.0, float(np.nextafter(1.0, 0.0)), *thresholds,
+                       *(float(np.nextafter(t, 0.0)) for t in thresholds)})
+        signs = [0.0, float(np.nextafter(0.5, 0.0)), 0.5, float(np.nextafter(0.5, 1.0)),
+                 float(np.nextafter(1.0, 0.0))]
+        atom = list(itertools.product(mags, signs))   # (magnitude, sign) of one atom
+        chains = [(mag1, mag2, sign1, sign2)
+                  for (mag1, sign1), (mag2, sign2) in itertools.product(atom, atom)]
+        got = _pair_rows(law, np.array(chains))
+        r = LAWS[law]
+        assert got.tolist() == [row_of(scalar_displacement(r, mag1, sign1),
+                                       scalar_displacement(r, mag2, sign2))
+                                for mag1, mag2, sign1, sign2 in chains]
+        # the uniforms reach every (number of partial sums <= magnitude, sign < 0.5)
+        # code a uniform in [0, 1) can reach: all ten under laws A and B, and
+        # only |m| = 0 of either sign under law none, whose partial sums are all 0
+        codes = {(sum(t <= mag for t in thresholds), sign < 0.5) for mag, sign in atom}
+        assert len(codes) == (2 if law == "none" else 10)
+        assert len(set(got.tolist())) == (1 if law == "none" else 81)
 
     @given(seed=st.integers(0, 2**31))
     @settings(max_examples=20)
@@ -296,7 +334,7 @@ class TestEnsemble:
             if (m1, m2) not in coeffs:
                 coeffs[m1, m2] = _form_coefficients(protocol_form(
                     DEFAULT_GEOMETRY.displaced(m1, m2), pulses))
-            total += _chain_errors(coeffs[m1, m2][None], normals[None])[0]
+            total += _chain_errors(coeffs[m1, m2][:, None], np.zeros(1, int), normals[None])[0]
         assert len(coeffs) > 1
         assert ensemble_init(config).realization_means[0] == total / config.num_chains
 
@@ -311,7 +349,7 @@ class TestEnsemble:
                                     k_e=1, k_n=2000, seed=17)
             total = 0.0
             for pairs, normals in _chain_draws(config, 0):
-                for error in _chain_errors(table[pairs], normals).tolist():
+                for error in _chain_errors(table.T, pairs, normals).tolist():
                     total += error
             assert ensemble_init(config).realization_means[0] == total / config.num_chains
 
@@ -338,16 +376,23 @@ class TestEnsemble:
         forms = random_forms(rng, rows)
         coeffs = _form_coefficients(forms)
         normals = rng.normal(size=(rows, 8))
-        errors = _chain_errors(coeffs, normals)
+        columns, every = coeffs.T, np.arange(rows)
+        errors = _chain_errors(columns, every, normals)
         # a row's error does not depend on its batch, its size or its place in it
         for i in range(rows):
-            assert _chain_errors(coeffs[i:i + 1], normals[i:i + 1])[0] == errors[i]
+            assert _chain_errors(columns, every[i:i + 1], normals[i:i + 1])[0] == errors[i]
+            assert _chain_errors(coeffs[i:i + 1].T, every[:1], normals[i:i + 1])[0] == errors[i]
         order = rng.permutation(rows)
-        assert (_chain_errors(coeffs[order], normals[order]) == errors[order]).all()
+        assert (_chain_errors(columns, order, normals[order]) == errors[order]).all()
         split = min(split, rows)
-        parts = [_chain_errors(coeffs[:split], normals[:split]),
-                 _chain_errors(coeffs[split:], normals[split:])]
+        parts = [_chain_errors(columns, every[:split], normals[:split]),
+                 _chain_errors(columns, every[split:], normals[split:])]
         assert (np.concatenate(parts) == errors).all()
+        # chains that share a row read the same coefficients as chains given copies of it
+        pairs = rng.integers(0, rows, size=2 * rows)
+        shared = rng.normal(size=(2 * rows, 8))
+        assert (_chain_errors(columns, pairs, shared)
+                == _chain_errors(coeffs[pairs].T, np.arange(2 * rows), shared)).all()
         for i in range(rows):
             z = normals[i, :4] + 1j * normals[i, 4:]
             amps = z / np.linalg.norm(z)

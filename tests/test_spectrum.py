@@ -137,8 +137,9 @@ class TestStackedSpectrum:
             compute_spectra([DEFAULT_GEOMETRY, DEFAULT_GEOMETRY.displaced(2, 2)])
 
     def test_degenerate_geometry_in_stack_is_named(self):
-        # a vanishing field leaves no basis state dominant
-        bad = DeviceGeometry(mean_field_b=1e-6, m1=2, m2=-1)
+        # a weak field leaves no basis state dominant (1 mT; both local
+        # fields positive, as effective_params requires)
+        bad = DeviceGeometry(gradient=1e3, mean_field_b=1e-3, m1=2, m2=-1)
         with pytest.raises(DegenerateLabelError):
             compute_spectrum(bad)
         stack = [DEFAULT_GEOMETRY, DEFAULT_GEOMETRY.displaced(1, 1), bad,
