@@ -260,17 +260,18 @@ def cmd_spectrum(args) -> tuple[list[dict], list[str], dict]:
 
     geometry = _geometry(args)
     spec = compute_spectrum(geometry)
+    exact, pert, zeroth = spec.exact_energies, spec.pert_energies, spec.zeroth
     rows = []
     worst = 0.0
     for i in range(reg.DIM):
-        dev_hz = (spec.pert_energies[i] - spec.exact_energies[i]) / TWO_PI
+        dev_hz = (pert[i] - exact[i]) / TWO_PI
         worst = max(worst, abs(dev_hz))
         rows.append({
             "level": i,
             "ket": reg.ket_label(i),
-            "exact_MHz": _mhz(spec.exact_energies[i]),
-            "pert_MHz": _mhz(spec.pert_energies[i]),
-            "zeroth_MHz": _mhz(spec.zeroth[i]),
+            "exact_MHz": _mhz(exact[i]),
+            "pert_MHz": _mhz(pert[i]),
+            "zeroth_MHz": _mhz(zeroth[i]),
             "dev_Hz": dev_hz,
         })
     eps, eps_p, xi = spec.smallness

@@ -59,7 +59,8 @@ class EffectiveParams:
     """Static Hamiltonian parameters of a (possibly displaced) chain.
 
     b and delta_b are the mean and half-difference of the local fields;
-    a and j are angular frequencies.
+    a and j are angular frequencies. A stacked spectrum holds (n,) arrays
+    of them, one entry per chain.
     """
 
     b1: float
@@ -88,10 +89,12 @@ def effective_params(geometry: DeviceGeometry = DEFAULT_GEOMETRY) -> EffectivePa
     gamma_e*deltaB at the default layout and scales with gradient*N0 for
     other layouts (deltaB is the gradient times half the chain length).
     The model covers only chains whose local fields B1 and B2 are both
-    positive and whose Zeeman terms gamma_e*B1, gamma_e*B2 are finite; any
-    other chain is a ValueError naming the field, checked in this order: no
-    positive mean (a gradient so large that B1 + B2 cancels), a field not
-    positive (B1 < 0 from a gradient of about 1.9e8 T/m), a field too large.
+    positive and distinct and whose Zeeman terms gamma_e*B1, gamma_e*B2 are
+    finite; any other chain is a ValueError naming the field, checked in this
+    order: no positive mean (a gradient so large that B1 + B2 cancels), a
+    field not positive (B1 < 0 from a gradient of about 1.9e8 T/m), a field
+    too large, fields that round to one value (a mean field above about
+    3.5e13 T, where the atoms cannot be told apart).
     """
     delta_b0 = (NOMINAL_GAMMA_E_DELTA_B / GAMMA_E
                 * (geometry.gradient * geometry.n0)
@@ -109,5 +112,8 @@ def effective_params(geometry: DeviceGeometry = DEFAULT_GEOMETRY) -> EffectivePa
         if not math.isfinite(GAMMA_E * field):
             raise ValueError(f"the local field {name} = {field!r} T of {geometry} "
                              f"is too large: its Zeeman term gamma_e*{name} is not finite")
+    if b1 == b2:
+        raise ValueError(f"the local field B1 = {b1!r} T of {geometry} equals "
+                         f"B2 = {b2!r} T: the two atoms cannot be told apart")
     return EffectiveParams(b1=b1, b2=b2, a=HYPERFINE_A,
                            j=j_for_sites(geometry.separation_sites))

@@ -423,18 +423,15 @@ def _solve_form_tables(keys: Sequence[tuple]) -> list[np.ndarray]:
               for (geometry, _, _), key_pairs in zip(keys, pairs)]
     row = {chain: i for i, chain in enumerate(dict.fromkeys(itertools.chain(*chains)))}
     spectra = compute_spectra(list(row))
-    hamiltonians = np.stack([spec.hamiltonian for spec in spectra])
-    vectors = np.stack([spec.eigenvectors for spec in spectra])
-    del spectra   # frees their own stacks before the propagator stacks are built
-    propagators = {pulse: pulse_propagator(hamiltonians, pulse)
+    propagators = {pulse: pulse_propagator(spectra.hamiltonian, pulse)
                    for pulse in dict.fromkeys(p for _, key_pulses, _ in keys for _, p in key_pulses)}
     tables = []
     for (_, key_pulses, _), key_pairs, key_chains in zip(keys, pairs, chains):
         rows = [row[c] for c in key_chains]
         if rows == list(range(len(row))):
             rows = slice(None)
-        forms = _protocol_forms(vectors[rows], {name: propagators[pulse][rows]
-                                                for name, pulse in key_pulses})
+        forms = _protocol_forms(spectra.eigenvectors[rows],
+                                {name: propagators[pulse][rows] for name, pulse in key_pulses})
         table = np.full((len(DISPLACEMENTS) ** 2, 16), np.nan)
         table[[_pair_index(m1, m2) for m1, m2 in key_pairs]] = _form_coefficients(forms)
         table.flags.writeable = False

@@ -4,9 +4,11 @@ H0 = gamma_e*B1*S1z + gamma_e*B2*S2z - gamma_n*B1*I1z - gamma_n*B2*I2z
      + A (S1.I1 + S2.I2) + J S1.S2
 
 Eigenstates are labelled by their dominant basis component, not by energy
-order, so that level indices track basis kets while parameters vary. The
-perturbative energies treat the electron flip-flop blocks exactly and the
-hyperfine flip-flops to second order in A.
+order, so that level indices track basis kets while parameters vary.
+compute_spectra solves a stack of chains at once into one Spectrum record;
+compute_spectrum is its one-chain case. The perturbative energies treat the
+electron flip-flop blocks exactly and the hyperfine flip-flops to second
+order in A; a one-chain record computes them only when they are read.
 """
 from __future__ import annotations
 
@@ -44,13 +46,17 @@ _STATES = np.arange(reg.DIM)
 
 
 def build_h0(params: EffectiveParams) -> np.ndarray:
-    """Static 16x16 Hamiltonian, entries in angular frequency units."""
-    return (GAMMA_E * params.b1 * reg.SZ["e1"]
-            + GAMMA_E * params.b2 * reg.SZ["e2"]
-            - GAMMA_N * params.b1 * reg.SZ["n1"]
-            - GAMMA_N * params.b2 * reg.SZ["n2"]
-            + params.a * (reg.HYPERFINE_1 + reg.HYPERFINE_2)
-            + params.j * reg.EXCHANGE)
+    """Static Hamiltonian, entries in angular frequency units.
+
+    16x16 for one chain, or (n, 16, 16) for params with (n,) fields.
+    """
+    outer = np.multiply.outer
+    return (outer(GAMMA_E * params.b1, reg.SZ["e1"])
+            + outer(GAMMA_E * params.b2, reg.SZ["e2"])
+            - outer(GAMMA_N * params.b1, reg.SZ["n1"])
+            - outer(GAMMA_N * params.b2, reg.SZ["n2"])
+            + outer(params.a, reg.HYPERFINE_1 + reg.HYPERFINE_2)
+            + outer(params.j, reg.EXCHANGE))
 
 
 def exact_spectrum(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -157,15 +163,9 @@ def _caller_stacklevel() -> int:
 def perturbative_spectrum(params: EffectiveParams) -> np.ndarray:
     """Labelled energies including the second-order hyperfine corrections.
 
-    Levels 10 and 12 exchange labels as in zeroth_energies. Warns when the
-    parameters sit within the guard band of that crossing.
+    Levels 10 and 12 exchange labels as in zeroth_energies. The warning near
+    that crossing comes from compute_spectra, which labels the exact levels.
     """
-    margin = abs(params.a / 2 - GAMMA_E * params.delta_b)
-    if margin < SWAP_GUARD_BAND:
-        warnings.warn(
-            f"A/2 - gamma_e*deltaB margin is {margin / TWO_PI:.1f} Hz; "
-            "labels 10/12 are near their crossing", SwapBoundaryWarning,
-            stacklevel=_caller_stacklevel())
     e0 = _block_energies(params)
     a2 = params.a**2 / 4
     e2 = np.zeros(reg.DIM)
@@ -184,55 +184,92 @@ def perturbative_spectrum(params: EffectiveParams) -> np.ndarray:
     return _past_crossing(params, e0 + e2)
 
 
+_EPS_PRIME_POLE = "epsilon' pole: 2*gamma_e*(B2-B1) equals A"
+
+
+def _at_eps_prime_pole(params: EffectiveParams) -> bool | np.ndarray:
+    """Where 2*gamma_e*(B2-B1) equals A to 1e-12 of A: a bool, or an (n,) mask for a stack."""
+    return abs(2 * GAMMA_E * (params.b2 - params.b1) - params.a) < 1e-12 * params.a
+
+
 def small_params(params: EffectiveParams) -> tuple[float, float, float]:
     """Smallness parameters (epsilon, epsilon', xi) of the basis approximation."""
-    two_ge_db = 2 * GAMMA_E * (params.b2 - params.b1)
     if params.b2 == params.b1:
         raise ValidityError("epsilon undefined: equal fields at the two atoms")
-    denom = two_ge_db - params.a
-    if abs(denom) < 1e-12 * params.a:
-        raise ValidityError("epsilon' pole: 2*gamma_e*(B2-B1) equals A")
+    if _at_eps_prime_pole(params):
+        raise ValidityError(_EPS_PRIME_POLE)
+    two_ge_db = 2 * GAMMA_E * (params.b2 - params.b1)
     eps = params.j / two_ge_db
-    eps_prime = params.j / abs(denom)
+    eps_prime = params.j / abs(two_ge_db - params.a)
     xi = params.a / (2 * GAMMA_E * params.b)
     return eps, eps_prime, xi
 
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Exact and perturbative level structure of one chain."""
+    """Exact level structure of one chain, or of a stack of n chains.
+
+    compute_spectra gives the stack: `params` with (n,) fields and every
+    array with a leading axis of n. compute_spectrum gives one chain, whose
+    perturbative levels and smallness parameters are computed from
+    `params` each time they are read; they are defined for one chain only.
+    """
 
     params: EffectiveParams
     hamiltonian: np.ndarray
     exact_energies: np.ndarray
     eigenvectors: np.ndarray      # column i = labelled eigenstate i
-    zeroth: np.ndarray
-    pert_energies: np.ndarray
-    smallness: tuple[float, float, float]
+
+    @property
+    def zeroth(self) -> np.ndarray:
+        return zeroth_energies(self.params)
+
+    @property
+    def pert_energies(self) -> np.ndarray:
+        return perturbative_spectrum(self.params)
+
+    @property
+    def smallness(self) -> tuple[float, float, float]:
+        return small_params(self.params)
 
 
 def compute_spectrum(geometry: DeviceGeometry = DEFAULT_GEOMETRY) -> Spectrum:
-    return compute_spectra([geometry])[0]
+    """The one-chain record of `geometry`: compute_spectra([geometry]) without its stack axis."""
+    stack = compute_spectra([geometry])
+    p = stack.params
+    return Spectrum(EffectiveParams(p.b1[0], p.b2[0], p.a[0], p.j[0]), stack.hamiltonian[0],
+                    stack.exact_energies[0], stack.eigenvectors[0])
 
 
-def compute_spectra(geometries: Sequence[DeviceGeometry]) -> list[Spectrum]:
-    """Spectrum of each geometry, from one stacked exact_spectrum.
+def compute_spectra(geometries: Sequence[DeviceGeometry]) -> Spectrum:
+    """The stacked Spectrum of the geometries, from one build_h0 and one exact_spectrum.
 
-    Each spectrum equals what the geometry gives alone, bit for bit, and
-    raises and warns as it would alone; a failed labelling or residual
-    guard names the first geometry that failed.
+    Row i equals what geometries[i] gives alone, bit for bit. The guards
+    run as they would for each geometry alone: a failed labelling or
+    residual guard names the first geometry that failed; then, chain by
+    chain in stack order, a chain within SWAP_GUARD_BAND of the 10/12 label
+    crossing warns and a chain at the epsilon' pole raises ValidityError.
+    (Equal fields at the two atoms are refused by effective_params.)
     """
-    params = [effective_params(g) for g in geometries]
-    h = np.array([build_h0(p) for p in params])
+    rows = [effective_params(g) for g in geometries]
+    params = EffectiveParams(*map(np.array, zip(*((p.b1, p.b2, p.a, p.j) for p in rows))))
+    h = build_h0(params)
     try:
         energies, vectors = exact_spectrum(h)
     except ValidityError as exc:
         g = geometries[exc.entry]
         raise type(exc)(f"{exc} (displacement pair m1 = {g.m1}, m2 = {g.m2} of {g})") from None
-    return [Spectrum(params=p, hamiltonian=h[i], exact_energies=energies[i],
-                     eigenvectors=vectors[i], zeroth=zeroth_energies(p),
-                     pert_energies=perturbative_spectrum(p), smallness=small_params(p))
-            for i, p in enumerate(params)]
+    margin = abs(params.a / 2 - GAMMA_E * params.delta_b)
+    pole = _at_eps_prime_pole(params)
+    for i in np.flatnonzero((margin < SWAP_GUARD_BAND) | pole):
+        if margin[i] < SWAP_GUARD_BAND:
+            warnings.warn(
+                f"A/2 - gamma_e*deltaB margin is {margin[i] / TWO_PI:.1f} Hz; "
+                "labels 10/12 are near their crossing", SwapBoundaryWarning,
+                stacklevel=_caller_stacklevel())
+        if pole[i]:
+            raise ValidityError(_EPS_PRIME_POLE)
+    return Spectrum(params, h, energies, vectors)
 
 
 def transition_frequency(spec: Spectrum, p: int, q: int) -> float:

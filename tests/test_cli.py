@@ -154,6 +154,9 @@ def test_huge_gradient_rejected(argv, gradient, monkeypatch, capsys):
                                   "is not positive"),
     ("--b-tesla", "1e300", "= 1e+300 T of DeviceGeometry(n0=47, gradient=130000.0, "
                            "mean_field_b=1e+300, m1=0, m2=0) is too large"),
+    # the two local fields round to one value: refused before the residual guard overflows
+    ("--b-tesla", "1e200", "= 1e+200 T of DeviceGeometry(n0=47, gradient=130000.0, "
+                           "mean_field_b=1e+200, m1=0, m2=0) equals B2 = 1e+200 T"),
 ])
 @pytest.mark.parametrize("argv", [
     ["spectrum"],

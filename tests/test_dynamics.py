@@ -81,8 +81,8 @@ class TestEvolvePulse:
     @pytest.mark.filterwarnings("ignore::donorpair.spectrum.SwapBoundaryWarning")
     def test_stacked_propagators_equal_single_ones(self, default_spectrum):
         # every gate over all 81 displaced chains, one eigh per gate
-        hamiltonians = np.stack([s.hamiltonian for s in compute_spectra(
-            [DEFAULT_GEOMETRY.displaced(m1, m2) for m1 in range(-4, 5) for m2 in range(-4, 5)])])
+        hamiltonians = compute_spectra([DEFAULT_GEOMETRY.displaced(m1, m2)
+                                        for m1 in range(-4, 5) for m2 in range(-4, 5)]).hamiltonian
         for name, k in (("a", 1), ("b", 2000), ("c", 1), ("d", 2000), ("ee", 1)):
             pulse = design_gate(default_spectrum, GATES[name], k)
             stacked = pulse_propagator(hamiltonians, pulse)

@@ -94,6 +94,10 @@ def test_non_finite_field_rejected(field, value):
     (DeviceGeometry(mean_field_b=1e300), "B1 = 1e+300 T of DeviceGeometry(n0=47, "
                                          "gradient=130000.0, mean_field_b=1e+300, m1=0, m2=0) "
                                          "is too large: its Zeeman term gamma_e*B1 is not finite"),
+    # B1 and B2 round to one value from a mean field of about 3.5e13 T
+    (DeviceGeometry(mean_field_b=1e200), "B1 = 1e+200 T of DeviceGeometry(n0=47, "
+                                         "gradient=130000.0, mean_field_b=1e+200, m1=0, m2=0) "
+                                         "equals B2 = 1e+200 T"),
 ])
 def test_field_outside_the_model_rejected(geometry, message):
     with pytest.raises(ValueError) as exc:

@@ -7,8 +7,10 @@ from hypothesis import given, settings, strategies as st
 from donorpair import (DEFAULT_GEOMETRY, DegenerateLabelError, DeviceGeometry, EnsembleConfig,
                        SwapBoundaryWarning, build_h0, compute_spectra, compute_spectrum,
                        effective_params, ensemble_init, exact_spectrum, perturbative_spectrum,
-                       small_params, transition_frequency, zeroth_energies)
-from donorpair import protocols
+                       small_params, sweep_gate_error, transition_frequency, zeroth_energies)
+from donorpair import protocols, spectrum
+from donorpair.cli import main
+from donorpair.protocols import design_protocol_pulses
 from donorpair.constants import GAMMA_E as GE, GAMMA_N as GN, HYPERFINE_A, TWO_PI
 from donorpair.geometry import EffectiveParams
 from donorpair.spectrum import ValidityError
@@ -121,12 +123,59 @@ class TestStackedSpectrum:
             warnings.simplefilter("ignore", SwapBoundaryWarning)
             stacked = compute_spectra(self.GEOMETRIES)
             alone = [compute_spectrum(g) for g in self.GEOMETRIES]
-        assert len(stacked) == 81
-        for geometry, s, a in zip(self.GEOMETRIES, stacked, alone):
-            assert s.params == a.params and s.smallness == a.smallness, geometry
-            for field in ("hamiltonian", "exact_energies", "eigenvectors", "zeroth",
-                          "pert_energies"):
-                assert np.array_equal(getattr(s, field), getattr(a, field)), (geometry, field)
+        assert stacked.hamiltonian.shape == stacked.eigenvectors.shape == (81, 16, 16)
+        assert stacked.exact_energies.shape == (81, 16) and stacked.params.j.shape == (81,)
+        for i, (geometry, a) in enumerate(zip(self.GEOMETRIES, alone)):
+            assert a.params == effective_params(geometry), geometry
+            for field in ("b1", "b2", "a", "j"):
+                assert getattr(stacked.params, field)[i] == getattr(a.params, field), (geometry, field)
+            for field in ("hamiltonian", "exact_energies", "eigenvectors"):
+                assert np.array_equal(getattr(stacked, field)[i], getattr(a, field)), (geometry, field)
+
+    def test_stacked_build_equals_single_builds(self):
+        params = [effective_params(g) for g in self.GEOMETRIES]
+        stacked = EffectiveParams(*(np.array([getattr(p, f) for p in params])
+                                    for f in ("b1", "b2", "a", "j")))
+        h = build_h0(stacked)
+        assert h.shape == (81, 16, 16)
+        single = np.array([build_h0(p) for p in params])
+        assert h.tobytes() == single.tobytes()   # every bit, signed zeros included
+
+    @pytest.mark.parametrize("m1, m2", [(0, 0), (1, -1), (4, -1), (-3, 2)])
+    def test_one_chain_derives_its_perturbative_levels(self, m1, m2):
+        geometry = DEFAULT_GEOMETRY.displaced(m1, m2)
+        p = effective_params(geometry)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SwapBoundaryWarning)
+            spec = compute_spectrum(geometry)
+        assert np.array_equal(spec.zeroth, zeroth_energies(p))
+        assert np.array_equal(spec.pert_energies, perturbative_spectrum(p))
+        assert spec.smallness == small_params(p)
+
+    def test_exact_paths_compute_no_perturbative_level(self, monkeypatch):
+        # the perturbative levels are computed only where they are read
+        def no_levels(params):
+            raise AssertionError("an exact path computed perturbative levels")
+        monkeypatch.setattr(spectrum, "_block_energies", no_levels)
+        monkeypatch.setattr(protocols, "_FORM_TABLES", {})
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SwapBoundaryWarning)
+            compute_spectra(self.GEOMETRIES)
+            sweep_gate_error("a", m_range=(-1, 0, 1), k_list=(1,))
+            design_protocol_pulses()
+            ensemble_init(EnsembleConfig(num_chains=10, num_realizations=1, law="A"))
+        with pytest.raises(AssertionError, match="perturbative levels"):
+            compute_spectrum(DEFAULT_GEOMETRY).zeroth
+
+    def test_spectrum_command_reads_each_derived_value_once(self, monkeypatch):
+        calls = []
+        for name in ("zeroth_energies", "perturbative_spectrum", "small_params"):
+            def counting(params, solve=getattr(spectrum, name), name=name):
+                calls.append(name)
+                return solve(params)
+            monkeypatch.setattr(spectrum, name, counting)
+        assert main(["spectrum"]) == 0
+        assert sorted(calls) == ["perturbative_spectrum", "small_params", "zeroth_energies"]
 
     def test_stack_warns_as_its_geometries_do(self):
         # (1, -4) sits at the 10/12 label crossing, (0, 0) far from it
@@ -184,7 +233,7 @@ class TestPerturbativeSpectrum:
     def test_guard_warning_reports_the_margin_in_hz(self):
         # pair (4, -1) of the default grid lies 40 Hz from the label crossing
         with pytest.warns(SwapBoundaryWarning, match=r"margin is 40\.0 Hz;"):
-            perturbative_spectrum(effective_params(DEFAULT_GEOMETRY.displaced(4, -1)))
+            compute_spectrum(DEFAULT_GEOMETRY.displaced(4, -1))
 
     @pytest.mark.parametrize("solve", [
         lambda: compute_spectrum(DEFAULT_GEOMETRY.displaced(4, -1)),
@@ -199,9 +248,8 @@ class TestPerturbativeSpectrum:
 
     def test_swap_rule_and_guard_warning(self):
         # m2 - m1 = -5 sits within tens of Hz of the label crossing
-        p_near = effective_params(DEFAULT_GEOMETRY.displaced(1, -4))
         with pytest.warns(SwapBoundaryWarning):
-            perturbative_spectrum(p_near)
+            compute_spectrum(DEFAULT_GEOMETRY.displaced(1, -4))
         # past the crossing the labels must be exchanged to follow the exact ones
         p_past = effective_params(DEFAULT_GEOMETRY.displaced(2, -4))
         assert p_past.a / 2 > GE * p_past.delta_b
@@ -256,3 +304,17 @@ class TestSmallness:
         p = EffectiveParams(b1=3.3, b2=3.3, a=default_params.a, j=default_params.j)
         with pytest.raises(ValidityError):
             small_params(p)
+
+    def test_eps_prime_pole_guard(self, capsys):
+        # at this gradient 2*gamma_e*(B2-B1) lies 2e-14 of A from A on the nominal chain;
+        # its exact labels are clean (smallest dominant weight 0.99972), so the guard
+        # protects only the perturbative values
+        gradient = 58085.84245741747
+        pole = DeviceGeometry(gradient=gradient)
+        with pytest.raises(ValidityError, match="epsilon' pole"):
+            compute_spectrum(pole)
+        with pytest.raises(ValidityError, match="epsilon' pole"):
+            compute_spectra([DeviceGeometry(gradient=gradient, m1=1), pole])
+        assert main(["sweep", "--gate", "a", "--gradient-T-per-m", str(gradient)]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and "epsilon' pole" in err
