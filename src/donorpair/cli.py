@@ -14,7 +14,7 @@ modules (--N0, the fields, the --K of design, sweep and ensemble) stay None
 in the parser and are filled in by the command.
 
 Each command imports the layers it runs when it runs, so --version, --help
-and usage errors start without numpy.
+and usage errors start without numpy, and jtable runs without it.
 """
 from __future__ import annotations
 
@@ -236,11 +236,10 @@ def _emit(rows: list[dict], header: list[str], resolved: dict, command: str,
 
 
 def _format_cell(x) -> str:
-    import numpy as np
-
-    if isinstance(x, (float, np.floating)):
+    np = sys.modules.get("numpy")   # a value is a numpy scalar only once numpy is loaded
+    if isinstance(x, float) or np is not None and isinstance(x, np.floating):
         return repr(float(x))  # shortest exactly round-tripping decimal
-    if isinstance(x, np.integer):
+    if np is not None and isinstance(x, np.integer):
         return str(int(x))
     return str(x)
 

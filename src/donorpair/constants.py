@@ -5,13 +5,14 @@ print or report values divide by 2*pi, since measured quantities are always
 quoted as cycles per second.
 
 The constants are fixed module values: every layer imports the ones it
-reads, and no function takes them as an argument.
+reads, and no function takes them as an argument. They are computed with
+`math` alone, so this module loads no numpy.
 """
 from __future__ import annotations
 
-import numpy as np
+import math
 
-TWO_PI = 2.0 * np.pi
+TWO_PI = 2.0 * math.pi
 
 # SI 2019 defines e and h exactly; epsilon_0 is the CODATA 2022 value.
 _ELEMENTARY_CHARGE = 1.602176634e-19   # C
@@ -30,6 +31,6 @@ _MASS_RATIO = 0.19
 _BOHR_RADIUS_H = 0.5292e-10  # m
 BOHR_RADIUS_AB = KAPPA * _BOHR_RADIUS_H / _MASS_RATIO   # 33.14 A
 
-COULOMB_PREFACTOR = _ELEMENTARY_CHARGE**2 / (4 * np.pi * _EPSILON_0)  # J*m
+COULOMB_PREFACTOR = _ELEMENTARY_CHARGE**2 / (4 * math.pi * _EPSILON_0)  # J*m
 
 HBAR = _PLANCK / TWO_PI

@@ -3,12 +3,16 @@
 The Herring-Flicker large-separation asymptotics gives the exchange splitting
 of two hydrogen-like centres; with the effective Bohr radius and dielectric
 constant of silicon it is accurate enough to map donor separation to J.
+
+The layer is pure Python: J is one `math.exp` per separation and comes back
+as a Python float, so `donorpair jtable`, which reads only this module and
+`constants`, runs without numpy.
 """
 from __future__ import annotations
 
-import numpy as np
+import math
 
-from .constants import BOHR_RADIUS_AB, COULOMB_PREFACTOR, HBAR, KAPPA, LATTICE_STEP_A0
+from .constants import BOHR_RADIUS_AB, COULOMB_PREFACTOR, HBAR, KAPPA, LATTICE_STEP_A0, TWO_PI
 
 # Printed regression coefficients of the quartic fit to dJ/J0 versus the
 # displacement step m at nominal 47-site separation (diagnostic only; the
@@ -21,7 +25,7 @@ def herring_flicker(a: float) -> float:
     if a <= 0:
         raise ValueError("separation must be positive")
     energy = (1.642 * COULOMB_PREFACTOR / (KAPPA * BOHR_RADIUS_AB)
-              * (a / BOHR_RADIUS_AB) ** 2.5 * np.exp(-2.0 * a / BOHR_RADIUS_AB))
+              * (a / BOHR_RADIUS_AB) ** 2.5 * math.exp(-2.0 * a / BOHR_RADIUS_AB))
     return energy / HBAR
 
 
@@ -57,5 +61,5 @@ def exchange_table(n_min: int, n_max: int):
     rows = []
     for n in range(n_min, n_max + 1):
         a = n * LATTICE_STEP_A0
-        rows.append((n, a * 1e9, j_for_sites(n) / (2 * np.pi) / 1e6))
+        rows.append((n, a * 1e9, j_for_sites(n) / TWO_PI / 1e6))
     return rows

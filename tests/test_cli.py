@@ -6,6 +6,7 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 from donorpair import cli, protocols, spectrum
@@ -82,6 +83,22 @@ class TestJtable:
         code, out, _ = run_cli(["--config", str(cfg), "jtable", "40", "41"], capsys)
         assert (code, out) == run_cli(["jtable", "40", "41"], capsys)[:2]
         assert code == 0
+
+
+# CSV cell text of each kind of value a command puts in a row
+PYTHON_CELLS = [(0.1, "0.1"), (1e-300, "1e-300"), (-0.0, "-0.0"), (float("nan"), "nan"),
+                (7, "7"), (True, "True"), (False, "False"), ("a|b", "a|b")]
+NUMPY_CELLS = [(np.float64(0.1), "0.1"), (np.float32(0.1), "0.10000000149011612"),
+               (np.int64(-7), "-7"), (np.bool_(True), "True"), (np.bool_(False), "False")]
+
+
+@pytest.mark.parametrize("numpy_loaded", [True, False], ids=["numpy", "no-numpy"])
+def test_format_cell_text(numpy_loaded, monkeypatch):
+    # without numpy in sys.modules (as in jtable) Python values keep their text
+    cells = PYTHON_CELLS + NUMPY_CELLS if numpy_loaded else PYTHON_CELLS
+    if not numpy_loaded:
+        monkeypatch.delitem(sys.modules, "numpy")
+    assert [cli._format_cell(value) for value, _ in cells] == [text for _, text in cells]
 
 
 def gate_choices(command: str) -> tuple:

@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 
 from donorpair import delta_j, delta_j_series, herring_flicker, j_for_sites
 from donorpair.constants import BOHR_RADIUS_AB, LATTICE_STEP_A0, TWO_PI
+from donorpair.exchange import exchange_table
 
 # Reference couplings J/2pi (MHz) versus separation in lattice steps.
 REFERENCE_TABLE = {
@@ -84,3 +85,46 @@ def test_exact_linear_coefficient():
 def test_relative_step_matches_table_ratio():
     ratio = delta_j(-1) / j_for_sites(47)
     assert ratio == pytest.approx(1.306 / 1.97 - 1.0, rel=0.01)
+
+
+# float.hex of J (rad/s) at every separation of the default layout and of the
+# benchmark's layouts (N0 47 and 48 with |m1|, |m2| <= 4). Frozen from the
+# numpy `exp` this layer used before it became pure Python: `math.exp`
+# gives the same bits at each of these separations.
+FROZEN_J_HEX = {
+    35: "0x1.6f5e03487ff47p+30",
+    36: "0x1.eff7ff70cd62cp+29",
+    37: "0x1.4e2622158c71dp+29",
+    38: "0x1.c16e34b9cb70bp+28",
+    39: "0x1.2db81714ea5f2p+28",
+    40: "0x1.9471cf61520a6p+27",
+    41: "0x1.0ea624932213ap+27",
+    42: "0x1.69b0e7c440df6p+26",
+    43: "0x1.e2ac668958f32p+25",
+    44: "0x1.41a05c4124d36p+25",
+    45: "0x1.ac12fd974267ep+24",
+    46: "0x1.1c865725855a2p+24",
+    47: "0x1.79c770a4ad86ap+23",
+    48: "0x1.f507c822cbd88p+22",
+    49: "0x1.4be2d0ad9f26fp+22",
+    50: "0x1.b73abf389d220p+21",
+    51: "0x1.225af08a9e97ep+21",
+    52: "0x1.7f8361325dc8ap+20",
+    53: "0x1.fa1785ecdf0efp+19",
+    54: "0x1.4da0a42afc93dp+19",
+    55: "0x1.b77e320c8ec08p+18",
+    56: "0x1.213c8731d5d96p+18",
+    57: "0x1.7c65cbfb624f9p+17",
+    58: "0x1.f3e7f3d3abfa1p+16",
+    59: "0x1.483c69c4d3395p+16",
+    60: "0x1.aeba18bfd38e8p+15",
+}
+
+
+def test_j_bits_are_frozen_over_the_layout_separations():
+    assert {n: float.hex(j_for_sites(n)) for n in FROZEN_J_HEX} == FROZEN_J_HEX
+
+
+def test_exchange_table_rows_hold_python_numbers():
+    for row in exchange_table(35, 60):
+        assert [type(x) for x in row] == [int, float, float]

@@ -85,10 +85,16 @@ class TestImportFootprint:
     def test_version_help_and_usage_errors_load_no_numpy(self, source_env, argv, code):
         assert loaded_modules(source_env, cli_run(argv, code))["numpy"] == []
 
-    def test_jtable_loads_constants_and_exchange_only(self, source_env):
-        loaded = loaded_modules(source_env, cli_run(["jtable", "40", "41"], 0))
-        assert loaded["donorpair"] == ["donorpair", "donorpair.cli", "donorpair.constants",
-                                       "donorpair.exchange"]
+    def test_jtable_loads_constants_and_exchange_only(self, source_env, tmp_path):
+        out = str(tmp_path / "jtable.json")
+        for argv in (["jtable", "40", "41"], ["jtable", "40", "41", "--format", "json",
+                                              "--out", out]):
+            loaded = loaded_modules(source_env, cli_run(argv, 0))
+            assert loaded["donorpair"] == ["donorpair", "donorpair.cli", "donorpair.constants",
+                                           "donorpair.exchange"], argv
+            assert loaded["numpy"] == [], argv
+        assert json.loads((tmp_path / "jtable.json").read_text())["columns"] == [
+            "N", "a_nm", "J_MHz"]
 
     @pytest.mark.parametrize("argv,skipped", [
         (["spectrum"], ["pulses", "dynamics", "protocols"]),
