@@ -9,7 +9,7 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "constants": ("TWO_PI",),
-    "exchange": ("delta_j", "delta_j_series", "herring_flicker", "j_for_sites"),
+    "exchange": ("delta_j", "herring_flicker", "j_for_sites"),
     "geometry": ("DEFAULT_GEOMETRY", "DeviceGeometry", "EffectiveParams", "effective_params",
                  "field_step"),
     "spectrum": ("DegenerateLabelError", "Spectrum", "SwapBoundaryWarning", "ValidityError",

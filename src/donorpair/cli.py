@@ -212,21 +212,27 @@ def _output_path(args) -> Path | None:
     return path
 
 
+def _record(obj) -> dict:
+    """JSON form of a config record; imports dataclasses only when one is met."""
+    from dataclasses import asdict
+
+    return asdict(obj)
+
+
 def _emit(rows: list[dict], header: list[str], resolved: dict, command: str,
           fmt: str, path: Path | None) -> None:
     import json
-    from dataclasses import asdict
 
     resolved = dict(resolved, command=command, version=__version__)
     if fmt == "json":
         doc = {"config": resolved, "columns": header, "rows": rows}
-        text = json.dumps(doc, indent=2, sort_keys=True, default=asdict) + "\n"
+        text = json.dumps(doc, indent=2, sort_keys=True, default=_record) + "\n"
     else:
         lines = [",".join(header)]
         for row in rows:
             lines.append(",".join(_format_cell(row[h]) for h in header))
         text = "\n".join(lines) + "\n"
-        print(f"# config: {json.dumps(resolved, sort_keys=True, default=asdict)}", file=sys.stderr)
+        print(f"# config: {json.dumps(resolved, sort_keys=True, default=_record)}", file=sys.stderr)
     if path is None:
         sys.stdout.write(text)
     else:

@@ -128,7 +128,7 @@ def design_protocol_pulses(k_e: int = DEFAULT_K_ELECTRON, k_n: int = DEFAULT_K_N
 
 def _transfer_error(vectors: np.ndarray, u: np.ndarray, source: int, target: int) -> float:
     """1 - |v_target^H U v_source|^2 for labelled eigenvector columns v and propagator U."""
-    return 1.0 - abs(np.vdot(vectors[:, target], u @ vectors[:, source])) ** 2
+    return float(1.0 - abs(np.vdot(vectors[:, target], u @ vectors[:, source])) ** 2)
 
 
 def _chain_transfer_error(geometry: DeviceGeometry, pulse: PulseSpec, source: int,
@@ -291,6 +291,8 @@ def run_ee_cnot(geometry: DeviceGeometry, k_prime: int = 1) -> float:
 
 @dataclass(frozen=True)
 class EnsembleConfig:
+    """Settings of one Monte-Carlo ensemble of initialization runs on nominal geometry."""
+
     num_chains: int = 2000
     num_realizations: int = 8
     law: str = "A"
@@ -316,6 +318,8 @@ class EnsembleConfig:
 
 @dataclass(frozen=True)
 class EnsembleResult:
+    """Mean initialization error of each realization of an ensemble, with its config."""
+
     config: EnsembleConfig
     realization_means: tuple[float, ...]
 

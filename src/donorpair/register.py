@@ -10,38 +10,33 @@ from __future__ import annotations
 import numpy as np
 
 DIM = 16
-SPINS = ("n2", "e2", "e1", "n1")      # kron order, most significant bit first
+SPINS = ("n2", "e2", "e1", "n1")      # most significant bit first
+_BIT = dict(zip(SPINS, (8, 4, 2, 1)))   # each spin's bit of the basis index
+_SPIN_OF_BIT = {b: s for s, b in _BIT.items()}
 
-_SZ = np.diag([0.5, -0.5]).astype(complex)
-_SP = np.array([[0, 1], [0, 0]], dtype=complex)   # raising: |1> -> |0>
-_SM = _SP.conj().T
-_SX = 0.5 * (_SP + _SM)
-_SY = (_SP - _SM) / 2j
-_ID = np.eye(2, dtype=complex)
+_INDEX = np.arange(DIM)
+_SZ_DIAG = {s: np.where(_INDEX & b, -0.5, 0.5) for s, b in _BIT.items()}
+SZ = {s: np.diag(d).astype(complex) for s, d in _SZ_DIAG.items()}
 
 
-def _embed(op: np.ndarray, spin: str) -> np.ndarray:
-    mats = [op if s == spin else _ID for s in SPINS]
-    out = mats[0]
-    for m in mats[1:]:
-        out = np.kron(out, m)
+def _lower(b: int) -> np.ndarray:
+    """Lowering operator of the spin on bit b: sets the bit, |0> -> |1>."""
+    out = np.zeros((DIM, DIM), dtype=complex)
+    up = _INDEX[(_INDEX & b) == 0]
+    out[up | b, up] = 1.0
     return out
 
 
-SX = {s: _embed(_SX, s) for s in SPINS}
-SY = {s: _embed(_SY, s) for s in SPINS}
-SZ = {s: _embed(_SZ, s) for s in SPINS}
-LOWER = {s: _embed(_SM, s) for s in SPINS}
-RAISE = {s: _embed(_SP, s) for s in SPINS}
+LOWER = {s: _lower(b) for s, b in _BIT.items()}   # LOWER[s].T raises
 
 # total z projection; generates the rotating frame of a monochromatic pulse
-FZ = sum(SZ.values())
-FZ_DIAG = np.real(np.diag(FZ)).copy()
+FZ_DIAG = sum(_SZ_DIAG.values())
 
 
 def _dot(s1: str, s2: str) -> np.ndarray:
-    """Read-only scalar coupling S_1 . S_2 between two register spins."""
-    out = SX[s1] @ SX[s2] + SY[s1] @ SY[s2] + SZ[s1] @ SZ[s2]
+    """Read-only S_1 . S_2 = S1z S2z + (S1+ S2- + S1- S2+)/2 between two register spins."""
+    flip_flop = LOWER[s1].T @ LOWER[s2] + LOWER[s1] @ LOWER[s2].T
+    out = SZ[s1] @ SZ[s2] + 0.5 * flip_flop
     out.flags.writeable = False
     return out
 
@@ -56,7 +51,7 @@ def bits(index: int) -> tuple[int, int, int, int]:
     """(n2, e2, e1, n1) bit values of a basis index."""
     if not 0 <= index < DIM:
         raise ValueError("basis index out of range")
-    return ((index >> 3) & 1, (index >> 2) & 1, (index >> 1) & 1, index & 1)
+    return tuple(int((index & _BIT[s]) != 0) for s in SPINS)
 
 
 def ket_label(index: int) -> str:
@@ -65,7 +60,4 @@ def ket_label(index: int) -> str:
 
 def flipped_bit(p: int, q: int) -> str | None:
     """Name of the single spin in which p and q differ, else None."""
-    diff = p ^ q
-    if diff == 0 or diff & (diff - 1):
-        return None
-    return SPINS[[8, 4, 2, 1].index(diff)]
+    return _SPIN_OF_BIT.get(p ^ q)

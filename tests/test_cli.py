@@ -61,6 +61,14 @@ class TestJtable:
         assert out == ""
         assert err == f"error: need 1 <= n_min <= n_max, got {n_min} and {n_max}\n"
 
+    @pytest.mark.parametrize("n, named", [(10**200, "separation 7.68e+190 m"),
+                                          (10**400, f"site separation {10**400}")])
+    def test_overflowing_separation_is_validity_error(self, n, named, capsys):
+        code, out, err = run_cli(["jtable", str(n), str(n)], capsys)
+        assert code == 3
+        assert out == ""
+        assert err == f"error: {named} is too large for the exchange formula\n"
+
     def test_usage_error_exit_code(self, source_env):
         proc = subprocess.run(
             [sys.executable, "-m", "donorpair.cli", "jtable", "40"],

@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from donorpair import delta_j, delta_j_series, herring_flicker, j_for_sites
+from donorpair import delta_j, herring_flicker, j_for_sites
 from donorpair.constants import BOHR_RADIUS_AB, LATTICE_STEP_A0, TWO_PI
 from donorpair.exchange import exchange_table
 
@@ -53,11 +55,9 @@ def test_delta_j_guards():
         delta_j(47)
 
 
-def test_series_values():
-    assert delta_j_series(1) == pytest.approx(0.537, abs=1e-12)
-    assert delta_j_series(-1) == pytest.approx(-0.3168, abs=1e-12)
-    with pytest.raises(ValueError):
-        delta_j_series(5)
+# The paper's printed quartic fit of dJ/J0 versus the displacement step m at
+# the nominal 47-site separation; the library computes the exact quotient.
+PAPER_SERIES_COEFFS = (0.4103, 0.1082, 0.0166, 0.0019)
 
 
 def test_series_tracks_exact_quotient_for_small_m():
@@ -65,8 +65,21 @@ def test_series_tracks_exact_quotient_for_small_m():
     # +0.0200 at m=-1 (the fitted quartic was built for cross-checking only)
     j0 = j_for_sites(47)
     for m in (-1, 1):
-        exact = delta_j(m) / j0
-        assert abs(delta_j_series(m) - exact) <= 0.032
+        series = sum(c * m**k for k, c in enumerate(PAPER_SERIES_COEFFS, start=1))
+        assert abs(series - delta_j(m) / j0) <= 0.032
+
+
+@pytest.mark.parametrize("a", [0.0, -1e-9, math.inf, math.nan])
+def test_separation_outside_the_positive_floats_is_a_value_error(a):
+    with pytest.raises(ValueError, match="separation must be positive and finite"):
+        herring_flicker(a)
+
+
+def test_overflowing_separation_is_a_value_error():
+    with pytest.raises(ValueError, match=r"separation 1e\+200 m is too large"):
+        herring_flicker(1e200)
+    with pytest.raises(ValueError, match="site separation 1000+ is too large"):
+        j_for_sites(10**400)
 
 
 def test_exact_linear_coefficient():

@@ -11,7 +11,7 @@ import donorpair
 # every name the package exports, by defining module
 EXPORTS = {
     "constants": ["TWO_PI"],
-    "exchange": ["delta_j", "delta_j_series", "herring_flicker", "j_for_sites"],
+    "exchange": ["delta_j", "herring_flicker", "j_for_sites"],
     "geometry": ["DEFAULT_GEOMETRY", "DeviceGeometry", "EffectiveParams", "effective_params",
                  "field_step"],
     "spectrum": ["DegenerateLabelError", "Spectrum", "SwapBoundaryWarning", "ValidityError",
@@ -51,15 +51,14 @@ class TestExports:
         assert register.DIM == 16
 
 
-def loaded_modules(source_env, code: str) -> dict:
-    """numpy and donorpair modules in sys.modules after `code`, in a fresh interpreter."""
+def loaded_modules(source_env, code: str, roots=("numpy", "donorpair")) -> dict:
+    """Modules under each of `roots` in sys.modules after `code`, in a fresh interpreter."""
     report = ("import sys, json; print(json.dumps(sorted(m for m in sys.modules "
-              "if m.split('.')[0] in ('numpy', 'donorpair'))))")
+              f"if m.split('.')[0] in {tuple(roots)!r})))")
     proc = subprocess.run([sys.executable, "-c", f"{code}\n{report}"], capture_output=True,
                           text=True, check=True, env=source_env)
     loaded = json.loads(proc.stdout.splitlines()[-1])
-    return {"numpy": [m for m in loaded if m.split(".")[0] == "numpy"],
-            "donorpair": [m for m in loaded if m.split(".")[0] == "donorpair"]}
+    return {root: [m for m in loaded if m.split(".")[0] == root] for root in roots}
 
 
 def cli_run(argv: list[str], code: int) -> str:
@@ -89,10 +88,11 @@ class TestImportFootprint:
         out = str(tmp_path / "jtable.json")
         for argv in (["jtable", "40", "41"], ["jtable", "40", "41", "--format", "json",
                                               "--out", out]):
-            loaded = loaded_modules(source_env, cli_run(argv, 0))
+            loaded = loaded_modules(source_env, cli_run(argv, 0),
+                                    ("numpy", "donorpair", "dataclasses", "inspect"))
             assert loaded["donorpair"] == ["donorpair", "donorpair.cli", "donorpair.constants",
                                            "donorpair.exchange"], argv
-            assert loaded["numpy"] == [], argv
+            assert loaded["numpy"] == loaded["dataclasses"] == loaded["inspect"] == [], argv
         assert json.loads((tmp_path / "jtable.json").read_text())["columns"] == [
             "N", "a_nm", "J_MHz"]
 

@@ -89,6 +89,11 @@ class TestSweeps:
         table = sweep_gate_error("a", m_range=range(-4, 5), k_list=(1,))
         assert all(0.0 <= p <= 1.0 for p in table.values())
 
+    def test_errors_are_python_floats(self):
+        table = sweep_gate_error("b", m_range=(-1, 0), k_list=(700,))
+        assert [type(p) for p in table.values()] == [float, float]
+        assert type(run_ee_cnot(DEFAULT_GEOMETRY.displaced(m1=1))) is float
+
     def test_neighbor_displacement_baseline_identical(self):
         table = sweep_gate_error("b", m_range=(0,), k_list=(2000,), displaced_atom=2)
         direct = sweep_gate_error("b", m_range=(0,), k_list=(2000,))

@@ -22,14 +22,14 @@ def _flip_flop_oracle() -> np.ndarray:
     a = HYPERFINE_A
     out = np.zeros((16, 16), dtype=complex)
     for e, n in (("e1", "n1"), ("e2", "n2")):
-        out += a / 2 * (reg.RAISE[n] @ reg.LOWER[e] + reg.LOWER[n] @ reg.RAISE[e])
+        out += a / 2 * (reg.LOWER[n].T @ reg.LOWER[e] + reg.LOWER[n] @ reg.LOWER[e].T)
     return out
 
 
 def _coupling_oracle(s1: str, s2: str) -> np.ndarray:
     """S_1 . S_2 = Sz Sz + (S+ S- + S- S+)/2, from raising/lowering ops."""
     return (reg.SZ[s1] @ reg.SZ[s2]
-            + (reg.RAISE[s1] @ reg.LOWER[s2] + reg.LOWER[s1] @ reg.RAISE[s2]) / 2)
+            + (reg.LOWER[s1].T @ reg.LOWER[s2] + reg.LOWER[s1] @ reg.LOWER[s2].T) / 2)
 
 
 class TestHamiltonian:
