@@ -11,20 +11,29 @@ as a Python float, so `donorpair jtable`, which reads only this module and
 from __future__ import annotations
 
 import math
+import sys
 
 from .constants import BOHR_RADIUS_AB, COULOMB_PREFACTOR, HBAR, KAPPA, LATTICE_STEP_A0, TWO_PI
 
 
 def herring_flicker(a: float) -> float:
-    """Exchange constant J (angular frequency) at electron separation a (m)."""
+    """Exchange constant J (angular frequency) at electron separation a (m).
+
+    The formula's domain ends where its factor exp(-2a/a_B) stops being a
+    normal float (from 1529 lattice steps); beyond it J loses precision and
+    then underflows to 0.0, so such an `a` is a ValueError.
+    """
     if not 0 < a < math.inf:
         raise ValueError(f"separation must be positive and finite, got {a!r} m")
     try:
         power = (a / BOHR_RADIUS_AB) ** 2.5
     except OverflowError:
         raise ValueError(f"separation {a:g} m is too large for the exchange formula") from None
-    energy = (1.642 * COULOMB_PREFACTOR / (KAPPA * BOHR_RADIUS_AB)
-              * power * math.exp(-2.0 * a / BOHR_RADIUS_AB))
+    decay = math.exp(-2.0 * a / BOHR_RADIUS_AB)
+    if decay < sys.float_info.min:
+        raise ValueError(f"separation {a:g} m is too large for the exchange formula: "
+                         f"its factor exp(-2a/a_B) = {decay!r} is not a normal float")
+    energy = 1.642 * COULOMB_PREFACTOR / (KAPPA * BOHR_RADIUS_AB) * power * decay
     return energy / HBAR
 
 

@@ -94,7 +94,10 @@ def effective_params(geometry: DeviceGeometry = DEFAULT_GEOMETRY) -> EffectivePa
     order: no positive mean (a gradient so large that B1 + B2 cancels), a
     field not positive (B1 < 0 from a gradient of about 1.9e8 T/m), a field
     too large, fields that round to one value (a mean field above about
-    3.5e13 T, where the atoms cannot be told apart).
+    3.5e13 T, where the atoms cannot be told apart), and a difference
+    B2 - B1 that rounding decides: one whose rounding error bound
+    ulp(B1) + ulp(B2) exceeds 1e-6 of it (from a mean field of 2**24 T,
+    about 1.7e7 T, at the default gradient).
     """
     delta_b0 = (NOMINAL_GAMMA_E_DELTA_B / GAMMA_E
                 * (geometry.gradient * geometry.n0)
@@ -115,5 +118,10 @@ def effective_params(geometry: DeviceGeometry = DEFAULT_GEOMETRY) -> EffectivePa
     if b1 == b2:
         raise ValueError(f"the local field B1 = {b1!r} T of {geometry} equals "
                          f"B2 = {b2!r} T: the two atoms cannot be told apart")
+    if (rounding := math.ulp(b1) + math.ulp(b2)) > 1e-6 * (b2 - b1):
+        raise ValueError(f"the local fields B1 = {b1!r} T and B2 = {b2!r} T of {geometry} "
+                         f"differ by less than 1e6 times their rounding error "
+                         f"ulp(B1) + ulp(B2) = {rounding!r} T: at the mean field "
+                         f"{geometry.mean_field_b!r} T rounding decides B2 - B1")
     return EffectiveParams(b1=b1, b2=b2, a=HYPERFINE_A,
                            j=j_for_sites(geometry.separation_sites))

@@ -35,16 +35,15 @@ protocol forms per table. Each realization carries its table, so pool
 workers only draw and evaluate chains.
 A chain is four uniforms (its displacement pair) and eight normals
 z = x + iy. The stream is drawn in draw blocks of _CHAIN_BLOCK chains, the
-unit that fixes which draws belong to which chain; up to _CHUNK_BLOCKS
-consecutive draw blocks form one evaluation chunk. A chunk's uniforms are
-mapped to table rows by one lookup per chain: one searchsorted codes both
-magnitude rows of a contiguous copy, and a 100-entry table built at import
-maps each pair of displacement codes to its row. Its errors
-1 - Re(z^H M z) / (z^H z) (a = z / |z|) are evaluated together with
-elementwise arithmetic on contiguous rows: the normals copied once to
-(8, n), and the table read through its transpose, one coefficient column
-per feature, gathered by the chunk's rows. So each chain's error is the
-same whatever chunk it falls in.
+unit that fixes which draws belong to which chain and the unit of work of
+the chain kernel. A block's uniforms are mapped to table rows by one lookup
+per chain: one searchsorted codes both magnitude rows of a contiguous copy,
+and a 100-entry table built at import maps each pair of displacement codes
+to its row. Its errors 1 - Re(z^H M z) / (z^H z) (a = z / |z|) are
+evaluated together with elementwise arithmetic: the 16 features of every
+chain as one (16, n) array, and the coefficients gathered by the block's
+rows with one take. So each chain's error is the same whatever block it
+falls in.
 run_initialization is the Schroedinger-picture reference that records the
 population after every step.
 """
@@ -336,37 +335,30 @@ class EnsembleResult:
 
 
 _CHAIN_BLOCK = 1024   # chains per draw block: the stream is drawn in whole blocks of this many
-_CHUNK_BLOCKS = 4     # draw blocks per evaluation chunk (fastest measured); bounds memory at any num_chains
 
 
 def _chain_draws(config: EnsembleConfig,
                  realization: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Form-table row and eight normals of each chain of a realization, a chunk at a time.
+    """Form-table row and eight normals of each chain of a realization, a block at a time.
 
     The realization's one stream, default_rng([seed, law code, k_n, k_e,
     realization]), is drawn in blocks of _CHAIN_BLOCK chains: first a
     (block, 4) array of uniforms (m1 magnitude, m2 magnitude, m1 sign, m2
     sign), then a (block, 8) array of normals. The last block is drawn in
     full as well and cut to the chains that exist, so a chain's draws depend
-    only on the stream and its index, not on num_chains. The draw block is
-    only the unit of the stream: up to _CHUNK_BLOCKS consecutive blocks are
-    drawn into the arrays of one evaluation chunk, fresh for each chunk so
-    that a yielded chunk stays valid, and the chunk's uniforms are mapped to
-    rows _pair_index(m1, m2) by one _pair_rows call.
+    only on the stream and its index, not on num_chains. Each block's
+    uniforms are mapped to rows _pair_index(m1, m2) by one _pair_rows call.
     """
     rng = np.random.default_rng([config.seed, LAW_CODES[config.law],
                                  config.k_n, config.k_e, realization])
-    for start in range(0, config.num_chains, _CHUNK_BLOCKS * _CHAIN_BLOCK):
-        n = min(_CHUNK_BLOCKS * _CHAIN_BLOCK, config.num_chains - start)
-        rows = -(-n // _CHAIN_BLOCK) * _CHAIN_BLOCK
-        uniforms, normals = np.empty((rows, 4)), np.empty((rows, 8))
-        for block in range(0, rows, _CHAIN_BLOCK):
-            rng.random(out=uniforms[block:block + _CHAIN_BLOCK])
-            rng.standard_normal(out=normals[block:block + _CHAIN_BLOCK])
-        yield _pair_rows(config.law, uniforms[:n]), normals[:n]
+    for start in range(0, config.num_chains, _CHAIN_BLOCK):
+        n = min(_CHAIN_BLOCK, config.num_chains - start)
+        uniforms = rng.random((_CHAIN_BLOCK, 4))[:n]
+        normals = rng.standard_normal((_CHAIN_BLOCK, 8))[:n]
+        yield _pair_rows(config.law, uniforms), normals
 
 
-_PAIRS = tuple(itertools.combinations(range(4), 2))   # the six (j, k) with j < k
+_PAIRS = np.transpose(list(itertools.combinations(range(4), 2)))   # j and k rows of the six j < k
 
 
 def _form_coefficients(form: np.ndarray) -> np.ndarray:
@@ -376,7 +368,7 @@ def _form_coefficients(form: np.ndarray) -> np.ndarray:
     and f = [x_j^2 + y_j^2, x_j x_k + y_j y_k, x_j y_k - y_j x_k] for
     z = x + iy and (j, k) in _PAIRS order.
     """
-    j, k = np.transpose(_PAIRS)
+    j, k = _PAIRS
     upper = form[..., j, k]
     return np.concatenate([np.diagonal(form, axis1=-2, axis2=-1).real,
                            2.0 * upper.real, -2.0 * upper.imag], axis=-1)
@@ -415,9 +407,7 @@ def _solve_form_tables(keys: Sequence[tuple]) -> list[np.ndarray]:
     compute_spectra stack, and every distinct pulse once, in one
     pulse_propagator stack over all those chains, so tables that share
     pulses share their propagators (gates a and c do not depend on K_n).
-    Each table then comes from one _protocol_forms stack. Keys whose
-    chains are all the pass's chains, in order, use the stacks themselves;
-    the others take copies of their rows.
+    Each table then comes from one _protocol_forms stack of its rows.
     """
     pairs = []
     for _, _, magnitudes in keys:
@@ -432,8 +422,6 @@ def _solve_form_tables(keys: Sequence[tuple]) -> list[np.ndarray]:
     tables = []
     for (_, key_pulses, _), key_pairs, key_chains in zip(keys, pairs, chains):
         rows = [row[c] for c in key_chains]
-        if rows == list(range(len(row))):
-            rows = slice(None)
         forms = _protocol_forms(spectra.eigenvectors[rows],
                                 {name: propagators[pulse][rows] for name, pulse in key_pulses})
         table = np.full((len(DISPLACEMENTS) ** 2, 16), np.nan)
@@ -450,26 +438,27 @@ def _chain_errors(columns: np.ndarray, pairs: np.ndarray, normals: np.ndarray) -
     coefficient i of _form_coefficients for every table row. Chain n reads
     row pairs[n] and its eight standard normals normals[n], z = normals[n, :4]
     + i normals[n, 4:]; z / |z| is a Haar-random initial state, c . f =
-    Re(z^H M z) and f_0 + ... + f_3 = z^H z. The normals are copied once
-    into contiguous (8, n) rows; each feature is computed for all chains at
-    once, multiplied by columns[i].take(pairs), and the 16 products are added
-    in coefficient order, with elementwise arithmetic only (no BLAS, no
+    Re(z^H M z) and f_0 + ... + f_3 = z^H z. The 16 features of all chains
+    are written into one (16, n) array, multiplied by the (16, n)
+    coefficients of one take, and the 16 product rows are added in
+    coefficient order, with elementwise arithmetic only (no BLAS, no
     pairwise sums), so a chain's error does not depend on the other chains
-    or on how many there are. Every temporary holds one value per chain and
-    the products are taken in place: (n, 16) temporaries measured slower, as
-    the allocator returned and re-faulted their pages.
+    or on how many there are. The features are written in place because
+    np.concatenate of the three groups measured about 110 page faults per
+    block: the allocator trimmed the freed temporaries and re-faulted them.
     """
     t = np.ascontiguousarray(normals.T)
     x, y = t[:4], t[4:]
-    norms = [x[j] * x[j] + y[j] * y[j] for j in range(4)]
-    features = itertools.chain(norms,
-                               (x[j] * x[k] + y[j] * y[k] for j, k in _PAIRS),
-                               (x[j] * y[k] - y[j] * x[k] for j, k in _PAIRS))
-    norm = norms[0] + norms[1] + norms[2] + norms[3]
-    quad = np.zeros(len(pairs))
-    for c, f in zip(columns, features):
-        f *= c.take(pairs)
-        quad += f
+    (xj, xk), (yj, yk) = x[_PAIRS], y[_PAIRS]
+    features = np.empty((16, len(pairs)))
+    np.add(x * x, y * y, out=features[:4])
+    np.add(xj * xk, yj * yk, out=features[4:10])
+    np.subtract(xj * yk, yj * xk, out=features[10:])
+    norm = features[0] + features[1] + features[2] + features[3]
+    features *= columns.take(pairs, axis=1)
+    quad = features[0]
+    for product in features[1:]:
+        quad += product
     quad /= norm
     return 1.0 - quad
 
@@ -479,12 +468,12 @@ def _run_realization(config: EnsembleConfig, realization: int,
     """Mean protocol error over the chains of one realization.
 
     `table` is the realization's _form_tables entry, read through its
-    transpose, a view, as _chain_errors' coefficient columns. Each
-    evaluation chunk of _chain_draws (up to _CHUNK_BLOCKS draw blocks) is
-    evaluated by one _chain_errors call, and the errors are added one by one
-    in chain order: np.cumsum adds sequentially, and the running total is
-    carried into each chunk's first error. So the mean is the same bit for
-    bit whatever the chunk size.
+    transpose, a view, as _chain_errors' coefficient columns. Each draw
+    block of _chain_draws is evaluated by one _chain_errors call, and the
+    errors are added one by one in chain order: np.cumsum adds
+    sequentially, and the running total is carried into each block's first
+    error. So the mean is the same bit for bit as a Python loop over the
+    chains.
     """
     columns, total = table.T, 0.0
     for pairs, normals in _chain_draws(config, realization):

@@ -69,6 +69,14 @@ class TestJtable:
         assert out == ""
         assert err == f"error: {named} is too large for the exchange formula\n"
 
+    def test_separation_past_the_exchange_domain_is_validity_error(self, capsys):
+        # J(1529) would be subnormal: the table stops with exit 3, not a row of 0.0
+        code, out, err = run_cli(["jtable", "1528", "1529"], capsys)
+        assert code == 3
+        assert out == ""
+        assert err == ("error: separation 1.17427e-06 m is too large for the exchange formula: "
+                       "its factor exp(-2a/a_B) = 1.8621490652103814e-308 is not a normal float\n")
+
     def test_usage_error_exit_code(self, source_env):
         proc = subprocess.run(
             [sys.executable, "-m", "donorpair.cli", "jtable", "40"],
@@ -171,6 +179,29 @@ def test_huge_gradient_rejected(argv, gradient, monkeypatch, capsys):
     assert code == 3
     assert out == ""
     assert err.startswith("error: the local fields B1 = ") and "no positive mean" in err
+
+
+@pytest.mark.parametrize("value", ["1.7e7", "1e9", "3.4e13"])
+@pytest.mark.parametrize("argv", [
+    ["spectrum"],
+    ["ensemble", "--chains", "4", "--realizations", "1", "--law", "A", "--Kn", "2000"],
+])
+def test_field_difference_that_rounding_decides_rejected(argv, value, monkeypatch, capsys):
+    # at 3.4e13 T the computed B2 - B1 is 66 % off; from 2**24 T, ulp(B1) +
+    # ulp(B2) exceeds 1e-6 of B2 - B1 at the default gradient
+    def no_run(*args):
+        raise AssertionError("a chain ran with a field difference that rounding decides")
+    monkeypatch.setattr(protocols, "_run_realization", no_run)
+    code, out, err = run_cli(argv + ["--b-tesla", value], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: the local fields B1 = ")
+    assert f"at the mean field {float(value)!r} T rounding decides B2 - B1" in err
+
+
+def test_field_difference_resolved_at_a_megatesla(capsys):
+    code, out, _ = run_cli(["spectrum", "--b-tesla", "1e6"], capsys)
+    assert code == 0 and out
 
 
 @pytest.mark.parametrize("flag, value, message", [

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -80,6 +81,20 @@ def test_overflowing_separation_is_a_value_error():
         herring_flicker(1e200)
     with pytest.raises(ValueError, match="site separation 1000+ is too large"):
         j_for_sites(10**400)
+
+
+def test_domain_ends_where_the_decay_factor_leaves_the_normal_floats():
+    # exp(-2a/a_B) is subnormal from N = 1529, where J would lose precision
+    # (J(1539) == J(1540)) and then underflow to 0.0 (from N = 1541)
+    values = [j_for_sites(n) for n in range(1400, 1529)]
+    assert all(b < a for a, b in zip(values, values[1:])) and values[-1] > 0
+    for n in (1529, 1540, 1541, 10**6):
+        with pytest.raises(ValueError, match=re.escape(
+                f"separation {n * LATTICE_STEP_A0:g} m is too large for the exchange formula: "
+                "its factor exp(-2a/a_B) = ")):
+            j_for_sites(n)
+    with pytest.raises(ValueError, match="is not a normal float"):
+        exchange_table(1528, 1529)
 
 
 def test_exact_linear_coefficient():

@@ -1,12 +1,11 @@
 """Frozen seeded ensemble means: a gate on the bits of the chain kernel.
 
 Every realization mean below is the float.hex of ensemble_grid's output at
-seed 11, computed before the chain draws were evaluated a chunk of draw
-blocks at a time. The sizes straddle the draw block (1024 chains) and the
-evaluation chunk (4096 chains), so a change to the draws, the displacement
-mapping, the kernel or the summation order that moves a single bit of any
-mean fails here. A change that means to move them must say so and refresh
-the table.
+seed 11, computed before the chain draws were evaluated a draw block at a
+time. The sizes straddle the draw block (1024 chains) and its multiples, so
+a change to the draws, the displacement mapping, the kernel or the
+summation order that moves a single bit of any mean fails here. A change
+that means to move them must say so and refresh the table.
 
 The single-chain pins below are the float.hex of sweep_gate_error,
 run_ee_cnot, run_initialization and protocol_form's coefficients, computed

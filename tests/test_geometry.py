@@ -112,3 +112,11 @@ def test_no_positive_mean_field_rejected(gradient):
     with pytest.raises(ValueError, match=r"B1 = -.* T and B2 = .* T of DeviceGeometry\(") as exc:
         effective_params(geometry)
     assert "no positive mean" in str(exc.value) and repr(gradient) in str(exc.value)
+
+
+@pytest.mark.parametrize("mean_field_b", [1.7e7, 1e9, 3.4e13])
+def test_field_difference_that_rounding_decides_rejected(mean_field_b):
+    # rounding error bound ulp(B1) + ulp(B2) above 1e-6 of B2 - B1, named by the mean field
+    with pytest.raises(ValueError, match="the local fields B1 = ") as exc:
+        effective_params(DeviceGeometry(mean_field_b=mean_field_b))
+    assert f"at the mean field {mean_field_b!r} T rounding decides B2 - B1" in str(exc.value)

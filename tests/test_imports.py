@@ -74,6 +74,12 @@ def cli_run(argv: list[str], code: int) -> str:
             f"assert code == {code}, code")
 
 
+@pytest.fixture(scope="module")
+def bare_numpy(source_env):
+    """The numpy modules that a bare `import numpy` loads (numpy.random too before numpy 2)."""
+    return set(loaded_modules(source_env, "import numpy")["numpy"])
+
+
 class TestImportFootprint:
     def test_package_import_loads_no_module(self, source_env):
         loaded = loaded_modules(source_env, "import donorpair")
@@ -99,8 +105,21 @@ class TestImportFootprint:
     @pytest.mark.parametrize("argv,skipped", [
         (["spectrum"], ["pulses", "dynamics", "protocols"]),
         (["design", "--gate", "a"], ["dynamics", "protocols"]),
+        (["sweep", "--gate", "a"], []),
+        (["ee-cnot"], []),
     ])
-    def test_command_skips_layers_it_does_not_use(self, source_env, argv, skipped):
-        loaded = loaded_modules(source_env, cli_run(argv, 0))["donorpair"]
-        assert "donorpair.spectrum" in loaded
-        assert not {f"donorpair.{m}" for m in skipped} & set(loaded)
+    def test_command_skips_layers_it_does_not_use(self, source_env, bare_numpy, argv, skipped):
+        # no command but ensemble draws random numbers or may start a pool
+        loaded = loaded_modules(source_env, cli_run(argv, 0),
+                                ("numpy", "donorpair", "concurrent"))
+        assert "donorpair.spectrum" in loaded["donorpair"]
+        assert not {f"donorpair.{m}" for m in skipped} & set(loaded["donorpair"])
+        assert "numpy.random" not in set(loaded["numpy"]) - bare_numpy
+        assert loaded["concurrent"] == []
+
+    @pytest.mark.parametrize("threads", [[], ["--threads", "1"]])
+    def test_serial_ensemble_loads_no_pool(self, source_env, threads):
+        # 20 chains are below CHAINS_PER_WORKER: no pool starts, whatever --threads allows
+        argv = ["ensemble", "--chains", "10", "--realizations", "2"] + threads
+        assert loaded_modules(source_env, cli_run(argv, 0), ("concurrent",)) == {
+            "concurrent": []}

@@ -25,7 +25,6 @@ FROZEN_SWEEP_B = {(0, 2000): 1.150459e-1, (0, 10000): 4.4727e-4,
 FROZEN_INIT = {(0, 2000): 1.065123e-1, (0, 10000): 4.890101e-4,
                (-1, 10000): 8.521113e-2}
 FROZEN_EE = {0: 1.7628e-4, -1: 0.94433, +1: 0.97316}
-CHUNK = protocols._CHUNK_BLOCKS * protocols._CHAIN_BLOCK   # chains per evaluation chunk
 
 
 def haar_amplitudes(rng: np.random.Generator, n: int = 4) -> np.ndarray:
@@ -300,12 +299,12 @@ class TestEnsemble:
     @example(seed=5, law="B", k_n=700, k_e=2, realization=3, sizes=[1023, 1024])
     @example(seed=0, law="A", k_n=2000, k_e=1, realization=1, sizes=[1024, 1025])
     @example(seed=2**32 + 5, law="none", k_n=10000, k_e=1, realization=2, sizes=[1, 2049])
-    @example(seed=9, law="A", k_n=2000, k_e=1, realization=0, sizes=[CHUNK - 1, CHUNK])
-    @example(seed=10, law="B", k_n=700, k_e=1, realization=1, sizes=[CHUNK, CHUNK + 1])
-    @example(seed=11, law="A", k_n=5000, k_e=3, realization=4, sizes=[CHUNK - 1, CHUNK + 1])
+    @example(seed=9, law="A", k_n=2000, k_e=1, realization=0, sizes=[4 * 1024 - 1, 4 * 1024])
+    @example(seed=10, law="B", k_n=700, k_e=1, realization=1, sizes=[4 * 1024, 4 * 1024 + 1])
+    @example(seed=11, law="A", k_n=5000, k_e=3, realization=4, sizes=[4 * 1024 - 1, 4 * 1024 + 1])
     @example(seed=12, law="B", k_n=2000, k_e=1, realization=0,
-             sizes=[CHUNK + 1, 2 * CHUNK + 3 * 1024 + 17])
-    @example(seed=13, law="none", k_n=700, k_e=1, realization=5, sizes=[1500, 3 * CHUNK + 1])
+             sizes=[4 * 1024 + 1, 11 * 1024 + 17])
+    @example(seed=13, law="none", k_n=700, k_e=1, realization=5, sizes=[1500, 12 * 1024 + 1])
     @settings(max_examples=30, deadline=None)
     def test_chain_draws_do_not_depend_on_num_chains(self, seed, law, k_n, k_e, realization,
                                                      sizes):
@@ -344,12 +343,11 @@ class TestEnsemble:
         assert ensemble_init(config).realization_means[0] == total / config.num_chains
 
     def test_errors_added_in_chain_order_across_blocks(self):
-        # three draw blocks, the last one partial, and two chunks plus a partial
-        # block: the mean is the Python float sum of every chain's error in
-        # chain order, divided once
+        # three and ten draw blocks, the last one partial: the mean is the
+        # Python float sum of every chain's error in chain order, divided once
         pulses = design_protocol_pulses(1, 2000)
         [table] = _form_tables([(DEFAULT_GEOMETRY, tuple(pulses.items()), (0, 1, 2, 3, 4))])
-        for num_chains in (2100, 2 * CHUNK + 1024 + 300):
+        for num_chains in (2100, 9 * 1024 + 300):
             config = EnsembleConfig(num_chains=num_chains, num_realizations=1, law="A",
                                     k_e=1, k_n=2000, seed=17)
             total = 0.0
