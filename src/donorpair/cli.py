@@ -219,10 +219,12 @@ def _record(obj) -> dict:
     return asdict(obj)
 
 
-def _emit(rows: list[dict], header: list[str], resolved: dict, command: str,
-          fmt: str, path: Path | None) -> None:
+def _emit(rows: list[dict], resolved: dict, command: str, fmt: str,
+          path: Path | None) -> None:
+    """Write the rows, whose columns are the first row's keys, and the resolved config."""
     import json
 
+    header = list(rows[0])
     resolved = dict(resolved, command=command, version=__version__)
     if fmt == "json":
         doc = {"config": resolved, "columns": header, "rows": rows}
@@ -250,15 +252,15 @@ def _format_cell(x) -> str:
     return str(x)
 
 
-def cmd_jtable(args) -> tuple[list[dict], list[str], dict]:
+def cmd_jtable(args) -> tuple[list[dict], dict]:
     from .exchange import exchange_table
 
     rows = [{"N": n, "a_nm": a, "J_MHz": j}
             for n, a, j in exchange_table(args.n_min, args.n_max)]
-    return rows, ["N", "a_nm", "J_MHz"], {"n_min": args.n_min, "n_max": args.n_max}
+    return rows, {"n_min": args.n_min, "n_max": args.n_max}
 
 
-def cmd_spectrum(args) -> tuple[list[dict], list[str], dict]:
+def cmd_spectrum(args) -> tuple[list[dict], dict]:
     from . import register as reg
     from .constants import TWO_PI
     from .spectrum import compute_spectrum
@@ -287,10 +289,10 @@ def cmd_spectrum(args) -> tuple[list[dict], list[str], dict]:
         "max_pert_dev_Hz": worst,
         "pert_dev_flagged": bool(worst > PERT_FLAG_THRESHOLD_HZ),
     }
-    return rows, ["level", "ket", "exact_MHz", "pert_MHz", "zeroth_MHz", "dev_Hz"], resolved
+    return rows, resolved
 
 
-def cmd_design(args) -> tuple[list[dict], list[str], dict]:
+def cmd_design(args) -> tuple[list[dict], dict]:
     from .constants import TWO_PI
     from .pulses import (DEFAULT_K_ELECTRON, DEFAULT_K_NUCLEAR, GATES, _detuning_from,
                          _suppressed_detuning, design_gate, kn_window, leading_order_design)
@@ -320,10 +322,10 @@ def cmd_design(args) -> tuple[list[dict], list[str], dict]:
         rows[0]["detuning_shift_kHz"] = shift / TWO_PI / 1e3
         if args.gate == "b":   # the usable nuclear-K window of this displacement
             rows[0]["Kn_min"], rows[0]["Kn_max"] = kn_window(spec0, shift)
-    return rows, list(rows[0].keys()), resolved
+    return rows, resolved
 
 
-def cmd_sweep(args) -> tuple[list[dict], list[str], dict]:
+def cmd_sweep(args) -> tuple[list[dict], dict]:
     from .geometry import DISPLACEMENTS
     from .protocols import sweep_gate_error
 
@@ -335,10 +337,10 @@ def cmd_sweep(args) -> tuple[list[dict], list[str], dict]:
     rows = [{"m": m, "K": k, "P": table[(m, k)]} for k in k_list for m in DISPLACEMENTS]
     resolved = {"gate": args.gate, "K": k_list, "displaced_atom": args.displaced_atom,
                 "geometry": geometry}
-    return rows, ["m", "K", "P"], resolved
+    return rows, resolved
 
 
-def cmd_ensemble(args) -> tuple[list[dict], list[str], dict]:
+def cmd_ensemble(args) -> tuple[list[dict], dict]:
     from .protocols import EnsembleConfig, ensemble_grid, ensemble_workers
     from .pulses import DEFAULT_K_ELECTRON
 
@@ -357,20 +359,20 @@ def cmd_ensemble(args) -> tuple[list[dict], list[str], dict]:
                 "Kn": kns, "K_e": k_e, "seed": args.seed, "threads": args.threads,
                 "workers": ensemble_workers(configs),
                 "geometry": geometry}
-    return rows, ["K_n", "law", "mean_P", "stderr"], resolved
+    return rows, resolved
 
 
-def cmd_ee_cnot(args) -> tuple[list[dict], list[str], dict]:
+def cmd_ee_cnot(args) -> tuple[list[dict], dict]:
     from .geometry import DISPLACEMENTS
     from .protocols import sweep_gate_error
 
     geometry = _nominal_geometry(args)
     table = sweep_gate_error("ee", DISPLACEMENTS, (args.K,), geometry_nominal=geometry)
     rows = [{"m": m, "P_e": table[(m, args.K)]} for m in DISPLACEMENTS]
-    return rows, ["m", "P_e"], {"K_prime": args.K, "geometry": geometry}
+    return rows, {"K_prime": args.K, "geometry": geometry}
 
 
-# each command returns its (rows, header, resolved config); main writes them
+# each command returns its (rows, resolved config); main writes them
 COMMANDS = {
     "jtable": cmd_jtable,
     "spectrum": cmd_spectrum,
@@ -393,8 +395,8 @@ def main(argv: list[str] | None = None) -> int:
         if "gate" in vars(args) and args.gate is None:
             command.error("the following arguments are required: --gate")
         path = _output_path(args)
-        rows, header, resolved = COMMANDS[args.command](args)
-        _emit(rows, header, resolved, args.command, args.format, path)
+        rows, resolved = COMMANDS[args.command](args)
+        _emit(rows, resolved, args.command, args.format, path)
     except ValueError as exc:   # spectrum.ValidityError included
         print(f"error: {exc}", file=sys.stderr)
         return 3

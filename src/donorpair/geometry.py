@@ -97,10 +97,15 @@ def effective_params(geometry: DeviceGeometry = DEFAULT_GEOMETRY) -> EffectivePa
     3.5e13 T, where the atoms cannot be told apart), and a difference
     B2 - B1 that rounding decides: one whose rounding error bound
     ulp(B1) + ulp(B2) exceeds 1e-6 of it (from a mean field of 2**24 T,
-    about 1.7e7 T, at the default gradient).
+    about 1.7e7 T, at the default gradient). Before these, an n0 too large
+    for a float (from about 1.8e308) is a ValueError naming N0.
     """
-    delta_b0 = (NOMINAL_GAMMA_E_DELTA_B / GAMMA_E
-                * (geometry.gradient * geometry.n0)
+    try:
+        length = geometry.gradient * geometry.n0
+    except OverflowError:   # n0 beyond the float range
+        raise ValueError(f"the nominal separation N0 = {geometry.n0} is too large "
+                         f"for a float") from None
+    delta_b0 = (NOMINAL_GAMMA_E_DELTA_B / GAMMA_E * length
                 / (DEFAULT_GEOMETRY.gradient * DEFAULT_GEOMETRY.n0))
     db = field_step(geometry)
     b1 = geometry.mean_field_b - delta_b0 + geometry.m1 * db

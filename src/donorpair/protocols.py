@@ -25,14 +25,15 @@ carried back through PROTOCOL_ORDER (Heisenberg picture). M depends only on
 the displacement pair and the pulses, and Re(z^H M z) is a dot product of
 16 real coefficients of M with 16 quadratic features of z = x + iy. The
 coefficients of every pair a law can draw sit in one read-only (81, 16)
-table per (nominal geometry, pulses, law support), kept per process in a
-bounded cache; laws A and B share a table and law none solves only (0, 0).
-ensemble_grid solves all the tables it is missing in one stacked pass
-before any pool starts: one compute_spectra stack of every distinct
-displaced chain, one pulse_propagator stack per distinct pulse (gates a and
-c do not depend on K_n, so a K_n grid shares them) and one stack of
-protocol forms per table. Each realization carries its table, so pool
-workers only draw and evaluate chains.
+table per (nominal geometry, pulses, signed law support), in a bounded
+process cache; laws A and B share a table and law none solves only (0, 0).
+ensemble_grid designs each distinct pulse set once per call, then solves the
+tables it is missing in one stacked pass before any pool starts: one
+compute_spectra stack of every distinct displaced chain, one
+pulse_propagator stack per distinct pulse (gates a and c do not depend on
+K_n, so a K_n grid shares them) and one stack of protocol forms per table.
+Each realization carries its table, so pool workers only draw and evaluate
+chains.
 A chain is four uniforms (its displacement pair) and eight normals
 z = x + iy. The stream is drawn in draw blocks of _CHAIN_BLOCK chains, the
 unit that fixes which draws belong to which chain and the unit of work of
@@ -74,6 +75,9 @@ CHAINS_PER_WORKER = 200_000   # grid chains per pool worker; fewer do not pay fo
 LAWS = {"none": (0.0,) * MAX_DISPLACEMENT,
         **{law: tuple(base * 0.5**m for m in range(1, MAX_DISPLACEMENT + 1))
            for law, base in (("A", 0.5), ("B", 0.25))}}
+# the signed displacements each law can draw: 0 and every m with r_|m| > 0
+_SUPPORTS = {law: tuple(m for m in DISPLACEMENTS if m == 0 or r[abs(m) - 1] > 0)
+             for law, r in LAWS.items()}
 
 def _pair_index(m1, m2):
     """Row of the displacement pair (m1, m2) in a form table; ints or int arrays."""
@@ -380,12 +384,12 @@ _FORM_TABLE_CACHE = 8     # for repeated ensemble_init calls: 4 K_n x 2 law supp
 
 def _form_tables(keys: Sequence[tuple[DeviceGeometry, tuple[tuple[str, PulseSpec], ...],
                                       tuple[int, ...]]]) -> list[np.ndarray]:
-    """Read-only (81, 16) _form_coefficients table of each (geometry, pulses, magnitudes).
+    """Read-only (81, 16) _form_coefficients table of each (geometry, pulses, support).
 
     Row _pair_index(m1, m2) of a table holds the coefficients of
     protocol_form for the chain displaced by (m1, m2) from the nominal
-    `geometry` under `pulses`, for |m1| and |m2| in `magnitudes`; the other
-    rows are NaN. The tables missing from the process cache are solved
+    `geometry` under `pulses`, for m1 and m2 in the signed `support`; the
+    other rows are NaN. The tables missing from the process cache are solved
     together by _solve_form_tables; the cache keeps the _FORM_TABLE_CACHE
     most recently solved.
     """
@@ -409,10 +413,7 @@ def _solve_form_tables(keys: Sequence[tuple]) -> list[np.ndarray]:
     pulses share their propagators (gates a and c do not depend on K_n).
     Each table then comes from one _protocol_forms stack of its rows.
     """
-    pairs = []
-    for _, _, magnitudes in keys:
-        signed = sorted({s * m for m in magnitudes for s in (-1, 1)})
-        pairs.append(list(itertools.product(signed, signed)))
+    pairs = [list(itertools.product(support, support)) for _, _, support in keys]
     chains = [[geometry.displaced(m1, m2) for m1, m2 in key_pairs]
               for (geometry, _, _), key_pairs in zip(keys, pairs)]
     row = {chain: i for i, chain in enumerate(dict.fromkeys(itertools.chain(*chains)))}
@@ -511,6 +512,7 @@ def ensemble_workers(configs: Sequence[EnsembleConfig]) -> int:
 def ensemble_grid(configs: Sequence[EnsembleConfig]) -> list[EnsembleResult]:
     """ensemble_init of every config, with all realizations in one process pool.
 
+    Each distinct (k_e, k_n, geometry) of the configs is designed once.
     Every config's form table is taken from the process cache, the missing
     ones solved together in one stacked pass, before the pool starts, and
     each task carries its table, so pool workers solve no forms. The pool
@@ -518,12 +520,9 @@ def ensemble_grid(configs: Sequence[EnsembleConfig]) -> list[EnsembleResult]:
     """
     if not configs:
         raise ValueError("ensemble_grid needs at least one config")
-    keys = []
-    for config in configs:
-        pulses = design_protocol_pulses(config.k_e, config.k_n,
-                                        geometry_nominal=config.geometry)
-        magnitudes = (0,) + tuple(m for m, rm in enumerate(LAWS[config.law], start=1) if rm > 0)
-        keys.append((config.geometry, tuple(pulses.items()), magnitudes))
+    designs = {design: tuple(design_protocol_pulses(*design).items())
+               for design in dict.fromkeys((c.k_e, c.k_n, c.geometry) for c in configs)}
+    keys = [(c.geometry, designs[c.k_e, c.k_n, c.geometry], _SUPPORTS[c.law]) for c in configs]
     tasks = [(config, r, table) for config, table in zip(configs, _form_tables(keys))
              for r in range(config.num_realizations)]
     workers = ensemble_workers(configs)

@@ -30,12 +30,23 @@ def rabi_probability(omega: float, delta: float) -> float:
 
 
 def two_pi_k_omega(delta: float, k: int) -> float:
-    """Rabi frequency satisfying the 2piK condition for detuning delta."""
+    """Rabi frequency satisfying the 2piK condition for detuning delta.
+
+    A K whose 4K^2 - 1 is not a finite float (from about 6.7e153) is a
+    ValueError naming K.
+    """
     if k < 1:
         raise ValueError("K must be a positive integer")
     if delta == 0:
         raise ValueError("2piK condition requires a nonzero detuning")
-    return abs(delta) / np.sqrt(4.0 * k**2 - 1.0)
+    try:
+        root = np.sqrt(4.0 * k**2 - 1.0)
+    except OverflowError:   # k**2 beyond the float range
+        root = np.inf
+    if root == np.inf:
+        raise ValueError(f"K = {k} is too large for the 2piK condition: "
+                         f"4K^2 - 1 is not a finite float")
+    return abs(delta) / root
 
 
 def pulse_duration(omega: float) -> float:

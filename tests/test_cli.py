@@ -233,6 +233,32 @@ def test_field_outside_the_model_rejected(argv, flag, value, message, monkeypatc
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+@pytest.mark.parametrize("argv", [
+    ["spectrum"], ["design", "--gate", "b"], ["sweep", "--gate", "a"], ["ee-cnot"],
+    ["ensemble", "--chains", "4", "--realizations", "1", "--law", "A", "--Kn", "2000"],
+])
+def test_n0_beyond_the_float_range_rejected(argv, capsys):
+    # gradient * N0 cannot convert N0 to a float: refused by name, not an internal error
+    n0 = 10**400
+    code, out, err = run_cli(argv + ["--N0", str(n0)], capsys)
+    assert (code, out) == (3, "")
+    assert err == f"error: the nominal separation N0 = {n0} is too large for a float\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["design", "--gate", "b", "--K"], ["sweep", "--gate", "a", "--K"], ["ee-cnot", "--K"],
+    ["ensemble", "--chains", "4", "--realizations", "1", "--law", "A", "--Kn"],
+    ["ensemble", "--chains", "4", "--realizations", "1", "--law", "A", "--K"],
+])
+@pytest.mark.parametrize("k", [10**154, 10**160], ids=["1e154", "1e160"])
+def test_k_beyond_the_float_range_rejected(argv, k, capsys):
+    # 4K^2 - 1 is inf at 10**154 and does not convert to a float at 10**160
+    code, out, err = run_cli(argv + [str(k)], capsys)
+    assert (code, out) == (3, "")
+    assert err == (f"error: K = {k} is too large for the 2piK condition: "
+                   f"4K^2 - 1 is not a finite float\n")
+
+
 class TestDesign:
     def test_gate_a(self, capsys):
         code, out, _ = run_cli(["design", "--gate", "a", "--K", "1",

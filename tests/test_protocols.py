@@ -346,7 +346,7 @@ class TestEnsemble:
         # three and ten draw blocks, the last one partial: the mean is the
         # Python float sum of every chain's error in chain order, divided once
         pulses = design_protocol_pulses(1, 2000)
-        [table] = _form_tables([(DEFAULT_GEOMETRY, tuple(pulses.items()), (0, 1, 2, 3, 4))])
+        [table] = _form_tables([(DEFAULT_GEOMETRY, tuple(pulses.items()), tuple(range(-4, 5)))])
         for num_chains in (2100, 9 * 1024 + 300):
             config = EnsembleConfig(num_chains=num_chains, num_realizations=1, law="A",
                                     k_e=1, k_n=2000, seed=17)
@@ -492,11 +492,47 @@ class TestEnsemble:
         assert shared["a"] in pulses and shared["c"] in pulses
         assert all(n == 81 for _, n in propagated)
 
+    def test_grid_designs_each_pulse_set_once(self, monkeypatch):
+        # one design per distinct (K_e, K_n, layout) of a grid, whatever its laws
+        designed, gates = [], []
+
+        def counting_design(*args):
+            designed.append(args)
+            return design_protocol_pulses(*args)
+
+        def counting_gate(*args):
+            gates.append(args[1].name)
+            return design_gate(*args)
+
+        monkeypatch.setattr(protocols, "design_protocol_pulses", counting_design)
+        monkeypatch.setattr(protocols, "design_gate", counting_gate)
+        monkeypatch.setattr(protocols, "_FORM_TABLES", {})
+        kns = (700, 2000, 5000, 10000)
+        ensemble_grid([EnsembleConfig(num_chains=10, num_realizations=1, law=law, k_e=1,
+                                      k_n=k_n, seed=1)
+                       for k_n in kns for law in ("A", "B", "none")])
+        assert designed == [(1, k_n, DEFAULT_GEOMETRY) for k_n in kns]
+        assert len(gates) == 4 * len(kns)
+        # two layouts: each is designed for itself, and each cell equals its config alone
+        designed.clear()
+        moved = DeviceGeometry(n0=48)
+        configs = [EnsembleConfig(num_chains=30, num_realizations=2, law=law, k_e=1,
+                                  k_n=k_n, seed=4, geometry=geometry)
+                   for geometry in (DEFAULT_GEOMETRY, moved) for k_n in (700, 2000)
+                   for law in ("A", "none")]
+        grid = ensemble_grid(configs)
+        assert designed == [(1, k_n, geometry) for geometry in (DEFAULT_GEOMETRY, moved)
+                            for k_n in (700, 2000)]
+        designed.clear()
+        for config, result in zip(configs, grid):
+            assert ensemble_init(config).realization_means == result.realization_means
+        assert len(designed) == len(configs)   # one design per ensemble_init call
+
     @pytest.mark.filterwarnings("ignore::donorpair.spectrum.SwapBoundaryWarning")
     def test_form_table_rows_match_single_chain_solves(self):
         # one stacked pass over all 81 pairs against protocol_form of each chain alone
         pulses = design_protocol_pulses(1, 2000)
-        [table] = _form_tables([(DEFAULT_GEOMETRY, tuple(pulses.items()), (0, 1, 2, 3, 4))])
+        [table] = _form_tables([(DEFAULT_GEOMETRY, tuple(pulses.items()), tuple(range(-4, 5)))])
         for m1, m2 in itertools.product(range(-4, 5), repeat=2):
             alone = _form_coefficients(protocol_form(
                 DEFAULT_GEOMETRY.displaced(m1, m2), pulses))
@@ -504,7 +540,7 @@ class TestEnsemble:
 
     def test_form_table_is_read_only(self):
         pulses = design_protocol_pulses(1, 2000)
-        [table] = _form_tables([(DEFAULT_GEOMETRY, tuple(pulses.items()), (0, 1))])
+        [table] = _form_tables([(DEFAULT_GEOMETRY, tuple(pulses.items()), (-1, 0, 1))])
         assert table.shape == (81, 16) and table.dtype == np.float64
         with pytest.raises(ValueError):
             table[(1 + 4) * 9 + (-1 + 4), 0] = 0.0

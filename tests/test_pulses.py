@@ -60,6 +60,16 @@ class TestTwoPiK:
         with pytest.raises(ValueError):
             two_pi_k_omega(0.0, 3)
 
+    @pytest.mark.parametrize("k", [10**154, 2**512, 10**160], ids=["1e154", "2**512", "1e160"])
+    def test_rejects_k_beyond_the_float_range(self, k):
+        # 4K^2 - 1 is inf at 10**154, and K^2 does not convert to a float from 2**512
+        with pytest.raises(ValueError, match=f"^K = {k} is too large for the 2piK condition"):
+            two_pi_k_omega(MHZ, k)
+
+    def test_k_just_inside_the_float_range_still_designs(self):
+        k = 6 * 10**153   # 4K^2 - 1 = 1.44e308, still a float
+        assert two_pi_k_omega(MHZ, k) == MHZ / np.sqrt(4.0 * k**2 - 1.0) > 0.0
+
 
 class TestDuration:
     def test_electron_pulse_nanoseconds(self):
