@@ -295,7 +295,7 @@ def cmd_spectrum(args) -> tuple[list[dict], dict]:
 def cmd_design(args) -> tuple[list[dict], dict]:
     from .constants import TWO_PI
     from .pulses import (DEFAULT_K_ELECTRON, DEFAULT_K_NUCLEAR, GATES, _detuning_from,
-                         _suppressed_detuning, design_gate, kn_window, leading_order_design)
+                         design_gate, design_values, kn_window)
     from .spectrum import compute_spectrum
 
     geometry = _geometry(args)
@@ -304,12 +304,12 @@ def cmd_design(args) -> tuple[list[dict], dict]:
     k = default_k if args.K is None else args.K
     spec0 = compute_spectrum(geometry.displaced(0, 0))
     pulse = design_gate(spec0, gate, k)
-    lead = leading_order_design(gate, k, geometry.displaced(0, 0))
+    lead = design_values(spec0.zeroth, gate, k)
     omega = pulse.omega_e if gate.species == "e" else pulse.omega_n
     rows = [{
         "gate": gate.name, "K": k,
         "nu_MHz": _mhz(pulse.nu),
-        "Delta_MHz": _mhz(_suppressed_detuning(gate, spec0.exact_energies)),
+        "Delta_MHz": _mhz(design_values(spec0.exact_energies, gate, k)["delta"]),
         "Omega_MHz": _mhz(omega),
         "tau_us": pulse.tau * 1e6,
         "B1_mT": pulse.b1_amplitude * 1e3,
@@ -318,7 +318,7 @@ def cmd_design(args) -> tuple[list[dict], dict]:
     }]
     resolved = {"geometry": geometry, "gate": args.gate, "K": k}
     if geometry.m1 != 0 or geometry.m2 != 0:
-        shift = _detuning_from(spec0, gate, geometry)
+        shift = _detuning_from(spec0, compute_spectrum(geometry), gate)
         rows[0]["detuning_shift_kHz"] = shift / TWO_PI / 1e3
         if args.gate == "b":   # the usable nuclear-K window of this displacement
             rows[0]["Kn_min"], rows[0]["Kn_max"] = kn_window(spec0, shift)

@@ -38,20 +38,14 @@ def _drive_lowering(pulse: PulseSpec) -> np.ndarray:
     return lower
 
 
-def drive_operator(pulse: PulseSpec) -> np.ndarray:
-    """Static pulse operator V(phi) in the rotating frame.
-
-    Each driven spin contributes (Omega_s / 2) L_s e^{-i phi} + h.c. (see
-    _drive_lowering for the signs).
-    """
-    v = _drive_lowering(pulse)
-    v *= np.exp(-1j * pulse.phi)
-    return v + v.conj().T
-
-
 def rotating_hamiltonian(h0: np.ndarray, pulse: PulseSpec) -> np.ndarray:
-    """Time-independent rotating-frame Hamiltonian H0 + nu Fz + V(phi)."""
-    return h0 + pulse.nu * np.diag(reg.FZ_DIAG) + drive_operator(pulse)
+    """Time-independent rotating-frame Hamiltonian H0 + nu Fz + V(phi).
+
+    Each driven spin adds (Omega_s / 2) L_s e^{-i phi} + h.c. to V(phi)
+    (see _drive_lowering for the signs).
+    """
+    v = _drive_lowering(pulse) * np.exp(-1j * pulse.phi)
+    return h0 + pulse.nu * np.diag(reg.FZ_DIAG) + (v + v.conj().T)
 
 
 def pulse_propagator(h0: np.ndarray, pulse: PulseSpec) -> np.ndarray:

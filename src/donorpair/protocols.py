@@ -1,9 +1,10 @@
 """Gate sequences and experiments on single chains and chain ensembles.
 
-Pulses are always designed for the nominal geometry; the simulated chain may
-be displaced. States are prepared and read out in the labelled eigenbasis of
-the chain actually being driven (stationary states are what survives between
-pulses), so reported errors isolate the pulse physics from basis admixture.
+Chains are solved here. Pulses are designed from the solved spectrum of the
+nominal geometry; the simulated chain may be displaced. States are prepared
+and read out in the labelled eigenbasis of the chain actually being driven
+(stationary states are what survives between pulses), so reported errors
+isolate the pulse physics from basis admixture.
 
 Each ensemble realization draws its chains' displacements and initial
 states from one random stream, seeded by (seed, law, K_n, K_e,
@@ -27,8 +28,9 @@ the displacement pair and the pulses, and Re(z^H M z) is a dot product of
 coefficients of every pair a law can draw sit in one read-only (81, 16)
 table per (nominal geometry, pulses, signed law support), in a bounded
 process cache; laws A and B share a table and law none solves only (0, 0).
-ensemble_grid designs each distinct pulse set once per call, then solves the
-tables it is missing in one stacked pass before any pool starts: one
+ensemble_grid solves each distinct nominal layout once per call and designs
+each distinct pulse set from that spectrum, then solves the tables it is
+missing in one stacked pass before any pool starts: one
 compute_spectra stack of every distinct displaced chain, one
 pulse_propagator stack per distinct pulse (gates a and c do not depend on
 K_n, so a K_n grid shares them) and one stack of protocol forms per table.
@@ -59,9 +61,9 @@ import numpy as np
 from .dynamics import (pulse_propagator, relax_electrons,
                        relax_electrons_adjoint)
 from .geometry import DEFAULT_GEOMETRY, DISPLACEMENTS, MAX_DISPLACEMENT, DeviceGeometry
-from .pulses import (DEFAULT_K_ELECTRON, DEFAULT_K_NUCLEAR, GATES, PulseSpec,
-                     design_gate)
-from .spectrum import compute_spectra, compute_spectrum
+from .pulses import (DEFAULT_K_ELECTRON, DEFAULT_K_NUCLEAR, GATES, GateSpec, PulseSpec,
+                     _detuning_from, design_gate)
+from .spectrum import Spectrum, compute_spectra, compute_spectrum
 
 INIT_SUPPORT = (6, 7, 14, 15)     # electrons relaxed, nuclei arbitrary
 TARGET_STATE = 15
@@ -120,13 +122,22 @@ def design_protocol_pulses(k_e: int = DEFAULT_K_ELECTRON, k_n: int = DEFAULT_K_N
                            geometry_nominal: DeviceGeometry = DEFAULT_GEOMETRY) -> dict[str, PulseSpec]:
     """Pulses for the gates of PROTOCOL_ORDER, in its order, for the undisplaced geometry_nominal."""
     _check_nominal(geometry_nominal, "geometry_nominal")
-    spec0 = compute_spectrum(geometry_nominal)
-    pulses = {}
-    for name in PROTOCOL_ORDER:
-        if name != "relax":
-            gate = GATES[name]
-            pulses[name] = design_gate(spec0, gate, k_e if gate.species == "e" else k_n)
-    return pulses
+    return _protocol_pulses(compute_spectrum(geometry_nominal), k_e, k_n)
+
+
+def _protocol_pulses(spec0: Spectrum, k_e: int, k_n: int) -> dict[str, PulseSpec]:
+    """design_protocol_pulses from the solved spectrum spec0 of the nominal chain."""
+    return {name: design_gate(spec0, GATES[name], k_e if GATES[name].species == "e" else k_n)
+            for name in PROTOCOL_ORDER if name != "relax"}
+
+
+def displacement_detuning(gate: GateSpec, geometry: DeviceGeometry) -> float:
+    """Shift of the resonant pair of `gate` in `geometry` from its nominal chain; 0 there.
+
+    Solves the nominal chain, then `geometry`, and returns pulses._detuning_from.
+    """
+    spec0 = compute_spectrum(geometry.displaced(0, 0))
+    return _detuning_from(spec0, compute_spectrum(geometry), gate)
 
 
 def _transfer_error(vectors: np.ndarray, u: np.ndarray, source: int, target: int) -> float:
@@ -161,9 +172,9 @@ def sweep_gate_error(gate_name: str, m_range=DISPLACEMENTS, k_list=(1,),
     gate = GATES[gate_name]
     p, q = gate.resonant
     spec0 = compute_spectrum(geometry_nominal)
+    pulses = {k: design_gate(spec0, gate, k) for k in k_list}   # a refused K fails before any point
     out: dict[tuple[int, int], float] = {}
-    for k in k_list:
-        pulse = design_gate(spec0, gate, k)
+    for k, pulse in pulses.items():
         for m in m_range:
             displacement = {"m1": m} if displaced_atom == 1 else {"m2": m}
             geom = geometry_nominal.displaced(**displacement)
@@ -512,16 +523,18 @@ def ensemble_workers(configs: Sequence[EnsembleConfig]) -> int:
 def ensemble_grid(configs: Sequence[EnsembleConfig]) -> list[EnsembleResult]:
     """ensemble_init of every config, with all realizations in one process pool.
 
-    Each distinct (k_e, k_n, geometry) of the configs is designed once.
-    Every config's form table is taken from the process cache, the missing
-    ones solved together in one stacked pass, before the pool starts, and
-    each task carries its table, so pool workers solve no forms. The pool
-    has ensemble_workers(configs) workers and is not started for one.
+    Each distinct geometry is solved once, in config order, and each distinct
+    (k_e, k_n, geometry) designed from it once. Every config's form table is
+    taken from the process cache, the missing ones solved together in one
+    stacked pass before the pool starts; each task carries its table, so pool
+    workers solve no forms. The pool has ensemble_workers(configs) workers
+    and is not started for one.
     """
     if not configs:
         raise ValueError("ensemble_grid needs at least one config")
-    designs = {design: tuple(design_protocol_pulses(*design).items())
-               for design in dict.fromkeys((c.k_e, c.k_n, c.geometry) for c in configs)}
+    spectra = {g: compute_spectrum(g) for g in dict.fromkeys(c.geometry for c in configs)}
+    designs = {(k_e, k_n, g): tuple(_protocol_pulses(spectra[g], k_e, k_n).items())
+               for k_e, k_n, g in dict.fromkeys((c.k_e, c.k_n, c.geometry) for c in configs)}
     keys = [(c.geometry, designs[c.k_e, c.k_n, c.geometry], _SUPPORTS[c.law]) for c in configs]
     tasks = [(config, r, table) for config, table in zip(configs, _form_tables(keys))
              for r in range(config.num_realizations)]

@@ -3,8 +3,11 @@
 A pulse at frequency nu flips one spin conditioned on another by driving a
 resonant level pair while a near-resonant pair is silenced with the 2piK
 condition Omega = |Delta| / sqrt(4K^2 - 1) (the unwanted transition then
-completes full Rabi cycles). Pulse parameters are computed from the exact
-labelled spectrum of the nominal chain; displaced chains then see detuned
+completes full Rabi cycles). design_values applies that rule to any
+labelled levels: design_gate builds its pulse from the exact levels of the
+nominal chain, and the leading-order values come from the same rule on
+that chain's zeroth-order levels. Every design reads a spectrum its caller
+has solved; this module solves no chain. Displaced chains then see detuned
 resonances, which is the error mechanism under study.
 """
 from __future__ import annotations
@@ -15,8 +18,7 @@ import numpy as np
 
 from .constants import GAMMA_E, GAMMA_N
 from .exchange import delta_j, j_for_sites
-from .geometry import DEFAULT_GEOMETRY, DeviceGeometry
-from .spectrum import Spectrum, ValidityError, compute_spectrum, transition_frequency, zeroth_energies
+from .spectrum import Spectrum, ValidityError, transition_frequency
 from . import register as reg
 
 
@@ -97,17 +99,6 @@ class GateSpec:
         return reg.flipped_bit(*self.resonant)[0]
 
 
-def _suppressed_detuning(gate: GateSpec, energies: np.ndarray) -> float:
-    """Detuning (E_q' - E_p') - (E_q - E_p) of the suppressed pair from the resonant one.
-
-    `energies` are labelled level energies; the 2piK condition sets the
-    Rabi frequency from this detuning.
-    """
-    p, q = gate.resonant
-    pp, qp = gate.suppressed
-    return (energies[qp] - energies[pp]) - (energies[q] - energies[p])
-
-
 # The four initialization gates and the electron-electron CNOT.
 # Control convention: the target flips when the control bit is 1.
 # Electron pulses drive the addressed electron; nuclear pulses drive both
@@ -157,51 +148,48 @@ class PulseSpec:
         return GAMMA_N * self.b1_amplitude
 
 
-def design_gate(spec_ideal: Spectrum, gate: GateSpec, k: int) -> PulseSpec:
-    """Pulse implementing `gate` at the 2piK condition K = k on the chain of spec_ideal."""
-    omega = two_pi_k_omega(_suppressed_detuning(gate, spec_ideal.exact_energies), k)
-    gamma = GAMMA_E if gate.species == "e" else GAMMA_N
-    return PulseSpec(
-        nu=transition_frequency(spec_ideal, *gate.resonant),
-        phi=0.0,
-        b1_amplitude=omega / gamma,
-        tau=pulse_duration(omega),
-        drive_spins=gate.drive_spins,
-    )
+# design_gate refuses a pulse whose largest phase (tau times the largest level
+# or drive frequency) carries a float64 rounding error above this many rad.
+PHASE_ROUNDING_TOL = 1e-5
 
 
-def leading_order_design(gate: GateSpec, k: int,
-                         geometry: DeviceGeometry = DEFAULT_GEOMETRY) -> dict:
-    """Analytic pulse parameters from the leading-order level formulas.
+def design_values(levels: np.ndarray, gate: GateSpec, k: int) -> dict:
+    """The 2piK rule of `gate` at K = k on labelled levels: nu, delta, omega and tau.
 
-    These are the closed-form design values (block-diagonalized electron
-    sector, no second-order hyperfine shifts); the exact design can differ
-    at the tens-of-kHz level where a driven level carries a second-order
-    correction, most visibly for the nuclear gate frequency.
+    nu is the resonant transition E_q - E_p and delta the suppressed pair's
+    detuning (E_q' - E_p') - nu. On a chain's exact levels this is
+    design_gate's pulse; on its zeroth-order levels, the closed-form
+    leading-order design, which lacks the second-order hyperfine shifts.
     """
-    from .geometry import effective_params
-
-    e0 = zeroth_energies(effective_params(geometry))
-    p, q = gate.resonant
-    delta = _suppressed_detuning(gate, e0)
+    (p, q), (pp, qp) = gate.resonant, gate.suppressed
+    nu = levels[q] - levels[p]
+    delta = (levels[qp] - levels[pp]) - nu
     omega = two_pi_k_omega(delta, k)
-    return {"nu": e0[q] - e0[p], "delta": delta, "omega": omega, "tau": pulse_duration(omega)}
+    return {"nu": nu, "delta": delta, "omega": omega, "tau": pulse_duration(omega)}
 
 
-def displacement_detuning(gate: GateSpec, geometry: DeviceGeometry) -> float:
-    """Detuning of the resonant pair in a displaced chain from the nominal pulse.
+def design_gate(spec_ideal: Spectrum, gate: GateSpec, k: int) -> PulseSpec:
+    """Pulse implementing `gate` at the 2piK condition K = k on the chain of spec_ideal.
 
-    Computed from exact spectra of the nominal and displaced chains; zero by
-    construction at zero displacement.
+    A K whose largest phase carries a rounding error above PHASE_ROUNDING_TOL
+    (the propagator cannot resolve it) is a ValueError naming the gate and K.
     """
-    return _detuning_from(compute_spectrum(geometry.displaced(0, 0)), gate, geometry)
+    levels = spec_ideal.exact_energies
+    values = design_values(levels, gate, k)
+    rounding = values["tau"] * max(np.abs(levels).max(), abs(values["nu"])) * np.finfo(float).eps
+    if rounding > PHASE_ROUNDING_TOL:
+        raise ValueError(f"gate {gate.name} at K = {k}: the pulse's largest phase carries a "
+                         f"rounding error of {rounding:.2g} rad, above {PHASE_ROUNDING_TOL:g} "
+                         "rad; the propagator cannot resolve it")
+    gamma = GAMMA_E if gate.species == "e" else GAMMA_N
+    return PulseSpec(nu=values["nu"], phi=0.0, b1_amplitude=values["omega"] / gamma,
+                     tau=values["tau"], drive_spins=gate.drive_spins)
 
 
-def _detuning_from(spec_nominal: Spectrum, gate: GateSpec, geometry: DeviceGeometry) -> float:
-    """displacement_detuning, given the spectrum of the nominal chain of `geometry`."""
-    actual = compute_spectrum(geometry)
+def _detuning_from(spec_nominal: Spectrum, spec: Spectrum, gate: GateSpec) -> float:
+    """Shift of the resonant transition of `gate` from spec_nominal to spec, both solved."""
     p, q = gate.resonant
-    return transition_frequency(actual, p, q) - transition_frequency(spec_nominal, p, q)
+    return transition_frequency(spec, p, q) - transition_frequency(spec_nominal, p, q)
 
 
 def kn_window(spec_ideal: Spectrum, detuning: float) -> tuple[int, int]:
@@ -209,20 +197,19 @@ def kn_window(spec_ideal: Spectrum, detuning: float) -> tuple[int, int]:
 
     The lower edge is where the off-resonant flip of the other nucleus
     (detuned by 2*gamma_n*deltaB) reaches amplitude ratio mu = 1; the upper
-    edge is where the Rabi frequency drops to `detuning`, the
-    displacement_detuning of GATES["b"] on a displaced chain.
+    edge is where the Rabi frequency drops to `detuning`, the shift of gate
+    b's resonance on a displaced chain from spec_ideal's (_detuning_from of
+    the two solved spectra, or protocols.displacement_detuning).
     """
-    delta2 = _suppressed_detuning(GATES["b"], spec_ideal.exact_energies)
+    if detuning == 0:
+        raise ValidityError("upper K edge undefined at zero displacement")
+    delta2 = design_values(spec_ideal.exact_energies, GATES["b"], 1)["delta"]   # the same at any K
 
     def k_at_omega(omega_limit: float) -> int:
         return round(0.5 * np.sqrt((delta2 / omega_limit) ** 2 + 1.0))
 
     delta_omega = 2.0 * GAMMA_N * spec_ideal.params.delta_b
-    k_min = k_at_omega(2.0 * abs(delta_omega))
-    if detuning == 0:
-        raise ValidityError("upper K edge undefined at zero displacement")
-    k_max = k_at_omega(abs(detuning))
-    return k_min, k_max
+    return k_at_omega(2.0 * abs(delta_omega)), k_at_omega(abs(detuning))
 
 
 def interior_qubit_estimate(m: int, n0: int = 47) -> tuple[float, float, float]:

@@ -97,13 +97,18 @@ def _guard(failed: np.ndarray, error: type[ValidityError], message: str) -> None
         raise exc
 
 
+def _crossing_margin(params: EffectiveParams) -> float | np.ndarray:
+    """Signed margin A/2 - gamma_e*deltaB of the 10/12 label crossing, positive past it."""
+    return params.a / 2 - GAMMA_E * params.delta_b
+
+
 def _past_crossing(params: EffectiveParams, e: np.ndarray) -> np.ndarray:
-    """`e` with levels 10 and 12 exchanged when A/2 > gamma_e*deltaB.
+    """`e` with levels 10 and 12 exchanged past the crossing, A/2 > gamma_e*deltaB.
 
     The dominant component of the upper/lower block eigenstate switches at
     that crossing, so the labels must follow it.
     """
-    if params.a / 2 > GAMMA_E * params.delta_b:
+    if _crossing_margin(params) > 0:
         e[10], e[12] = e[12], e[10]
     return e
 
@@ -259,7 +264,7 @@ def compute_spectra(geometries: Sequence[DeviceGeometry]) -> Spectrum:
     except ValidityError as exc:
         g = geometries[exc.entry]
         raise type(exc)(f"{exc} (displacement pair m1 = {g.m1}, m2 = {g.m2} of {g})") from None
-    margin = abs(params.a / 2 - GAMMA_E * params.delta_b)
+    margin = abs(_crossing_margin(params))
     pole = _at_eps_prime_pole(params)
     for i in np.flatnonzero((margin < SWAP_GUARD_BAND) | pole):
         if margin[i] < SWAP_GUARD_BAND:

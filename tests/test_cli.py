@@ -12,8 +12,9 @@ import pytest
 from donorpair import cli, protocols, spectrum
 from donorpair.cli import main
 from donorpair.exchange import exchange_table
-from donorpair.geometry import DEFAULT_GEOMETRY
-from donorpair.pulses import GATES, displacement_detuning, kn_window
+from donorpair.geometry import DEFAULT_GEOMETRY, effective_params
+from donorpair.protocols import displacement_detuning
+from donorpair.pulses import GATES, kn_window
 from donorpair.spectrum import compute_spectra, compute_spectrum
 
 
@@ -259,6 +260,21 @@ def test_k_beyond_the_float_range_rejected(argv, k, capsys):
                    f"4K^2 - 1 is not a finite float\n")
 
 
+@pytest.mark.parametrize("argv, gate, k", [
+    (["design", "--gate", "b", "--K"], "CN_e1n1", 10**8),
+    (["sweep", "--gate", "a", "--K"], "CN_n1e1", 10**8),
+    (["ee-cnot", "--K"], "CN_e2e1", 10**6),
+    (["ensemble", "--chains", "4", "--realizations", "1", "--law", "A", "--Kn"], "CN_e1n1", 10**8),
+    (["ensemble", "--chains", "4", "--realizations", "1", "--law", "A", "--K"], "CN_n1e1", 10**8),
+])
+def test_k_the_propagator_cannot_resolve_rejected(argv, gate, k, capsys):
+    # the pulse's largest phase would carry a rounding error above PHASE_ROUNDING_TOL
+    code, out, err = run_cli(argv + [str(k)], capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith(f"error: gate {gate} at K = {k}: ")
+    assert "the propagator cannot resolve it" in err
+
+
 class TestDesign:
     def test_gate_a(self, capsys):
         code, out, _ = run_cli(["design", "--gate", "a", "--K", "1",
@@ -311,6 +327,21 @@ class TestDesign:
         code, _, _ = run_cli(["design", "--gate", "b", "--m1", "-1"], capsys)
         assert code == 0
         assert solved == [(0, 0), (-1, 0)]
+
+    def test_displaced_design_derives_two_parameter_sets(self, monkeypatch, capsys):
+        # the leading-order values read the nominal spectrum's parameters, so the
+        # nominal and displaced chains are the only effective_params calls
+        derived = []
+
+        def counting_params(geometry):
+            derived.append((geometry.m1, geometry.m2))
+            return effective_params(geometry)
+
+        monkeypatch.setattr("donorpair.geometry.effective_params", counting_params)
+        monkeypatch.setattr(spectrum, "effective_params", counting_params)
+        code, _, _ = run_cli(["design", "--gate", "b", "--m1", "-1"], capsys)
+        assert code == 0
+        assert derived == [(0, 0), (-1, 0)]
 
     @pytest.mark.parametrize("argv", [["--gate", "b"], ["--gate", "a", "--m1", "-1"]])
     def test_kn_window_only_for_displaced_gate_b(self, argv, capsys):

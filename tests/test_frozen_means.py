@@ -24,9 +24,9 @@ import pytest
 
 from donorpair import (DEFAULT_GEOMETRY, GATES, EffectiveParams, EnsembleConfig,
                        EnsembleResult, GateSpec, ProtocolRun, PulseSpec, compute_spectrum, design_gate,
-                       displacement_detuning, ensemble_grid, interior_qubit_estimate, kn_window,
-                       leading_order_design, protocol_form, run_ee_cnot, run_initialization,
-                       sweep_gate_error)
+                       design_values, displacement_detuning, ensemble_grid,
+                       interior_qubit_estimate, kn_window, protocol_form, run_ee_cnot,
+                       run_initialization, sweep_gate_error)
 from donorpair.cli import main
 from donorpair.exchange import exchange_table
 from donorpair.protocols import _form_coefficients, design_protocol_pulses
@@ -206,7 +206,7 @@ FROZEN_DESIGNS = {   # design_gate(nominal spectrum, GATES[name]) at K = 1: (nu,
     "d": ("0x1.5adc69cb05400p+29", "0x1.428300c2b9802p+39", "0x1.fa60b378771d6p-28"),
     "ee": ("-0x1.0e38b4c38083cp+39", "0x1.b438a96ade901p+22", "0x1.d7faafc342355p-22"),
 }
-FROZEN_LEADING = {   # leading_order_design(GATES["b"], 2000)
+FROZEN_LEADING = {   # design_values(nominal spectrum's zeroth-order levels, GATES["b"], 2000)
     "nu": "0x1.5a81b72f82c00p+29", "delta": "-0x1.5ff1195b5621dp+29",
     "omega": "0x1.68636eabe243ep+17", "tau": "0x1.1da584d058fe9p-16",
 }
@@ -240,7 +240,7 @@ def test_pulse_designs_are_frozen():
 
 
 def test_analytic_design_values_are_frozen():
-    lead = leading_order_design(GATES["b"], 2000)
+    lead = design_values(compute_spectrum(DEFAULT_GEOMETRY).zeroth, GATES["b"], 2000)
     assert {key: float(value).hex() for key, value in lead.items()} == FROZEN_LEADING
     detuning = displacement_detuning(GATES["a"], DEFAULT_GEOMETRY.displaced(m1=-1))
     assert float(detuning).hex() == FROZEN_DETUNING

@@ -18,15 +18,14 @@ EXPORTS = {
                  "build_h0", "compute_spectra", "compute_spectrum", "exact_spectrum",
                  "perturbative_spectrum", "small_params", "transition_frequency",
                  "zeroth_energies"],
-    "pulses": ["GATES", "GateSpec", "PulseSpec", "design_gate", "displacement_detuning",
-               "error_estimate", "interior_qubit_estimate", "kn_window",
-               "leading_order_design", "nonresonant_mu", "pulse_duration", "rabi_probability",
-               "two_pi_k_omega"],
+    "pulses": ["GATES", "GateSpec", "PulseSpec", "design_gate", "design_values",
+               "error_estimate", "interior_qubit_estimate", "kn_window", "nonresonant_mu",
+               "pulse_duration", "rabi_probability", "two_pi_k_omega"],
     "dynamics": ["StepSizeError", "integrate_lab_frame", "pulse_propagator", "relax_electrons",
                  "relax_electrons_adjoint", "rotating_hamiltonian"],
-    "protocols": ["EnsembleConfig", "EnsembleResult", "ProtocolRun", "ensemble_grid",
-                  "ensemble_init", "ensemble_workers", "protocol_form", "run_ee_cnot",
-                  "run_initialization", "sweep_gate_error"],
+    "protocols": ["EnsembleConfig", "EnsembleResult", "ProtocolRun", "displacement_detuning",
+                  "ensemble_grid", "ensemble_init", "ensemble_workers", "protocol_form",
+                  "run_ee_cnot", "run_initialization", "sweep_gate_error"],
 }
 PINNED = [name for names in EXPORTS.values() for name in names]
 

@@ -493,40 +493,44 @@ class TestEnsemble:
         assert all(n == 81 for _, n in propagated)
 
     def test_grid_designs_each_pulse_set_once(self, monkeypatch):
-        # one design per distinct (K_e, K_n, layout) of a grid, whatever its laws
-        designed, gates = [], []
+        # one nominal solve per distinct layout of a grid, in config order, and
+        # one design per distinct (K_e, K_n, layout), whatever its laws: the
+        # CLI's default 4-K_n x 3-law grid solves 1 nominal chain, with 16 designs
+        solved, gates = [], []
 
-        def counting_design(*args):
-            designed.append(args)
-            return design_protocol_pulses(*args)
+        def counting_spectrum(geometry):
+            solved.append(geometry)
+            return compute_spectrum(geometry)
 
         def counting_gate(*args):
             gates.append(args[1].name)
             return design_gate(*args)
 
-        monkeypatch.setattr(protocols, "design_protocol_pulses", counting_design)
+        monkeypatch.setattr(protocols, "compute_spectrum", counting_spectrum)
         monkeypatch.setattr(protocols, "design_gate", counting_gate)
         monkeypatch.setattr(protocols, "_FORM_TABLES", {})
         kns = (700, 2000, 5000, 10000)
         ensemble_grid([EnsembleConfig(num_chains=10, num_realizations=1, law=law, k_e=1,
                                       k_n=k_n, seed=1)
                        for k_n in kns for law in ("A", "B", "none")])
-        assert designed == [(1, k_n, DEFAULT_GEOMETRY) for k_n in kns]
+        assert solved == [DEFAULT_GEOMETRY]
         assert len(gates) == 4 * len(kns)
-        # two layouts: each is designed for itself, and each cell equals its config alone
-        designed.clear()
+        # two layouts: each is solved and designed for itself, and each cell
+        # equals its config alone
+        solved.clear()
+        gates.clear()
         moved = DeviceGeometry(n0=48)
         configs = [EnsembleConfig(num_chains=30, num_realizations=2, law=law, k_e=1,
                                   k_n=k_n, seed=4, geometry=geometry)
-                   for geometry in (DEFAULT_GEOMETRY, moved) for k_n in (700, 2000)
+                   for geometry in (moved, DEFAULT_GEOMETRY) for k_n in (700, 2000)
                    for law in ("A", "none")]
         grid = ensemble_grid(configs)
-        assert designed == [(1, k_n, geometry) for geometry in (DEFAULT_GEOMETRY, moved)
-                            for k_n in (700, 2000)]
-        designed.clear()
+        assert solved == [moved, DEFAULT_GEOMETRY]
+        assert len(gates) == 2 * 2 * 4
+        solved.clear()
         for config, result in zip(configs, grid):
             assert ensemble_init(config).realization_means == result.realization_means
-        assert len(designed) == len(configs)   # one design per ensemble_init call
+        assert solved == [config.geometry for config in configs]   # one solve per call
 
     @pytest.mark.filterwarnings("ignore::donorpair.spectrum.SwapBoundaryWarning")
     def test_form_table_rows_match_single_chain_solves(self):

@@ -3,12 +3,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from donorpair import (DEFAULT_GEOMETRY, GATES, compute_spectrum, design_gate,
-                       displacement_detuning, error_estimate,
+                       design_values, displacement_detuning, error_estimate,
                        interior_qubit_estimate, j_for_sites, kn_window,
-                       leading_order_design, nonresonant_mu, pulse_duration,
+                       nonresonant_mu, pulse_duration,
                        rabi_probability, transition_frequency, two_pi_k_omega)
 from donorpair.constants import GAMMA_N, TWO_PI
-from donorpair.pulses import GateSpec
+from donorpair.pulses import PHASE_ROUNDING_TOL, GateSpec
 from donorpair.spectrum import ValidityError
 
 MHZ = TWO_PI * 1e6
@@ -140,13 +140,21 @@ class TestDesign:
         assert pulse.omega_n / pulse.omega_e == pytest.approx(
             17.25144e6 / 28.025e9, rel=1e-12)
 
-    def test_leading_order_values(self):
-        lead_a = leading_order_design(GATES["a"], 1)
+    def test_leading_order_values(self, default_spectrum):
+        lead_a = design_values(default_spectrum.zeroth, GATES["a"], 1)
         assert lead_a["nu"] / TWO_PI / 1e9 == pytest.approx(-92.35, abs=0.01)
         assert lead_a["delta"] / MHZ == pytest.approx(-117.47, abs=0.02)
         assert lead_a["omega"] / MHZ == pytest.approx(67.82, abs=0.02)
-        lead_b = leading_order_design(GATES["b"], 1)
+        lead_b = design_values(default_spectrum.zeroth, GATES["b"], 1)
         assert lead_b["nu"] / MHZ == pytest.approx(115.655, abs=2e-3)
+
+    @pytest.mark.parametrize("k", [1, 2, 2000])
+    @pytest.mark.parametrize("name", sorted(GATES))
+    def test_design_values_are_design_gates_rule(self, default_spectrum, name, k):
+        # one 2piK rule: on the exact levels it gives design_gate's nu and tau bit for bit
+        values = design_values(default_spectrum.exact_energies, GATES[name], k)
+        pulse = design_gate(default_spectrum, GATES[name], k)
+        assert (values["nu"].hex(), values["tau"].hex()) == (pulse.nu.hex(), pulse.tau.hex())
 
     def test_nuclear_gate_shares_the_suppressed_detuning(self, default_spectrum):
         # (E13 - E12) - nu2 equals (E14 - E12) - nu1 identically
@@ -171,6 +179,36 @@ class TestDesign:
                  - transition_frequency(default_spectrum, *gate.resonant))
         assert rabi_probability(pulse.omega_e, 0.0) == pytest.approx(1.0, abs=1e-14)
         assert rabi_probability(pulse.omega_e, delta) <= 1e-10
+
+
+class TestResolvableK:
+    # the largest K of any default list or config, per gate: sweep --gate a
+    # and b, the ensemble's K_e and K_n, ee-cnot
+    LARGEST_DEFAULT_K = {"a": 4, "b": 30000, "c": 1, "d": 10000, "ee": 1}
+
+    @staticmethod
+    def edge(spectrum, gate):
+        """The K whose largest phase carries a rounding error of PHASE_ROUNDING_TOL.
+
+        tau grows as sqrt(4K^2 - 1), so in proportion to K to 1e-7 from K = 1000.
+        """
+        levels = spectrum.exact_energies
+        values = design_values(levels, gate, 1000)
+        rounding = values["tau"] * max(abs(levels).max(), abs(values["nu"])) * np.finfo(float).eps
+        return 1000 * PHASE_ROUNDING_TOL / rounding
+
+    @pytest.mark.parametrize("name", sorted(GATES))
+    def test_refused_just_outside_the_bound(self, default_spectrum, name):
+        gate = GATES[name]
+        edge = self.edge(default_spectrum, gate)
+        assert design_gate(default_spectrum, gate, int(edge * 0.999)).tau > 0
+        k = int(edge * 1.001) + 1
+        with pytest.raises(ValueError, match=f"^gate {gate.name} at K = {k}: "):
+            design_gate(default_spectrum, gate, k)
+
+    @pytest.mark.parametrize("name", sorted(GATES))
+    def test_defaults_are_far_inside_the_bound(self, default_spectrum, name):
+        assert self.edge(default_spectrum, GATES[name]) >= 100 * self.LARGEST_DEFAULT_K[name]
 
 
 class TestDisplacementDetuning:
