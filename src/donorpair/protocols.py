@@ -26,12 +26,12 @@ carried back through PROTOCOL_ORDER (Heisenberg picture). M depends only on
 the displacement pair and the pulses, and Re(z^H M z) is a dot product of
 16 real coefficients of M with 16 quadratic features of z = x + iy. The
 coefficients of every pair a law can draw sit in one read-only (81, 16)
-table per (nominal geometry, pulses, signed law support), in a bounded
-process cache; laws A and B share a table and law none solves only (0, 0).
-ensemble_grid solves each distinct nominal layout once per call and designs
-each distinct pulse set from that spectrum, then solves the tables it is
-missing in one stacked pass before any pool starts: one
-compute_spectra stack of every distinct displaced chain, one
+table per (nominal geometry, pulses, signed law support); laws A and B
+share a table and law none solves only (0, 0). ensemble_grid solves each
+distinct nominal layout once per call and designs each distinct pulse set
+from that spectrum, then solves its distinct tables in one stacked pass
+before any pool starts (memoized per grid, so a repeated grid solves
+none): one compute_spectra stack of every distinct displaced chain, one
 pulse_propagator stack per distinct pulse (gates a and c do not depend on
 K_n, so a K_n grid shares them) and one stack of protocol forms per table.
 Each realization carries its table, so pool workers only draw and evaluate
@@ -52,6 +52,7 @@ population after every step.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
@@ -389,30 +390,20 @@ def _form_coefficients(form: np.ndarray) -> np.ndarray:
                            2.0 * upper.real, -2.0 * upper.imag], axis=-1)
 
 
-_FORM_TABLES: dict[tuple, np.ndarray] = {}   # _form_tables cache, oldest first
-_FORM_TABLE_CACHE = 8     # for repeated ensemble_init calls: 4 K_n x 2 law supports, ~10 KB each
-
-
-def _form_tables(keys: Sequence[tuple[DeviceGeometry, tuple[tuple[str, PulseSpec], ...],
-                                      tuple[int, ...]]]) -> list[np.ndarray]:
+@functools.lru_cache(maxsize=8)
+def _form_tables(keys: tuple[tuple[DeviceGeometry, tuple[tuple[str, PulseSpec], ...],
+                                   tuple[int, ...]], ...]) -> tuple[np.ndarray, ...]:
     """Read-only (81, 16) _form_coefficients table of each (geometry, pulses, support).
 
     Row _pair_index(m1, m2) of a table holds the coefficients of
     protocol_form for the chain displaced by (m1, m2) from the nominal
     `geometry` under `pulses`, for m1 and m2 in the signed `support`; the
-    other rows are NaN. The tables missing from the process cache are solved
-    together by _solve_form_tables; the cache keeps the _FORM_TABLE_CACHE
-    most recently solved.
+    other rows are NaN. The distinct keys are solved together by
+    _solve_form_tables, and the 8 most recently used grids are memoized.
     """
-    tables = [_FORM_TABLES.get(key) for key in keys]
-    missing = list(dict.fromkeys(key for key, table in zip(keys, tables) if table is None))
-    if missing:
-        solved = dict(zip(missing, _solve_form_tables(missing)))
-        tables = [solved.get(key, table) for key, table in zip(keys, tables)]
-        _FORM_TABLES.update(solved)
-        while len(_FORM_TABLES) > _FORM_TABLE_CACHE:
-            del _FORM_TABLES[next(iter(_FORM_TABLES))]
-    return tables
+    distinct = list(dict.fromkeys(keys))
+    solved = dict(zip(distinct, _solve_form_tables(distinct)))
+    return tuple(solved[key] for key in keys)
 
 
 def _solve_form_tables(keys: Sequence[tuple]) -> list[np.ndarray]:
@@ -503,7 +494,7 @@ def ensemble_init(config: EnsembleConfig) -> EnsembleResult:
     chain's draws depend only on those and its index, and the result does
     not depend on scheduling. Each chain costs one quadratic form
     1 - a^H M a, with M = protocol_form of its displacement pair, read from
-    a form table solved once per process for each pulse set and law support.
+    a form table that later calls with the same pulses and law support reuse.
     """
     return ensemble_grid([config])[0]
 
@@ -524,18 +515,18 @@ def ensemble_grid(configs: Sequence[EnsembleConfig]) -> list[EnsembleResult]:
     """ensemble_init of every config, with all realizations in one process pool.
 
     Each distinct geometry is solved once, in config order, and each distinct
-    (k_e, k_n, geometry) designed from it once. Every config's form table is
-    taken from the process cache, the missing ones solved together in one
-    stacked pass before the pool starts; each task carries its table, so pool
-    workers solve no forms. The pool has ensemble_workers(configs) workers
-    and is not started for one.
+    (k_e, k_n, geometry) designed from it once. The grid's form tables come
+    from _form_tables before the pool starts; each task carries its table,
+    so pool workers solve no forms. The pool has ensemble_workers(configs)
+    workers and is not started for one.
     """
     if not configs:
         raise ValueError("ensemble_grid needs at least one config")
     spectra = {g: compute_spectrum(g) for g in dict.fromkeys(c.geometry for c in configs)}
     designs = {(k_e, k_n, g): tuple(_protocol_pulses(spectra[g], k_e, k_n).items())
                for k_e, k_n, g in dict.fromkeys((c.k_e, c.k_n, c.geometry) for c in configs)}
-    keys = [(c.geometry, designs[c.k_e, c.k_n, c.geometry], _SUPPORTS[c.law]) for c in configs]
+    keys = tuple((c.geometry, designs[c.k_e, c.k_n, c.geometry], _SUPPORTS[c.law])
+                 for c in configs)
     tasks = [(config, r, table) for config, table in zip(configs, _form_tables(keys))
              for r in range(config.num_realizations)]
     workers = ensemble_workers(configs)

@@ -153,6 +153,11 @@ class PulseSpec:
 PHASE_ROUNDING_TOL = 1e-5
 
 
+def _phase_rounding(levels: np.ndarray, values: dict) -> float:
+    """Rounding error, in rad, of the largest phase of the pulse design_values gave on `levels`."""
+    return values["tau"] * max(np.abs(levels).max(), abs(values["nu"])) * np.finfo(float).eps
+
+
 def design_values(levels: np.ndarray, gate: GateSpec, k: int) -> dict:
     """The 2piK rule of `gate` at K = k on labelled levels: nu, delta, omega and tau.
 
@@ -176,7 +181,7 @@ def design_gate(spec_ideal: Spectrum, gate: GateSpec, k: int) -> PulseSpec:
     """
     levels = spec_ideal.exact_energies
     values = design_values(levels, gate, k)
-    rounding = values["tau"] * max(np.abs(levels).max(), abs(values["nu"])) * np.finfo(float).eps
+    rounding = _phase_rounding(levels, values)
     if rounding > PHASE_ROUNDING_TOL:
         raise ValueError(f"gate {gate.name} at K = {k}: the pulse's largest phase carries a "
                          f"rounding error of {rounding:.2g} rad, above {PHASE_ROUNDING_TOL:g} "
@@ -199,17 +204,28 @@ def kn_window(spec_ideal: Spectrum, detuning: float) -> tuple[int, int]:
     (detuned by 2*gamma_n*deltaB) reaches amplitude ratio mu = 1; the upper
     edge is where the Rabi frequency drops to `detuning`, the shift of gate
     b's resonance on a displaced chain from spec_ideal's (_detuning_from of
-    the two solved spectra, or protocols.displacement_detuning).
+    the two solved spectra, or protocols.displacement_detuning), or the
+    largest K design_gate accepts for gate b on spec_ideal, if smaller.
     """
     if detuning == 0:
         raise ValidityError("upper K edge undefined at zero displacement")
-    delta2 = design_values(spec_ideal.exact_energies, GATES["b"], 1)["delta"]   # the same at any K
+    levels, gate = spec_ideal.exact_energies, GATES["b"]
+    values = design_values(levels, gate, 1)   # delta is the same at any K
 
     def k_at_omega(omega_limit: float) -> int:
-        return round(0.5 * np.sqrt((delta2 / omega_limit) ** 2 + 1.0))
+        return round(0.5 * np.sqrt((values["delta"] / omega_limit) ** 2 + 1.0))
 
+    def resolved(k: int) -> bool:   # design_gate's rule
+        return _phase_rounding(levels, design_values(levels, gate, k)) <= PHASE_ROUNDING_TOL
+
+    # the rounding grows as 1 / omega: start where it reaches the tolerance
+    k_max = k_at_omega(values["omega"] * _phase_rounding(levels, values) / PHASE_ROUNDING_TOL)
+    while not resolved(k_max):
+        k_max -= 1
+    while resolved(k_max + 1):
+        k_max += 1
     delta_omega = 2.0 * GAMMA_N * spec_ideal.params.delta_b
-    return k_at_omega(2.0 * abs(delta_omega)), k_at_omega(abs(detuning))
+    return k_at_omega(2.0 * abs(delta_omega)), min(k_at_omega(abs(detuning)), k_max)
 
 
 def interior_qubit_estimate(m: int, n0: int = 47) -> tuple[float, float, float]:

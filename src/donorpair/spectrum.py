@@ -189,21 +189,17 @@ def perturbative_spectrum(params: EffectiveParams) -> np.ndarray:
     return _past_crossing(params, e0 + e2)
 
 
-_EPS_PRIME_POLE = "epsilon' pole: 2*gamma_e*(B2-B1) equals A"
-
-
-def _at_eps_prime_pole(params: EffectiveParams) -> bool | np.ndarray:
-    """Where 2*gamma_e*(B2-B1) equals A to 1e-12 of A: a bool, or an (n,) mask for a stack."""
-    return abs(2 * GAMMA_E * (params.b2 - params.b1) - params.a) < 1e-12 * params.a
-
-
 def small_params(params: EffectiveParams) -> tuple[float, float, float]:
-    """Smallness parameters (epsilon, epsilon', xi) of the basis approximation."""
+    """Smallness parameters (epsilon, epsilon', xi) of the basis approximation.
+
+    The one reader of epsilon', so the one guard of its pole, 2*gamma_e*(B2-B1)
+    = A to 1e-12 of A. Both checks raise ValidityError: `params` may be hand-built.
+    """
     if params.b2 == params.b1:
         raise ValidityError("epsilon undefined: equal fields at the two atoms")
-    if _at_eps_prime_pole(params):
-        raise ValidityError(_EPS_PRIME_POLE)
     two_ge_db = 2 * GAMMA_E * (params.b2 - params.b1)
+    if abs(two_ge_db - params.a) < 1e-12 * params.a:
+        raise ValidityError("epsilon' pole: 2*gamma_e*(B2-B1) equals A")
     eps = params.j / two_ge_db
     eps_prime = params.j / abs(two_ge_db - params.a)
     xi = params.a / (2 * GAMMA_E * params.b)
@@ -251,10 +247,10 @@ def compute_spectra(geometries: Sequence[DeviceGeometry]) -> Spectrum:
 
     Row i equals what geometries[i] gives alone, bit for bit. The guards
     run as they would for each geometry alone: a failed labelling or
-    residual guard names the first geometry that failed; then, chain by
-    chain in stack order, a chain within SWAP_GUARD_BAND of the 10/12 label
-    crossing warns and a chain at the epsilon' pole raises ValidityError.
-    (Equal fields at the two atoms are refused by effective_params.)
+    residual guard names the first geometry that failed; then each chain
+    within SWAP_GUARD_BAND of the 10/12 label crossing warns, in stack
+    order. (effective_params refuses equal fields; no exact level reads
+    epsilon', so only small_params refuses its pole.)
     """
     rows = [effective_params(g) for g in geometries]
     params = EffectiveParams(*map(np.array, zip(*((p.b1, p.b2, p.a, p.j) for p in rows))))
@@ -265,15 +261,11 @@ def compute_spectra(geometries: Sequence[DeviceGeometry]) -> Spectrum:
         g = geometries[exc.entry]
         raise type(exc)(f"{exc} (displacement pair m1 = {g.m1}, m2 = {g.m2} of {g})") from None
     margin = abs(_crossing_margin(params))
-    pole = _at_eps_prime_pole(params)
-    for i in np.flatnonzero((margin < SWAP_GUARD_BAND) | pole):
-        if margin[i] < SWAP_GUARD_BAND:
-            warnings.warn(
-                f"A/2 - gamma_e*deltaB margin is {margin[i] / TWO_PI:.1f} Hz; "
-                "labels 10/12 are near their crossing", SwapBoundaryWarning,
-                stacklevel=_caller_stacklevel())
-        if pole[i]:
-            raise ValidityError(_EPS_PRIME_POLE)
+    for i in np.flatnonzero(margin < SWAP_GUARD_BAND):
+        warnings.warn(
+            f"A/2 - gamma_e*deltaB margin is {margin[i] / TWO_PI:.1f} Hz; "
+            "labels 10/12 are near their crossing", SwapBoundaryWarning,
+            stacklevel=_caller_stacklevel())
     return Spectrum(params, h, energies, vectors)
 
 

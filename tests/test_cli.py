@@ -12,9 +12,9 @@ import pytest
 from donorpair import cli, protocols, spectrum
 from donorpair.cli import main
 from donorpair.exchange import exchange_table
-from donorpair.geometry import DEFAULT_GEOMETRY, effective_params
+from donorpair.geometry import DEFAULT_GEOMETRY, DeviceGeometry, effective_params
 from donorpair.protocols import displacement_detuning
-from donorpair.pulses import GATES, kn_window
+from donorpair.pulses import GATES, design_gate, kn_window
 from donorpair.spectrum import compute_spectra, compute_spectrum
 
 
@@ -313,6 +313,19 @@ class TestDesign:
         window = kn_window(compute_spectrum(DEFAULT_GEOMETRY), displacement_detuning(
             GATES["b"], DEFAULT_GEOMETRY.displaced(m1=-1)))
         assert (row["Kn_min"], row["Kn_max"]) == window == (363, 34120)
+
+    @pytest.mark.parametrize("gradient", [100.0, 300.0])
+    def test_kn_max_is_the_largest_k_design_accepts(self, gradient, capsys):
+        # at these gradients the detuning edge (38927560 and 14187139) lies past
+        # the largest K whose pulse the propagator resolves, so that K caps the window
+        code, out, _ = run_cli(["design", "--gate", "b", "--m1", "1", "--gradient-T-per-m",
+                                str(gradient), "--format", "json"], capsys)
+        assert code == 0
+        k_max = json.loads(out)["rows"][0]["Kn_max"]
+        spec0 = compute_spectrum(DeviceGeometry(gradient=gradient))
+        assert design_gate(spec0, GATES["b"], k_max).tau > 0
+        with pytest.raises(ValueError, match="the propagator cannot resolve it"):
+            design_gate(spec0, GATES["b"], k_max + 1)
 
     def test_displaced_gate_b_solves_two_chains(self, monkeypatch, capsys):
         # the nominal chain once, for the design and the detuning shift that

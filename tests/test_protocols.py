@@ -346,7 +346,7 @@ class TestEnsemble:
         # three and ten draw blocks, the last one partial: the mean is the
         # Python float sum of every chain's error in chain order, divided once
         pulses = design_protocol_pulses(1, 2000)
-        [table] = _form_tables([(DEFAULT_GEOMETRY, tuple(pulses.items()), tuple(range(-4, 5)))])
+        [table] = _form_tables(((DEFAULT_GEOMETRY, tuple(pulses.items()), tuple(range(-4, 5))),))
         for num_chains in (2100, 9 * 1024 + 300):
             config = EnsembleConfig(num_chains=num_chains, num_realizations=1, law="A",
                                     k_e=1, k_n=2000, seed=17)
@@ -462,7 +462,7 @@ class TestEnsemble:
         monkeypatch.setattr(protocols, "compute_spectra", counting_spectra)
         monkeypatch.setattr(protocols, "pulse_propagator", counting_propagator)
         every_pair = sorted(itertools.product(range(-4, 5), repeat=2))
-        protocols._FORM_TABLES.clear()
+        protocols._form_tables.cache_clear()
         ensemble_init(EnsembleConfig(num_chains=300, num_realizations=2, law="A",
                                      k_e=1, k_n=2000, seed=1))
         assert [sorted(c) for c in chains] == [every_pair]
@@ -481,7 +481,7 @@ class TestEnsemble:
         chains.clear()
         propagated.clear()
         # a cold 4-K_n grid: 81 spectra, and gates a and c solved once for all K_n
-        protocols._FORM_TABLES.clear()
+        protocols._form_tables.cache_clear()
         ensemble_grid([EnsembleConfig(num_chains=10, num_realizations=1, law=law, k_e=1,
                                       k_n=k_n, seed=1)
                        for k_n in (700, 2000, 5000, 10000) for law in ("A", "B", "none")])
@@ -508,7 +508,7 @@ class TestEnsemble:
 
         monkeypatch.setattr(protocols, "compute_spectrum", counting_spectrum)
         monkeypatch.setattr(protocols, "design_gate", counting_gate)
-        monkeypatch.setattr(protocols, "_FORM_TABLES", {})
+        protocols._form_tables.cache_clear()
         kns = (700, 2000, 5000, 10000)
         ensemble_grid([EnsembleConfig(num_chains=10, num_realizations=1, law=law, k_e=1,
                                       k_n=k_n, seed=1)
@@ -536,7 +536,7 @@ class TestEnsemble:
     def test_form_table_rows_match_single_chain_solves(self):
         # one stacked pass over all 81 pairs against protocol_form of each chain alone
         pulses = design_protocol_pulses(1, 2000)
-        [table] = _form_tables([(DEFAULT_GEOMETRY, tuple(pulses.items()), tuple(range(-4, 5)))])
+        [table] = _form_tables(((DEFAULT_GEOMETRY, tuple(pulses.items()), tuple(range(-4, 5))),))
         for m1, m2 in itertools.product(range(-4, 5), repeat=2):
             alone = _form_coefficients(protocol_form(
                 DEFAULT_GEOMETRY.displaced(m1, m2), pulses))
@@ -544,7 +544,7 @@ class TestEnsemble:
 
     def test_form_table_is_read_only(self):
         pulses = design_protocol_pulses(1, 2000)
-        [table] = _form_tables([(DEFAULT_GEOMETRY, tuple(pulses.items()), (-1, 0, 1))])
+        [table] = _form_tables(((DEFAULT_GEOMETRY, tuple(pulses.items()), (-1, 0, 1)),))
         assert table.shape == (81, 16) and table.dtype == np.float64
         with pytest.raises(ValueError):
             table[(1 + 4) * 9 + (-1 + 4), 0] = 0.0

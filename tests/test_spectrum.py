@@ -157,7 +157,7 @@ class TestStackedSpectrum:
         def no_levels(params):
             raise AssertionError("an exact path computed perturbative levels")
         monkeypatch.setattr(spectrum, "_block_energies", no_levels)
-        monkeypatch.setattr(protocols, "_FORM_TABLES", {})
+        protocols._form_tables.cache_clear()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", SwapBoundaryWarning)
             compute_spectra(self.GEOMETRIES)
@@ -241,7 +241,7 @@ class TestPerturbativeSpectrum:
         lambda: ensemble_init(EnsembleConfig(num_chains=1, num_realizations=1, law="A")),
     ], ids=["compute_spectrum", "ensemble_init"])
     def test_guard_warning_names_the_caller(self, solve, monkeypatch):
-        monkeypatch.setattr(protocols, "_FORM_TABLES", {})   # no table solved before
+        protocols._form_tables.cache_clear()   # no table solved before
         with pytest.warns(SwapBoundaryWarning, match=r"margin is 40\.0 Hz;") as record:
             solve()
         assert {w.filename for w in record} == {__file__}
@@ -305,16 +305,35 @@ class TestSmallness:
         with pytest.raises(ValidityError):
             small_params(p)
 
+    POLE_GRADIENT = 58085.84245741747   # 2*gamma_e*(B2-B1) lies 2e-14 of A from A (m1 = m2 = 0)
+
     def test_eps_prime_pole_guard(self, capsys):
-        # at this gradient 2*gamma_e*(B2-B1) lies 2e-14 of A from A on the nominal chain;
-        # its exact labels are clean (smallest dominant weight 0.99972), so the guard
-        # protects only the perturbative values
-        gradient = 58085.84245741747
-        pole = DeviceGeometry(gradient=gradient)
+        # the exact labels at the pole are clean (smallest dominant weight
+        # 0.99972), so only small_params, the one reader of epsilon', refuses it
+        pole = DeviceGeometry(gradient=self.POLE_GRADIENT)
+        spec = compute_spectrum(pole)
+        stack = compute_spectra([pole.displaced(m1=1), pole])
+        for vectors in (spec.eigenvectors, *stack.eigenvectors):
+            assert (np.argmax(abs(vectors) ** 2, axis=0) == np.arange(16)).all()
+        assert np.array_equal(stack.exact_energies[1], spec.exact_energies)
         with pytest.raises(ValidityError, match="epsilon' pole"):
-            compute_spectrum(pole)
-        with pytest.raises(ValidityError, match="epsilon' pole"):
-            compute_spectra([DeviceGeometry(gradient=gradient, m1=1), pole])
-        assert main(["sweep", "--gate", "a", "--gradient-T-per-m", str(gradient)]) == 3
+            small_params(spec.params)
+        assert main(["spectrum", "--gradient-T-per-m", str(self.POLE_GRADIENT)]) == 3
         out, err = capsys.readouterr()
         assert out == "" and "epsilon' pole" in err
+
+    @pytest.mark.parametrize("argv, column", [
+        (["sweep", "--gate", "a"], "P"),
+        (["ee-cnot"], "P_e"),
+        (["design", "--gate", "b", "--m1", "-1"], None),
+        (["ensemble", "--chains", "500", "--realizations", "2", "--law", "A,none",
+          "--Kn", "2000"], "mean_P"),
+    ], ids=["sweep", "ee-cnot", "design", "ensemble"])
+    def test_exact_commands_run_at_eps_prime_pole(self, argv, column, capsys):
+        # these read only exact and zeroth-order levels, never epsilon'
+        assert main([*argv, "--gradient-T-per-m", str(self.POLE_GRADIENT)]) == 0
+        header, *rows = capsys.readouterr().out.strip().split("\n")
+        assert rows
+        if column is not None:
+            values = [float(row.split(",")[header.split(",").index(column)]) for row in rows]
+            assert all(0 <= p <= 1 for p in values), values
