@@ -166,16 +166,20 @@ def _nominal_geometry(args: argparse.Namespace) -> DeviceGeometry:
 def _list(text: str, option: str, kind=str) -> list:
     """Comma-separated option value as a list of str or int.
 
-    An empty list, or an item that is not an integer where kind is int, is a
-    validity error that names the option.
+    An empty list, an item that is not an integer where kind is int, or a
+    value listed twice (as parsed, so 1 and 01 are one K) is a validity
+    error that names the option.
     """
     values = []
     for item in text.split(","):
         if item:
             try:
-                values.append(kind(item))
+                value = kind(item)
             except ValueError:
                 raise ValueError(f"--{option}: {item!r} is not an integer") from None
+            if value in values:
+                raise ValueError(f"--{option}: {value!r} is listed twice")
+            values.append(value)
     if not values:
         raise ValueError(f"--{option} lists no values")
     return values

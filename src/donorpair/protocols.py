@@ -6,56 +6,21 @@ and read out in the labelled eigenbasis of the chain actually being driven
 (stationary states are what survives between pulses), so reported errors
 isolate the pulse physics from basis admixture.
 
-Each ensemble realization draws its chains' displacements and initial
-states from one random stream, seeded by (seed, law, K_n, K_e,
-realization), in fixed blocks of chains. A realization is the unit of work
-of the process pool, so results are reproducible bit for bit at any
-parallelism. The pool starts only for a grid of at least CHAINS_PER_WORKER
-chains per worker (ensemble_workers); smaller grids run serially, since the
-pool's start-up would cost more than it saves.
-
-A single chain (a sweep point, an ee-CNOT, run_initialization,
-protocol_form) is driven by the same primitives as the ensemble's stacks:
-one compute_spectrum of its geometry and one pulse_propagator per pulse,
-the one-chain case of compute_spectra and the stacked pulse_propagator.
-
-The protocol is linear in the initial state, so an ensemble chain never
-runs it: its error is 1 - a^H M a for its four initial amplitudes a, where
-M = protocol_form(geometry, pulses) is the 4x4 Hermitian target projector
-carried back through PROTOCOL_ORDER (Heisenberg picture). M depends only on
-the displacement pair and the pulses, and Re(z^H M z) is a dot product of
-16 real coefficients of M with 16 quadratic features of z = x + iy. The
-coefficients of every pair a law can draw sit in one read-only (81, 16)
-table per (nominal geometry, pulses, signed law support); laws A and B
-share a table and law none solves only (0, 0). ensemble_grid solves each
-distinct nominal layout once per call and designs each distinct pulse set
-from that spectrum, then solves its distinct tables in one stacked pass
-before any pool starts (memoized per grid, so a repeated grid solves
-none): one compute_spectra stack of every distinct displaced chain, one
-pulse_propagator stack per distinct pulse (gates a and c do not depend on
-K_n, so a K_n grid shares them) and one stack of protocol forms per table.
-Each realization carries its table, so pool workers only draw and evaluate
-chains.
-A chain is four uniforms (its displacement pair) and eight normals
-z = x + iy. The stream is drawn in draw blocks of _CHAIN_BLOCK chains, the
-unit that fixes which draws belong to which chain and the unit of work of
-the chain kernel. A block's uniforms are mapped to table rows by one lookup
-per chain: one searchsorted codes both magnitude rows of a contiguous copy,
-and a 100-entry table built at import maps each pair of displacement codes
-to its row. Its errors 1 - Re(z^H M z) / (z^H z) (a = z / |z|) are
-evaluated together with elementwise arithmetic: the 16 features of every
-chain as one (16, n) array, and the coefficients gathered by the block's
-rows with one take. So each chain's error is the same whatever block it
-falls in.
-run_initialization is the Schroedinger-picture reference that records the
-population after every step.
+The initialization protocol is linear in the initial state, so its engine
+works in the Heisenberg picture: protocol_form carries the target projector
+back through PROTOCOL_ORDER to a 4x4 form M on INIT_SUPPORT, and a chain
+started in the amplitudes a ends with error 1 - a^H M a. An ensemble reads
+each chain's M from form tables solved before any pool starts, and draws
+its chains from seeded streams, so its output is the same bit for bit at
+any parallelism. run_initialization is the Schroedinger-picture reference
+that the engine is checked against.
 """
 from __future__ import annotations
 
 import functools
 import itertools
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -189,54 +154,44 @@ def sweep_gate_error(gate_name: str, m_range=DISPLACEMENTS, k_list=(1,),
 class ProtocolRun:
     """Record of one initialization run on one chain."""
 
-    steps: list[tuple[str, float]] = field(default_factory=list)   # (step, P so far)
-    pulse_fidelities: dict[str, float] = field(default_factory=dict)
-    final_error: float = np.nan
+    pulse_fidelities: dict[str, float]   # empty unless recorded
+    final_error: float
 
 
 def run_initialization(geometry: DeviceGeometry,
                        k_e: int = DEFAULT_K_ELECTRON, k_n: int = DEFAULT_K_NUCLEAR,
-                       initial: np.ndarray | None = None,
+                       initial: Sequence[complex] = (1, 0, 0, 0),
                        pulses: dict[str, PulseSpec] | None = None,
                        record: bool = True) -> ProtocolRun:
     """Polarize both nuclear spins with the four-pulse protocol.
 
-    `initial` gives amplitudes on the labelled eigenstates: either 4 values
-    on the relaxed-electron manifold (|0110>, |0111>, |1110>, |1111>) or all
-    16; zero or non-finite amplitudes are a ValueError. Defaults to the
-    |0110>-like eigenstate. Relaxation after the second and fourth pulses
-    resets the electrons; the figure of merit is P = 1 - population of the
-    |1111>-like eigenstate. k_e and k_n are read only to design the default
-    pulses, design_protocol_pulses(k_e, k_n, geometry.displaced(0, 0)) for
-    the nominal layout of `geometry`; they are unused with `pulses`.
+    `initial` holds the amplitudes a of protocol_form on the INIT_SUPPORT
+    eigenstates (|0110>, |0111>, |1110>, |1111>-like), by default the
+    |0110>-like eigenstate; any other length, or amplitudes that are all
+    zero or not finite, are a ValueError. The density matrix is driven
+    through PROTOCOL_ORDER, relaxation resetting the electrons after the
+    second and fourth pulses, and final_error = 1 - population of the
+    |1111>-like eigenstate, which equals 1 - a^H M a / (a^H a). With
+    `record`, pulse_fidelities holds each pulse's transfer fidelity on this
+    chain. k_e and k_n are read only to design the default pulses,
+    design_protocol_pulses(k_e, k_n, geometry.displaced(0, 0)) for the
+    nominal layout of `geometry`; they are unused with `pulses`.
     """
+    amps = np.asarray(initial, dtype=complex)
+    if amps.shape != (len(INIT_SUPPORT),):
+        raise ValueError(f"initial must hold {len(INIT_SUPPORT)} amplitudes, "
+                         f"one per INIT_SUPPORT eigenstate; got shape {amps.shape}")
+    state = np.zeros(16, dtype=complex)
+    state[list(INIT_SUPPORT)] = amps
+    if not 0 < (norm := np.linalg.norm(state)) < np.inf:   # NaN fails too
+        raise ValueError(f"initial amplitudes must be finite and not all zero; norm {norm}")
     if pulses is None:
         pulses = design_protocol_pulses(k_e, k_n, geometry.displaced(0, 0))
     spec = compute_spectrum(geometry)
     vectors = spec.eigenvectors
     propagators = {name: pulse_propagator(spec.hamiltonian, p) for name, p in pulses.items()}
 
-    if initial is None:
-        amps = np.zeros(16, dtype=complex)
-        amps[6] = 1.0
-    elif len(initial) == 4:
-        amps = np.zeros(16, dtype=complex)
-        amps[list(INIT_SUPPORT)] = np.asarray(initial, dtype=complex)
-    elif len(initial) == 16:
-        amps = np.asarray(initial, dtype=complex)
-    else:
-        raise ValueError("initial must hold 4 or 16 eigenstate amplitudes")
-    if not 0 < (norm := np.linalg.norm(amps)) < np.inf:   # NaN fails too
-        raise ValueError(f"initial amplitudes must be finite and not all zero; norm {norm}")
-    amps = amps / norm
-
-    run = ProtocolRun()
-    target = vectors[:, TARGET_STATE]
-
-    def error(rho: np.ndarray) -> float:   # 1 - population of the target eigenstate
-        return 1.0 - float(np.real(target.conj() @ rho @ target))
-
-    psi = vectors @ amps
+    psi = vectors @ (state / norm)
     rho = np.outer(psi, psi.conj())
     for step in PROTOCOL_ORDER:
         if step == "relax":
@@ -244,14 +199,10 @@ def run_initialization(geometry: DeviceGeometry,
         else:
             u = propagators[step]
             rho = u @ rho @ u.conj().T
-        if record:
-            run.steps.append((step, error(rho)))
-    run.final_error = error(rho)
-    if record:
-        for name in ("a", "b", "c", "d"):
-            p, q = GATES[name].resonant
-            run.pulse_fidelities[name] = 1.0 - _transfer_error(vectors, propagators[name], p, q)
-    return run
+    target = vectors[:, TARGET_STATE]
+    fidelities = {name: 1.0 - _transfer_error(vectors, propagators[name], *GATES[name].resonant)
+                  for name in ("a", "b", "c", "d")} if record else {}
+    return ProtocolRun(fidelities, 1.0 - float(np.real(target.conj() @ rho @ target)))
 
 
 def protocol_form(geometry: DeviceGeometry, pulses: dict[str, PulseSpec]) -> np.ndarray:
@@ -398,32 +349,26 @@ def _form_tables(keys: tuple[tuple[DeviceGeometry, tuple[tuple[str, PulseSpec], 
     Row _pair_index(m1, m2) of a table holds the coefficients of
     protocol_form for the chain displaced by (m1, m2) from the nominal
     `geometry` under `pulses`, for m1 and m2 in the signed `support`; the
-    other rows are NaN. The distinct keys are solved together by
-    _solve_form_tables, and the 8 most recently used grids are memoized.
+    other rows are NaN. The grid's distinct keys are solved in one stacked
+    pass: every distinct displaced chain once, in one compute_spectra stack,
+    and every distinct pulse once, in one pulse_propagator stack over all
+    those chains, so tables that share pulses share their propagators (gates
+    a and c do not depend on K_n). Each distinct key's table then comes from
+    one _protocol_forms stack of its rows. The 8 most recently used grids
+    are memoized, so a repeated grid solves nothing; a grid that only partly
+    overlaps a memoized one is solved whole.
     """
     distinct = list(dict.fromkeys(keys))
-    solved = dict(zip(distinct, _solve_form_tables(distinct)))
-    return tuple(solved[key] for key in keys)
-
-
-def _solve_form_tables(keys: Sequence[tuple]) -> list[np.ndarray]:
-    """The _form_tables of `keys`, solved in one stacked pass.
-
-    Every distinct displaced chain of the keys is solved once, in one
-    compute_spectra stack, and every distinct pulse once, in one
-    pulse_propagator stack over all those chains, so tables that share
-    pulses share their propagators (gates a and c do not depend on K_n).
-    Each table then comes from one _protocol_forms stack of its rows.
-    """
-    pairs = [list(itertools.product(support, support)) for _, _, support in keys]
+    pairs = [list(itertools.product(support, support)) for _, _, support in distinct]
     chains = [[geometry.displaced(m1, m2) for m1, m2 in key_pairs]
-              for (geometry, _, _), key_pairs in zip(keys, pairs)]
+              for (geometry, _, _), key_pairs in zip(distinct, pairs)]
     row = {chain: i for i, chain in enumerate(dict.fromkeys(itertools.chain(*chains)))}
     spectra = compute_spectra(list(row))
     propagators = {pulse: pulse_propagator(spectra.hamiltonian, pulse)
-                   for pulse in dict.fromkeys(p for _, key_pulses, _ in keys for _, p in key_pulses)}
+                   for pulse in dict.fromkeys(p for _, key_pulses, _ in distinct
+                                              for _, p in key_pulses)}
     tables = []
-    for (_, key_pulses, _), key_pairs, key_chains in zip(keys, pairs, chains):
+    for (_, key_pulses, _), key_pairs, key_chains in zip(distinct, pairs, chains):
         rows = [row[c] for c in key_chains]
         forms = _protocol_forms(spectra.eigenvectors[rows],
                                 {name: propagators[pulse][rows] for name, pulse in key_pulses})
@@ -431,7 +376,8 @@ def _solve_form_tables(keys: Sequence[tuple]) -> list[np.ndarray]:
         table[[_pair_index(m1, m2) for m1, m2 in key_pairs]] = _form_coefficients(forms)
         table.flags.writeable = False
         tables.append(table)
-    return tables
+    solved = dict(zip(distinct, tables))
+    return tuple(solved[key] for key in keys)
 
 
 def _chain_errors(columns: np.ndarray, pairs: np.ndarray, normals: np.ndarray) -> np.ndarray:

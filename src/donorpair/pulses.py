@@ -12,6 +12,7 @@ resonances, which is the error mechanism under study.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,9 +35,15 @@ def rabi_probability(omega: float, delta: float) -> float:
 def two_pi_k_omega(delta: float, k: int) -> float:
     """Rabi frequency satisfying the 2piK condition for detuning delta.
 
-    A K whose 4K^2 - 1 is not a finite float (from about 6.7e153) is a
-    ValueError naming K.
+    A K that is not an integer (one operator.index refuses, such as 1.5;
+    NumPy integers are accepted), or whose 4K^2 - 1 is not a finite float
+    (from about 6.7e153), is a ValueError naming K: a pulse at a fractional
+    K leaves population sin^2(pi K) / (4 K^2) on the suppressed line.
     """
+    try:
+        k = operator.index(k)
+    except TypeError:
+        raise ValueError(f"K = {k!r} is not an integer") from None
     if k < 1:
         raise ValueError("K must be a positive integer")
     if delta == 0:

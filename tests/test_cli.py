@@ -275,6 +275,16 @@ def test_k_the_propagator_cannot_resolve_rejected(argv, gate, k, capsys):
     assert "the propagator cannot resolve it" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["sweep", "--gate", "a", "--K", "1,01"], "--K: 1 is listed twice"),
+    (["ensemble", "--law", "A,none,A", "--Kn", "2000"], "--law: 'A' is listed twice"),
+    (["ensemble", "--law", "A", "--Kn", "2000,2000"], "--Kn: 2000 is listed twice"),
+])
+def test_repeated_list_value_rejected(argv, message, capsys):
+    # a repeat would print the same seeded cell, or the same sweep rows, twice
+    assert run_cli(argv, capsys) == (3, "", f"error: {message}\n")
+
+
 class TestDesign:
     def test_gate_a(self, capsys):
         code, out, _ = run_cli(["design", "--gate", "a", "--K", "1",

@@ -304,7 +304,7 @@ FROZEN_FIELDS = {   # record: names of its dataclass fields
     GateSpec: ("name", "resonant", "suppressed", "drive_spins"),
     PulseSpec: ("nu", "phi", "b1_amplitude", "tau", "drive_spins"),
     EffectiveParams: ("b1", "b2", "a", "j"),
-    ProtocolRun: ("steps", "pulse_fidelities", "final_error"),
+    ProtocolRun: ("pulse_fidelities", "final_error"),
     EnsembleResult: ("config", "realization_means"),
 }
 

@@ -12,7 +12,7 @@ from donorpair import protocols
 from donorpair import (DEFAULT_GEOMETRY, GATES, DeviceGeometry, EnsembleConfig, ValidityError, compute_spectra, compute_spectrum,
                        design_gate, ensemble_grid, ensemble_init, ensemble_workers,
                        pulse_propagator, run_ee_cnot, run_initialization, sweep_gate_error)
-from donorpair.protocols import (INIT_SUPPORT, LAW_CODES, LAWS, _chain_draws, _chain_errors,
+from donorpair.protocols import (LAW_CODES, LAWS, _chain_draws, _chain_errors,
                                  _form_coefficients, _form_tables, _pair_rows,
                                  design_protocol_pulses, protocol_form)
 
@@ -125,10 +125,8 @@ class TestInitialization:
             assert (run_initialization(geometry, 1, 2000).final_error
                     == run_initialization(geometry, 1, 2000, pulses=pulses).final_error)
 
-    def test_records_steps_and_fidelities(self):
+    def test_records_pulse_fidelities(self):
         run = run_initialization(DEFAULT_GEOMETRY, k_n=10000)
-        assert [s for s, _ in run.steps] == ["a", "b", "relax", "c", "d", "relax"]
-        assert run.steps[-1][1] == run.final_error
         assert set(run.pulse_fidelities) == {"a", "b", "c", "d"}
         assert all(0.9 < f <= 1.0 for f in run.pulse_fidelities.values())
 
@@ -139,8 +137,9 @@ class TestInitialization:
         assert run.final_error == pytest.approx(3.1162e-4, rel=1e-3)
 
     def test_rejects_bad_initial_length(self):
-        with pytest.raises(ValueError):
-            run_initialization(DEFAULT_GEOMETRY, initial=np.ones(5))
+        for length in (5, 16):   # 16 too: the reference takes the engine's four amplitudes only
+            with pytest.raises(ValueError, match="initial must hold 4 amplitudes"):
+                run_initialization(DEFAULT_GEOMETRY, initial=np.ones(length))
 
     @pytest.mark.parametrize("initial", [np.zeros(4), [np.nan, 0, 0, 1], [np.inf, 0, 0, 0]])
     def test_rejects_state_without_a_norm(self, initial):
@@ -553,7 +552,7 @@ class TestEnsemble:
         # K_n values no other test uses, so the parent solves both tables here;
         # a worker that solved a form would raise
         parent = os.getpid()
-        solve = protocols._solve_form_tables
+        solve = protocols.compute_spectra
 
         def parent_only_solve(*args, **kwargs):
             if os.getpid() != parent:
@@ -563,7 +562,7 @@ class TestEnsemble:
         configs = [EnsembleConfig(num_chains=40, num_realizations=2, law=law,
                                   k_e=1, k_n=k_n, seed=9, threads=threads)
                    for threads in (2, 1) for law, k_n in (("A", 3100), ("none", 4100))]
-        monkeypatch.setattr(protocols, "_solve_form_tables", parent_only_solve)
+        monkeypatch.setattr(protocols, "compute_spectra", parent_only_solve)
         pooled = ensemble_grid(configs[:2])
         assert pools == [{"max_workers": 2}]
         serial = ensemble_grid(configs[2:])
@@ -578,10 +577,8 @@ class TestEnsemble:
         rng = np.random.default_rng(3)
         for _ in range(3):
             amps = haar_amplitudes(rng)
-            full16 = np.zeros(16, dtype=complex)
-            full16[list(INIT_SUPPORT)] = amps
             run = run_initialization(DEFAULT_GEOMETRY.displaced(m1=1), k_e=1, k_n=5000,
-                                     initial=full16, pulses=pulses, record=False)
+                                     initial=amps, pulses=pulses, record=False)
             assert 1.0 - np.vdot(amps, form @ amps).real == pytest.approx(
                 run.final_error, rel=1e-10)
 

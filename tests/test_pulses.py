@@ -59,12 +59,19 @@ class TestTwoPiK:
             two_pi_k_omega(MHZ, 0)
         with pytest.raises(ValueError):
             two_pi_k_omega(0.0, 3)
+        with pytest.raises(ValueError, match=r"^K = 1\.5 is not an integer"):
+            two_pi_k_omega(MHZ, 1.5)
 
     @pytest.mark.parametrize("k", [10**154, 2**512, 10**160], ids=["1e154", "2**512", "1e160"])
     def test_rejects_k_beyond_the_float_range(self, k):
         # 4K^2 - 1 is inf at 10**154, and K^2 does not convert to a float from 2**512
         with pytest.raises(ValueError, match=f"^K = {k} is too large for the 2piK condition"):
             two_pi_k_omega(MHZ, k)
+
+    def test_numpy_integer_k_is_read_as_an_integer(self):
+        # K**2 would wrap around in int64 from about 3.04e9
+        k = 4_000_000_000
+        assert two_pi_k_omega(MHZ, np.int64(k)) == two_pi_k_omega(MHZ, k) == MHZ / (2 * k)
 
     def test_k_just_inside_the_float_range_still_designs(self):
         k = 6 * 10**153   # 4K^2 - 1 = 1.44e308, still a float
