@@ -48,16 +48,6 @@ def j_for_sites(n: int) -> float:
     return herring_flicker(a)
 
 
-def delta_j(m: int, n0: int = 47) -> float:
-    """Change of J when the separation shrinks by m sites (N = n0 - m).
-
-    Exact quotient of the exchange formula, not a series expansion in m.
-    """
-    if n0 - m < 1:
-        raise ValueError("displacement closes the gap between donors")
-    return j_for_sites(n0 - m) - j_for_sites(n0)
-
-
 def exchange_table(n_min: int, n_max: int):
     """Rows (N, a in nm, J/2pi in MHz) for N in [n_min, n_max]."""
     if not 1 <= n_min <= n_max:

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import GAMMA_E, GAMMA_N
-from .exchange import delta_j, j_for_sites
 from .spectrum import Spectrum, ValidityError, transition_frequency
 from . import register as reg
 
@@ -65,15 +64,12 @@ def pulse_duration(omega: float) -> float:
     return np.pi / omega
 
 
-def nonresonant_mu(omega: float, delta_omega: float) -> float:
-    """Amplitude error ratio mu = Omega / (2 |delta_omega|) of an off-resonant line."""
-    if delta_omega == 0:
-        raise ValidityError("mu pole: off-resonant line coincides with the pulse")
-    return omega / (2.0 * abs(delta_omega))
-
-
 def error_estimate(r: float, epsilon: float, mu: float) -> float:
-    """Single-pulse error budget P = 1 - R + epsilon^2 + mu^2."""
+    """Single-pulse error budget P = 1 - R + epsilon^2 + mu^2.
+
+    mu = Omega / (2 |delta_omega|) is the amplitude ratio of an off-resonant
+    line detuned by delta_omega from the pulse.
+    """
     return 1.0 - r + epsilon**2 + mu**2
 
 
@@ -207,12 +203,13 @@ def _detuning_from(spec_nominal: Spectrum, spec: Spectrum, gate: GateSpec) -> fl
 def kn_window(spec_ideal: Spectrum, detuning: float) -> tuple[int, int]:
     """Usable K range for the nuclear gate on atom 1.
 
-    The lower edge is where the off-resonant flip of the other nucleus
-    (detuned by 2*gamma_n*deltaB) reaches amplitude ratio mu = 1; the upper
-    edge is where the Rabi frequency drops to `detuning`, the shift of gate
-    b's resonance on a displaced chain from spec_ideal's (_detuning_from of
-    the two solved spectra, or protocols.displacement_detuning), or the
-    largest K design_gate accepts for gate b on spec_ideal, if smaller.
+    The lower edge is where the off-resonant flip of the other nucleus,
+    detuned by delta_omega = 2*gamma_n*deltaB, reaches the amplitude ratio
+    mu = Omega / (2 |delta_omega|) = 1; the upper edge is where the Rabi
+    frequency drops to `detuning`, the shift of gate b's resonance on a
+    displaced chain from spec_ideal's (_detuning_from of the two solved
+    spectra, or protocols.displacement_detuning), or the largest K
+    design_gate accepts for gate b on spec_ideal, if smaller.
     """
     if detuning == 0:
         raise ValidityError("upper K edge undefined at zero displacement")
@@ -233,21 +230,3 @@ def kn_window(spec_ideal: Spectrum, detuning: float) -> tuple[int, int]:
         k_max += 1
     delta_omega = 2.0 * GAMMA_N * spec_ideal.params.delta_b
     return k_at_omega(2.0 * abs(delta_omega)), min(k_at_omega(abs(detuning)), k_max)
-
-
-def interior_qubit_estimate(m: int, n0: int = 47) -> tuple[float, float, float]:
-    """(detuning, Rabi, Rabi error) for a displaced interior qubit, K' = 1.
-
-    For a chain segment with both neighbours at the nominal coupling, a
-    one-site displacement of the middle qubit shifts its two couplings to
-    J(n0 -+ 1); the transition frequency moves by their mean minus J0 while
-    the applied Rabi frequency J0/sqrt(3) misses the 2piK condition by
-    delta_J/sqrt(3).
-    """
-    if abs(m) != 1:
-        raise ValueError("interior estimate covers |m| = 1 only")
-    j0 = j_for_sites(n0)
-    detuning = 0.5 * (j_for_sites(n0 - 1) + j_for_sites(n0 + 1)) - j0
-    omega = j0 / np.sqrt(3.0)
-    d_omega = delta_j(m, n0) / np.sqrt(3.0)
-    return detuning, omega, d_omega

@@ -5,11 +5,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import donorpair
 from donorpair import DEFAULT_GEOMETRY, compute_spectrum, effective_params, protocol_form
 from donorpair import protocols
 from donorpair.protocols import LAWS, design_protocol_pulses
+
+# `pytest --hypothesis-profile=ci` runs each property on 600 examples; tier-1 keeps
+# hypothesis' default size, and a property's own max_examples overrides either
+settings.register_profile("ci", max_examples=600)
 
 
 @pytest.fixture(scope="session")

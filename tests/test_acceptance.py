@@ -19,7 +19,7 @@ from donorpair import (DEFAULT_GEOMETRY, GATES,
                        design_values, integrate_lab_frame, j_for_sites, kn_window,
                        pulse_propagator, rabi_probability,
                        run_ee_cnot, sweep_gate_error, transition_frequency,
-                       two_pi_k_omega, interior_qubit_estimate)
+                       two_pi_k_omega)
 from donorpair.cli import main as cli_main
 from donorpair.constants import GAMMA_E as GE, TWO_PI
 from donorpair.geometry import EffectiveParams, effective_params, field_step
@@ -192,10 +192,6 @@ def test_criterion_7_electron_electron_cnot():
     assert 1e-5 <= p0 <= 5e-3
     for m in (-1, 1):
         assert run_ee_cnot(DEFAULT_GEOMETRY.displaced(m1=m)) >= 50 * p0
-    j0 = j_for_sites(47)
-    detuning, omega, _ = interior_qubit_estimate(1)
-    assert detuning / j0 == pytest.approx(0.086, abs=0.005)
-    assert omega == pytest.approx(j0 / np.sqrt(3), rel=1e-9)
     assert time.monotonic() - t0 < 10.0
     report(7, f"two-electron gate (P_e(0) = {p0:.2e})", "PASS", t0)
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from donorpair import delta_j, herring_flicker, j_for_sites
+from donorpair import herring_flicker, j_for_sites
 from donorpair.constants import BOHR_RADIUS_AB, LATTICE_STEP_A0, TWO_PI
 from donorpair.exchange import exchange_table
 
@@ -45,15 +45,11 @@ def test_smooth_over_working_range():
     assert d2.max() < 1e-3
 
 
-def test_delta_j_examples():
-    assert delta_j(-1) / TWO_PI / 1e6 == pytest.approx(-0.664, rel=0.02)
-    assert delta_j(+1) / TWO_PI / 1e6 == pytest.approx(1.0, rel=0.02)
-    assert delta_j(0) == 0.0
-
-
-def test_delta_j_guards():
-    with pytest.raises(ValueError):
-        delta_j(47)
+def test_one_site_steps_of_j():
+    # J(N0 - m) - J(N0) at N0 = 47: one site further apart (m = -1), one closer (m = +1)
+    j0 = j_for_sites(47)
+    assert (j_for_sites(48) - j0) / TWO_PI / 1e6 == pytest.approx(-0.664, rel=0.02)
+    assert (j_for_sites(46) - j0) / TWO_PI / 1e6 == pytest.approx(1.0, rel=0.02)
 
 
 # The paper's printed quartic fit of dJ/J0 versus the displacement step m at
@@ -67,7 +63,7 @@ def test_series_tracks_exact_quotient_for_small_m():
     j0 = j_for_sites(47)
     for m in (-1, 1):
         series = sum(c * m**k for k, c in enumerate(PAPER_SERIES_COEFFS, start=1))
-        assert abs(series - delta_j(m) / j0) <= 0.032
+        assert abs(series - (j_for_sites(47 - m) - j0) / j0) <= 0.032
 
 
 @pytest.mark.parametrize("a", [0.0, -1e-9, math.inf, math.nan])
@@ -111,7 +107,7 @@ def test_exact_linear_coefficient():
 
 
 def test_relative_step_matches_table_ratio():
-    ratio = delta_j(-1) / j_for_sites(47)
+    ratio = (j_for_sites(48) - j_for_sites(47)) / j_for_sites(47)
     assert ratio == pytest.approx(1.306 / 1.97 - 1.0, rel=0.01)
 
 

@@ -25,7 +25,7 @@ import pytest
 from donorpair import (DEFAULT_GEOMETRY, GATES, EffectiveParams, EnsembleConfig,
                        EnsembleResult, GateSpec, ProtocolRun, PulseSpec, compute_spectrum, design_gate,
                        design_values, displacement_detuning, ensemble_grid,
-                       interior_qubit_estimate, kn_window, protocol_form, run_ee_cnot,
+                       kn_window, protocol_form, run_ee_cnot,
                        run_initialization, sweep_gate_error)
 from donorpair.cli import main
 from donorpair.exchange import exchange_table
@@ -212,10 +212,6 @@ FROZEN_LEADING = {   # design_values(nominal spectrum's zeroth-order levels, GAT
 }
 FROZEN_DETUNING = "0x1.d8133e74d0000p+23"   # displacement_detuning(GATES["a"], displaced(m1=-1))
 FROZEN_KN_WINDOW = (363, 34120)   # kn_window(nominal spectrum, gate b's detuning at m1=-1)
-FROZEN_INTERIOR = {   # interior_qubit_estimate(m): (detuning, Rabi, Rabi error)
-    1: ("0x1.0006c44c564d0p+20", "0x1.b438c079411e2p+22", "0x1.b9b8613f59b0fp+21"),
-    -1: ("0x1.0006c44c564d0p+20", "0x1.b438c079411e2p+22", "-0x1.25e73eee47c24p+21"),
-}
 
 
 def _hexes(values) -> tuple[str, ...]:
@@ -246,7 +242,6 @@ def test_analytic_design_values_are_frozen():
     assert float(detuning).hex() == FROZEN_DETUNING
     assert kn_window(compute_spectrum(DEFAULT_GEOMETRY), displacement_detuning(
         GATES["b"], DEFAULT_GEOMETRY.displaced(m1=-1))) == FROZEN_KN_WINDOW
-    assert {m: _hexes(interior_qubit_estimate(m)) for m in FROZEN_INTERIOR} == FROZEN_INTERIOR
 
 
 FROZEN_STDOUT = {   # donorpair command: md5 of its stdout (CSV unless --format json)
@@ -261,6 +256,7 @@ FROZEN_STDOUT = {   # donorpair command: md5 of its stdout (CSV unless --format 
     "ee-cnot": "ef7509c12f14848033e1608f6b5978f9",
     "ensemble --threads 1": "31b42a78c64e7bcaf14e83f52a2ff510",
     "ensemble --threads 1 --format json": "63d639da4295fcffe69ad6acd52e963f",
+    "ensemble --law none --threads 1": "2a00fb67e76e49b3a6b5e6cd6b679898",
     "spectrum --m1 2 --format json": "9152759f4e148e08ea5feb20ae6e7d33",
     "design --gate b --m1 -1 --format json": "2a96ac6155deb4d85c6335cd5be08567",
     "ee-cnot --format json": "521b48c60337baf6db2f5a31d5a8e6f4",

@@ -11,7 +11,7 @@ import donorpair
 # every name the package exports, by defining module
 EXPORTS = {
     "constants": ["TWO_PI"],
-    "exchange": ["delta_j", "herring_flicker", "j_for_sites"],
+    "exchange": ["herring_flicker", "j_for_sites"],
     "geometry": ["DEFAULT_GEOMETRY", "DeviceGeometry", "EffectiveParams", "effective_params",
                  "field_step"],
     "spectrum": ["DegenerateLabelError", "Spectrum", "SwapBoundaryWarning", "ValidityError",
@@ -19,8 +19,8 @@ EXPORTS = {
                  "perturbative_spectrum", "small_params", "transition_frequency",
                  "zeroth_energies"],
     "pulses": ["GATES", "GateSpec", "PulseSpec", "design_gate", "design_values",
-               "error_estimate", "interior_qubit_estimate", "kn_window", "nonresonant_mu",
-               "pulse_duration", "rabi_probability", "two_pi_k_omega"],
+               "error_estimate", "kn_window", "pulse_duration", "rabi_probability",
+               "two_pi_k_omega"],
     "dynamics": ["StepSizeError", "integrate_lab_frame", "pulse_propagator", "relax_electrons",
                  "relax_electrons_adjoint", "rotating_hamiltonian"],
     "protocols": ["EnsembleConfig", "EnsembleResult", "ProtocolRun", "displacement_detuning",

@@ -3,10 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from donorpair import (DEFAULT_GEOMETRY, GATES, compute_spectrum, design_gate,
-                       design_values, displacement_detuning, error_estimate,
-                       interior_qubit_estimate, j_for_sites, kn_window,
-                       nonresonant_mu, pulse_duration,
-                       rabi_probability, transition_frequency, two_pi_k_omega)
+                       design_values, displacement_detuning, error_estimate, kn_window,
+                       pulse_duration, rabi_probability, transition_frequency,
+                       two_pi_k_omega)
 from donorpair.constants import GAMMA_N, TWO_PI
 from donorpair.pulses import PHASE_ROUNDING_TOL, GateSpec
 from donorpair.spectrum import ValidityError
@@ -91,23 +90,25 @@ class TestDuration:
 
 
 class TestMu:
-    def test_window_edge(self):
-        delta_omega = 2 * TWO_PI * 40.48e3
-        assert nonresonant_mu(TWO_PI * 162e3, delta_omega) == pytest.approx(1.0, rel=1e-2)
+    """The amplitude ratio mu = Omega / (2 |delta_omega|) of the other nucleus' line."""
+
+    def test_window_edge(self, default_spectrum):
+        # the paper's edge: Omega/2pi = 162 kHz against delta_omega/2pi = 2 x 40.48 kHz
+        k_min, _ = kn_window(default_spectrum, displacement_detuning(
+            GATES["b"], DEFAULT_GEOMETRY.displaced(m1=-1)))
+        omega = design_values(default_spectrum.exact_energies, GATES["b"], k_min)["omega"]
+        delta_omega = 2 * GAMMA_N * default_spectrum.params.delta_b
+        assert omega / TWO_PI == pytest.approx(162e3, rel=1e-2)
+        assert delta_omega / TWO_PI == pytest.approx(2 * 40.48e3, rel=1e-2)
 
     def test_k_window_edge(self, default_spectrum):
         delta2 = (transition_frequency(default_spectrum, 12, 13)
                   - transition_frequency(default_spectrum, 14, 15))
         omega = two_pi_k_omega(delta2, 363)
         delta_omega = 2 * GAMMA_N * default_spectrum.params.delta_b
-        assert nonresonant_mu(omega, delta_omega) == pytest.approx(1.0, rel=1e-2)
-
-    def test_vanishes_with_drive(self):
-        assert nonresonant_mu(0.0, MHZ) == 0.0
-
-    def test_pole_guard(self):
-        with pytest.raises(ValidityError):
-            nonresonant_mu(MHZ, 0.0)
+        assert kn_window(default_spectrum, displacement_detuning(
+            GATES["b"], DEFAULT_GEOMETRY.displaced(m1=-1)))[0] == 363
+        assert omega / (2 * abs(delta_omega)) == pytest.approx(1.0, rel=1e-2)
 
 
 class TestErrorEstimate:
@@ -253,16 +254,3 @@ class TestKnWindow:
     def test_undefined_at_zero_displacement(self, default_spectrum):
         with pytest.raises(ValidityError):
             kn_window(default_spectrum, displacement_detuning(GATES["b"], DEFAULT_GEOMETRY))
-
-
-class TestInteriorQubit:
-    def test_one_site_estimates(self):
-        j0 = j_for_sites(47)
-        detuning, omega, d_omega = interior_qubit_estimate(-1)
-        assert detuning / j0 == pytest.approx(0.086, abs=0.005)
-        assert omega == pytest.approx(j0 / np.sqrt(3), rel=1e-12)
-        assert d_omega / omega == pytest.approx(-0.337, abs=0.005)
-
-    def test_rejects_other_displacements(self):
-        with pytest.raises(ValueError):
-            interior_qubit_estimate(2)
