@@ -43,9 +43,6 @@ CHAINS_PER_WORKER = 200_000   # grid chains per pool worker; fewer do not pay fo
 LAWS = {"none": (0.0,) * MAX_DISPLACEMENT,
         **{law: tuple(base * 0.5**m for m in range(1, MAX_DISPLACEMENT + 1))
            for law, base in (("A", 0.5), ("B", 0.25))}}
-# the signed displacements each law can draw: 0 and every m with r_|m| > 0
-_SUPPORTS = {law: tuple(m for m in DISPLACEMENTS if m == 0 or r[abs(m) - 1] > 0)
-             for law, r in LAWS.items()}
 
 def _pair_index(m1, m2):
     """Row of the displacement pair (m1, m2) in a form table; ints or int arrays."""
@@ -107,8 +104,10 @@ def displacement_detuning(gate: GateSpec, geometry: DeviceGeometry) -> float:
 
 
 def _transfer_error(vectors: np.ndarray, u: np.ndarray, source: int, target: int) -> float:
-    """1 - |v_target^H U v_source|^2 for labelled eigenvector columns v and propagator U."""
-    return float(1.0 - abs(np.vdot(vectors[:, target], u @ vectors[:, source])) ** 2)
+    """1 - |v_target^H U v_source|^2 for labelled eigenvector columns v and propagator U,
+    clamped to [0, 1] as rabi_probability is (a near-perfect transfer rounds below 0)."""
+    error = 1.0 - abs(np.vdot(vectors[:, target], u @ vectors[:, source])) ** 2
+    return float(min(max(error, 0.0), 1.0))
 
 
 def _chain_transfer_error(geometry: DeviceGeometry, pulse: PulseSpec, source: int,
@@ -342,42 +341,36 @@ def _form_coefficients(form: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def _form_tables(keys: tuple[tuple[DeviceGeometry, tuple[tuple[str, PulseSpec], ...],
-                                   tuple[int, ...]], ...]) -> tuple[np.ndarray, ...]:
-    """Read-only (81, 16) _form_coefficients table of each (geometry, pulses, support).
+def _form_tables(keys: tuple[tuple[DeviceGeometry, tuple[tuple[str, PulseSpec], ...]], ...],
+                 support: Sequence[int]) -> tuple[np.ndarray, ...]:
+    """Read-only (81, 16) _form_coefficients table of each (geometry, pulses) key.
 
     Row _pair_index(m1, m2) of a table holds the coefficients of
     protocol_form for the chain displaced by (m1, m2) from the nominal
     `geometry` under `pulses`, for m1 and m2 in the signed `support`; the
-    other rows are NaN. The grid's distinct keys are solved in one stacked
-    pass: every distinct displaced chain once, in one compute_spectra stack,
-    and every distinct pulse once, in one pulse_propagator stack over all
-    those chains, so tables that share pulses share their propagators (gates
-    a and c do not depend on K_n). Each distinct key's table then comes from
-    one _protocol_forms stack of its rows. The 8 most recently used grids
-    are memoized, so a repeated grid solves nothing; a grid that only partly
-    overlaps a memoized one is solved whole.
+    other rows are NaN. Each distinct layout's support pairs are solved in
+    one compute_spectra stack, and each distinct pulse of that layout is
+    propagated once over that stack, so pulse sets of one layout share
+    their propagators (gates a and c do not depend on K_n). Each distinct
+    key's table then comes from one _protocol_forms stack. The 8 most
+    recently used grids are memoized, so a repeated grid solves nothing; a
+    grid that only partly overlaps a memoized one is solved whole.
     """
-    distinct = list(dict.fromkeys(keys))
-    pairs = [list(itertools.product(support, support)) for _, _, support in distinct]
-    chains = [[geometry.displaced(m1, m2) for m1, m2 in key_pairs]
-              for (geometry, _, _), key_pairs in zip(distinct, pairs)]
-    row = {chain: i for i, chain in enumerate(dict.fromkeys(itertools.chain(*chains)))}
-    spectra = compute_spectra(list(row))
-    propagators = {pulse: pulse_propagator(spectra.hamiltonian, pulse)
-                   for pulse in dict.fromkeys(p for _, key_pulses, _ in distinct
-                                              for _, p in key_pulses)}
-    tables = []
-    for (_, key_pulses, _), key_pairs, key_chains in zip(distinct, pairs, chains):
-        rows = [row[c] for c in key_chains]
-        forms = _protocol_forms(spectra.eigenvectors[rows],
-                                {name: propagators[pulse][rows] for name, pulse in key_pulses})
-        table = np.full((len(DISPLACEMENTS) ** 2, 16), np.nan)
-        table[[_pair_index(m1, m2) for m1, m2 in key_pairs]] = _form_coefficients(forms)
-        table.flags.writeable = False
-        tables.append(table)
-    solved = dict(zip(distinct, tables))
-    return tuple(solved[key] for key in keys)
+    pairs = list(itertools.product(support, support))
+    rows = [_pair_index(m1, m2) for m1, m2 in pairs]
+    tables = {}
+    for geometry in dict.fromkeys(g for g, _ in keys):
+        spectra = compute_spectra([geometry.displaced(m1, m2) for m1, m2 in pairs])
+        layout = [key for key in dict.fromkeys(keys) if key[0] == geometry]
+        propagators = {pulse: pulse_propagator(spectra.hamiltonian, pulse)
+                       for pulse in dict.fromkeys(p for _, pulses in layout for _, p in pulses)}
+        for key in layout:
+            table = np.full((len(DISPLACEMENTS) ** 2, 16), np.nan)
+            table[rows] = _form_coefficients(_protocol_forms(
+                spectra.eigenvectors, {name: propagators[p] for name, p in key[1]}))
+            table.flags.writeable = False
+            tables[key] = table
+    return tuple(tables[key] for key in keys)
 
 
 def _chain_errors(columns: np.ndarray, pairs: np.ndarray, normals: np.ndarray) -> np.ndarray:
@@ -440,7 +433,7 @@ def ensemble_init(config: EnsembleConfig) -> EnsembleResult:
     chain's draws depend only on those and its index, and the result does
     not depend on scheduling. Each chain costs one quadratic form
     1 - a^H M a, with M = protocol_form of its displacement pair, read from
-    a form table that later calls with the same pulses and law support reuse.
+    a form table that later calls with the same pulses and support reuse.
     """
     return ensemble_grid([config])[0]
 
@@ -462,18 +455,21 @@ def ensemble_grid(configs: Sequence[EnsembleConfig]) -> list[EnsembleResult]:
 
     Each distinct geometry is solved once, in config order, and each distinct
     (k_e, k_n, geometry) designed from it once. The grid's form tables come
-    from _form_tables before the pool starts; each task carries its table,
-    so pool workers solve no forms. The pool has ensemble_workers(configs)
-    workers and is not started for one.
+    from _form_tables before the pool starts, keyed by (geometry, pulses)
+    under one support for the whole grid (every displacement if any law can
+    displace an atom, else (0,)), so configs that differ only in their law
+    read one table. Each task carries its table, so pool workers solve no
+    forms. The pool has ensemble_workers(configs) workers and is not started
+    for one.
     """
     if not configs:
         raise ValueError("ensemble_grid needs at least one config")
     spectra = {g: compute_spectrum(g) for g in dict.fromkeys(c.geometry for c in configs)}
     designs = {(k_e, k_n, g): tuple(_protocol_pulses(spectra[g], k_e, k_n).items())
                for k_e, k_n, g in dict.fromkeys((c.k_e, c.k_n, c.geometry) for c in configs)}
-    keys = tuple((c.geometry, designs[c.k_e, c.k_n, c.geometry], _SUPPORTS[c.law])
-                 for c in configs)
-    tasks = [(config, r, table) for config, table in zip(configs, _form_tables(keys))
+    support = DISPLACEMENTS if any(any(LAWS[c.law]) for c in configs) else (0,)
+    keys = tuple((c.geometry, designs[c.k_e, c.k_n, c.geometry]) for c in configs)
+    tasks = [(config, r, table) for config, table in zip(configs, _form_tables(keys, support))
              for r in range(config.num_realizations)]
     workers = ensemble_workers(configs)
     if workers > 1:

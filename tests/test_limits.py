@@ -174,9 +174,6 @@ def test_every_command_succeeds_or_exits_3_on_any_layout(argv):
     assert all(-TOL <= p <= 1 + TOL for p in checked_errors(argv)), argv
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="1 - |<v_q|U v_p>|^2 rounds below 0 on a near-perfect transfer, "
-                   "and sweep prints it: P = -8.9e-16 and -4.4e-16 here")
 def test_printed_errors_are_never_below_zero():
     layouts = [("102", "100.0", "1.0"), ("696", "10000.0", "17.32308642209288"),
                ("696", "17.32308642209288", "17.32308642209288")]

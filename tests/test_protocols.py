@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from donorpair import protocols
+from donorpair.geometry import DISPLACEMENTS
 from donorpair import (DEFAULT_GEOMETRY, GATES, DeviceGeometry, EnsembleConfig, ValidityError, compute_spectra, compute_spectrum,
                        design_gate, ensemble_grid, ensemble_init, ensemble_workers,
                        pulse_propagator, run_ee_cnot, run_initialization, sweep_gate_error)
@@ -345,7 +346,7 @@ class TestEnsemble:
         # three and ten draw blocks, the last one partial: the mean is the
         # Python float sum of every chain's error in chain order, divided once
         pulses = design_protocol_pulses(1, 2000)
-        [table] = _form_tables(((DEFAULT_GEOMETRY, tuple(pulses.items()), tuple(range(-4, 5))),))
+        [table] = _form_tables(((DEFAULT_GEOMETRY, tuple(pulses.items())),), DISPLACEMENTS)
         for num_chains in (2100, 9 * 1024 + 300):
             config = EnsembleConfig(num_chains=num_chains, num_realizations=1, law="A",
                                     k_e=1, k_n=2000, seed=17)
@@ -446,22 +447,39 @@ class TestEnsemble:
         assert ensemble_workers(grid(100, 8, 8, cells=12)) == 8
         assert ensemble_workers(grid(100, 8, 1, cells=12)) == 1
 
-    def test_form_tables_solved_once_per_process(self, monkeypatch):
-        # every displaced chain and every pulse handed to the stacked solve
-        chains, propagated = [], []
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        """Every stack handed to the table solve, and every table a realization reads.
+
+        "chains" holds one list of (m1, m2) per compute_spectra stack,
+        "propagated" one (pulse, rows) per pulse_propagator stack and "tables"
+        the table of each _run_realization call, in call order.
+        """
+        seen = {"chains": [], "propagated": [], "tables": []}
+        run = protocols._run_realization
 
         def counting_spectra(geometries, *args, **kwargs):
-            chains.append([(g.m1, g.m2) for g in geometries])
+            seen["chains"].append([(g.m1, g.m2) for g in geometries])
             return compute_spectra(geometries, *args, **kwargs)
 
         def counting_propagator(h0, pulse, *args, **kwargs):
-            propagated.append((pulse, len(h0)))
+            seen["propagated"].append((pulse, len(h0)))
             return pulse_propagator(h0, pulse, *args, **kwargs)
+
+        def recording_run(config, realization, table):
+            seen["tables"].append(table)
+            return run(config, realization, table)
 
         monkeypatch.setattr(protocols, "compute_spectra", counting_spectra)
         monkeypatch.setattr(protocols, "pulse_propagator", counting_propagator)
-        every_pair = sorted(itertools.product(range(-4, 5), repeat=2))
+        monkeypatch.setattr(protocols, "_run_realization", recording_run)
         protocols._form_tables.cache_clear()
+        return seen
+
+    def test_form_tables_solved_once_per_process(self, solves):
+        # every displaced chain and every pulse handed to the stacked solve
+        chains, propagated = solves["chains"], solves["propagated"]
+        every_pair = sorted(itertools.product(range(-4, 5), repeat=2))
         ensemble_init(EnsembleConfig(num_chains=300, num_realizations=2, law="A",
                                      k_e=1, k_n=2000, seed=1))
         assert [sorted(c) for c in chains] == [every_pair]
@@ -479,17 +497,51 @@ class TestEnsemble:
         assert sorted(n for _, n in propagated) == [1] * 4
         chains.clear()
         propagated.clear()
-        # a cold 4-K_n grid: 81 spectra, and gates a and c solved once for all K_n
+        # a cold 4-K_n grid: 81 spectra, gates a and c solved once for all K_n,
+        # and one table per K_n, whatever the law
         protocols._form_tables.cache_clear()
+        solves["tables"].clear()
         ensemble_grid([EnsembleConfig(num_chains=10, num_realizations=1, law=law, k_e=1,
                                       k_n=k_n, seed=1)
                        for k_n in (700, 2000, 5000, 10000) for law in ("A", "B", "none")])
-        assert [sorted(c) for c in chains] == [every_pair]
+        assert chains == [list(itertools.product(range(-4, 5), repeat=2))]
         pulses = [pulse for pulse, _ in propagated]
         assert len(pulses) == len(set(pulses)) == 2 + 2 * 4
         shared = design_protocol_pulses(1, 2000)
         assert shared["a"] in pulses and shared["c"] in pulses
         assert all(n == 81 for _, n in propagated)
+        assert len({id(table) for table in solves["tables"]}) == 4
+
+    def test_laws_of_one_pulse_set_share_a_table(self, solves):
+        # laws A, B and none differ only in their draws, so they read one table
+        ensemble_grid([EnsembleConfig(num_chains=10, num_realizations=2, law=law, k_e=1,
+                                      k_n=2000, seed=5) for law in ("A", "B", "none")])
+        first, *others = solves["tables"]
+        assert len(others) == 5 and all(table is first for table in others)
+        assert np.isfinite(first).all()   # all 81 rows solved for the grid's displacing laws
+
+    def test_each_layout_solved_as_one_stack(self, solves):
+        # two layouts: an 81-chain spectra stack each, and every pulse of a
+        # layout propagated over that layout's 81 chains only
+        moved = DeviceGeometry(n0=48)
+        ensemble_grid([EnsembleConfig(num_chains=10, num_realizations=1, law=law, k_e=1,
+                                      k_n=k_n, seed=6, geometry=geometry)
+                       for geometry in (moved, DEFAULT_GEOMETRY) for k_n in (700, 2000)
+                       for law in ("A", "none")])
+        assert [len(c) for c in solves["chains"]] == [81, 81]
+        assert [n for _, n in solves["propagated"]] == [81] * 2 * (2 + 2 * 2)
+
+    def test_pulse_sets_of_mixed_k_share_propagators(self, solves):
+        # K_e 1 and 2 at K_n 700 and 2000: gates a and c for each K_e, b and d
+        # for each K_n, so 8 stacks; every cell equals its config alone, bit for bit
+        configs = [EnsembleConfig(num_chains=40, num_realizations=2, law=law, k_e=k_e,
+                                  k_n=k_n, seed=8)
+                   for k_e in (1, 2) for k_n in (700, 2000) for law in ("A", "none")]
+        grid = ensemble_grid(configs)
+        pulses = [pulse for pulse, _ in solves["propagated"]]
+        assert len(pulses) == len(set(pulses)) == 8
+        for config, result in zip(configs, grid):
+            assert ensemble_init(config).realization_means == result.realization_means
 
     def test_grid_designs_each_pulse_set_once(self, monkeypatch):
         # one nominal solve per distinct layout of a grid, in config order, and
@@ -535,7 +587,7 @@ class TestEnsemble:
     def test_form_table_rows_match_single_chain_solves(self):
         # one stacked pass over all 81 pairs against protocol_form of each chain alone
         pulses = design_protocol_pulses(1, 2000)
-        [table] = _form_tables(((DEFAULT_GEOMETRY, tuple(pulses.items()), tuple(range(-4, 5))),))
+        [table] = _form_tables(((DEFAULT_GEOMETRY, tuple(pulses.items())),), DISPLACEMENTS)
         for m1, m2 in itertools.product(range(-4, 5), repeat=2):
             alone = _form_coefficients(protocol_form(
                 DEFAULT_GEOMETRY.displaced(m1, m2), pulses))
@@ -543,7 +595,7 @@ class TestEnsemble:
 
     def test_form_table_is_read_only(self):
         pulses = design_protocol_pulses(1, 2000)
-        [table] = _form_tables(((DEFAULT_GEOMETRY, tuple(pulses.items()), (-1, 0, 1)),))
+        [table] = _form_tables(((DEFAULT_GEOMETRY, tuple(pulses.items())),), (-1, 0, 1))
         assert table.shape == (81, 16) and table.dtype == np.float64
         with pytest.raises(ValueError):
             table[(1 + 4) * 9 + (-1 + 4), 0] = 0.0
