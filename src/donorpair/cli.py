@@ -7,11 +7,14 @@ terminated); --format json wraps results and the resolved configuration in
 a single document. Exit status: 0 success, 2 usage error, 3 physics
 validity guard or invalid option value, 1 internal error.
 
+Each subcommand's parser carries the function that runs it (args.func); it
+returns the rows and the resolved configuration, and main writes them.
 argparse resolves every option as flag > --config file > default: main
 checks the file's values for the command and makes them that subcommand's
 defaults, then parses the command line again. Defaults that live in library
-modules (--N0, the fields, the --K of design, sweep and ensemble) stay None
-in the parser and are filled in by the command.
+modules (--N0, the fields, the --K of design and ensemble) and sweep's --K,
+which cmd_sweep picks by gate, stay None in the parser and are filled in by
+the command.
 
 Each command imports the layers it runs when it runs, so --version, --help
 and usage errors start without numpy, and jtable runs without it.
@@ -56,18 +59,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("jtable", parents=[output],
                        help="exchange constant versus donor separation")
+    p.set_defaults(func=cmd_jtable)
     p.add_argument("n_min", type=int)
     p.add_argument("n_max", type=int)
 
-    sub.add_parser("spectrum", parents=[layout, output],
-                   help="labelled level energies, exact and perturbative")
+    p = sub.add_parser("spectrum", parents=[layout, output],
+                       help="labelled level energies, exact and perturbative")
+    p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("design", parents=[layout, output], help="pulse parameters of one gate")
+    p.set_defaults(func=cmd_design)
     p.add_argument("--gate", choices=GATE_NAMES, default=None, help=GATE_HELP)
     p.add_argument("--K", type=int, default=None)
 
     p = sub.add_parser("sweep", parents=[layout, output],
                        help="gate error versus displacement for several K")
+    p.set_defaults(func=cmd_sweep)
     p.add_argument("--gate", choices=("a", "b"), default=None, help=GATE_HELP)
     p.add_argument("--K", default=None, help="comma-separated K values")
     p.add_argument("--displaced-atom", type=int, choices=(1, 2), default=1,
@@ -75,6 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ensemble", parents=[layout, output],
                        help="initialization error over an ensemble of chains")
+    p.set_defaults(func=cmd_ensemble)
     p.add_argument("--chains", type=int, default=2000)
     p.add_argument("--realizations", type=int, default=8)
     p.add_argument("--law", default="A,B,none", help="comma-separated laws from {A,B,none}")
@@ -86,6 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ee-cnot", parents=[layout, output],
                        help="two-electron CNOT error versus displacement")
+    p.set_defaults(func=cmd_ee_cnot)
     p.add_argument("--K", type=int, default=1)
 
     return parser
@@ -216,13 +225,6 @@ def _output_path(args) -> Path | None:
     return path
 
 
-def _record(obj) -> dict:
-    """JSON form of a config record; imports dataclasses only when one is met."""
-    from dataclasses import asdict
-
-    return asdict(obj)
-
-
 def _emit(rows: list[dict], resolved: dict, command: str, fmt: str,
           path: Path | None) -> None:
     """Write the rows, whose columns are the first row's keys, and the resolved config."""
@@ -232,13 +234,13 @@ def _emit(rows: list[dict], resolved: dict, command: str, fmt: str,
     resolved = dict(resolved, command=command, version=__version__)
     if fmt == "json":
         doc = {"config": resolved, "columns": header, "rows": rows}
-        text = json.dumps(doc, indent=2, sort_keys=True, default=_record) + "\n"
+        text = json.dumps(doc, indent=2, sort_keys=True, default=vars) + "\n"
     else:
         lines = [",".join(header)]
         for row in rows:
             lines.append(",".join(_format_cell(row[h]) for h in header))
         text = "\n".join(lines) + "\n"
-        print(f"# config: {json.dumps(resolved, sort_keys=True, default=_record)}", file=sys.stderr)
+        print(f"# config: {json.dumps(resolved, sort_keys=True, default=vars)}", file=sys.stderr)
     if path is None:
         sys.stdout.write(text)
     else:
@@ -248,11 +250,8 @@ def _emit(rows: list[dict], resolved: dict, command: str, fmt: str,
 
 
 def _format_cell(x) -> str:
-    np = sys.modules.get("numpy")   # a value is a numpy scalar only once numpy is loaded
-    if isinstance(x, float) or np is not None and isinstance(x, np.floating):
+    if isinstance(x, float):   # numpy.float64 included
         return repr(float(x))  # shortest exactly round-tripping decimal
-    if np is not None and isinstance(x, np.integer):
-        return str(int(x))
     return str(x)
 
 
@@ -376,17 +375,6 @@ def cmd_ee_cnot(args) -> tuple[list[dict], dict]:
     return rows, {"K_prime": args.K, "geometry": geometry}
 
 
-# each command returns its (rows, resolved config); main writes them
-COMMANDS = {
-    "jtable": cmd_jtable,
-    "spectrum": cmd_spectrum,
-    "design": cmd_design,
-    "sweep": cmd_sweep,
-    "ensemble": cmd_ensemble,
-    "ee-cnot": cmd_ee_cnot,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -399,7 +387,7 @@ def main(argv: list[str] | None = None) -> int:
         if "gate" in vars(args) and args.gate is None:
             command.error("the following arguments are required: --gate")
         path = _output_path(args)
-        rows, resolved = COMMANDS[args.command](args)
+        rows, resolved = args.func(args)
         _emit(rows, resolved, args.command, args.format, path)
     except ValueError as exc:   # spectrum.ValidityError included
         print(f"error: {exc}", file=sys.stderr)

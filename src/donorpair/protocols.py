@@ -445,6 +445,8 @@ def ensemble_workers(configs: Sequence[EnsembleConfig]) -> int:
     at most one per CHAINS_PER_WORKER chains of the whole grid: a pool pays
     for its start-up only from about that many chains per worker.
     """
+    if not configs:
+        raise ValueError("an ensemble grid needs at least one config")
     cap = max(min(c.threads, c.num_realizations) for c in configs)
     chains = sum(c.num_chains * c.num_realizations for c in configs)
     return max(1, min(cap, chains // CHAINS_PER_WORKER))
@@ -462,8 +464,7 @@ def ensemble_grid(configs: Sequence[EnsembleConfig]) -> list[EnsembleResult]:
     forms. The pool has ensemble_workers(configs) workers and is not started
     for one.
     """
-    if not configs:
-        raise ValueError("ensemble_grid needs at least one config")
+    workers = ensemble_workers(configs)   # refuses an empty grid before any solve
     spectra = {g: compute_spectrum(g) for g in dict.fromkeys(c.geometry for c in configs)}
     designs = {(k_e, k_n, g): tuple(_protocol_pulses(spectra[g], k_e, k_n).items())
                for k_e, k_n, g in dict.fromkeys((c.k_e, c.k_n, c.geometry) for c in configs)}
@@ -471,7 +472,6 @@ def ensemble_grid(configs: Sequence[EnsembleConfig]) -> list[EnsembleResult]:
     keys = tuple((c.geometry, designs[c.k_e, c.k_n, c.geometry]) for c in configs)
     tasks = [(config, r, table) for config, table in zip(configs, _form_tables(keys, support))
              for r in range(config.num_realizations)]
-    workers = ensemble_workers(configs)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor   # serial runs skip its import
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -102,20 +102,40 @@ class TestJtable:
         assert code == 0
 
 
-# CSV cell text of each kind of value a command puts in a row
-PYTHON_CELLS = [(0.1, "0.1"), (1e-300, "1e-300"), (-0.0, "-0.0"), (float("nan"), "nan"),
-                (7, "7"), (True, "True"), (False, "False"), ("a|b", "a|b")]
-NUMPY_CELLS = [(np.float64(0.1), "0.1"), (np.float32(0.1), "0.10000000149011612"),
-               (np.int64(-7), "-7"), (np.bool_(True), "True"), (np.bool_(False), "False")]
+# CSV cell text of each kind of value a command puts in a row, and of the
+# numpy scalars whose text is the same
+CELLS = [(0.1, "0.1"), (1e-300, "1e-300"), (-0.0, "-0.0"), (float("nan"), "nan"),
+         (7, "7"), (True, "True"), (False, "False"), ("a|b", "a|b"),
+         (np.float64(0.1), "0.1"), (np.int64(-7), "-7"),
+         (np.bool_(True), "True"), (np.bool_(False), "False")]
 
 
-@pytest.mark.parametrize("numpy_loaded", [True, False], ids=["numpy", "no-numpy"])
-def test_format_cell_text(numpy_loaded, monkeypatch):
-    # without numpy in sys.modules (as in jtable) Python values keep their text
-    cells = PYTHON_CELLS + NUMPY_CELLS if numpy_loaded else PYTHON_CELLS
-    if not numpy_loaded:
-        monkeypatch.delitem(sys.modules, "numpy")
-    assert [cli._format_cell(value) for value, _ in cells] == [text for _, text in cells]
+def test_format_cell_text():
+    assert [cli._format_cell(value) for value, _ in CELLS] == [text for _, text in CELLS]
+
+
+@pytest.mark.parametrize("argv", [
+    ["jtable", "40", "51"],
+    ["spectrum"],
+    *[["design", "--gate", gate] for gate in sorted(GATES)],
+    ["design", "--gate", "b", "--m1", "-1"],
+    ["sweep", "--gate", "a"],
+    ["sweep", "--gate", "b"],
+    ["ensemble", "--chains", "50", "--realizations", "2", "--law", "A,none", "--Kn", "2000",
+     "--threads", "1"],
+    ["ee-cnot"],
+], ids=lambda argv: " ".join(argv))
+@pytest.mark.filterwarnings("ignore::donorpair.spectrum.SwapBoundaryWarning")
+def test_each_parser_runs_its_command(argv):
+    # each command's rows hold ints, floats and strs only, so _format_cell's
+    # one rule (repr of a float, str of anything else) prints every cell
+    args = cli.build_parser().parse_args(argv)
+    assert args.func is getattr(cli, "cmd_" + argv[0].replace("-", "_"))
+    rows, _ = args.func(args)
+    for row in rows:
+        for value in row.values():
+            assert isinstance(value, (int, float, str)), (row, value)
+            assert not isinstance(value, bool), (row, value)
 
 
 def gate_choices(command: str) -> tuple:

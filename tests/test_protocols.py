@@ -673,5 +673,6 @@ class TestEnsemble:
             EnsembleConfig(num_chains=2**32 + 1)
 
     def test_empty_grid_rejected(self):
-        with pytest.raises(ValueError, match="at least one config"):
-            ensemble_grid([])
+        for run in (ensemble_grid, ensemble_workers):
+            with pytest.raises(ValueError, match="at least one config"):
+                run([])
