@@ -85,13 +85,31 @@ def design_protocol_pulses(k_e: int = DEFAULT_K_ELECTRON, k_n: int = DEFAULT_K_N
                            geometry_nominal: DeviceGeometry = DEFAULT_GEOMETRY) -> dict[str, PulseSpec]:
     """Pulses for the gates of PROTOCOL_ORDER, in its order, for the undisplaced geometry_nominal."""
     _check_nominal(geometry_nominal, "geometry_nominal")
-    return _protocol_pulses(compute_spectrum(geometry_nominal), k_e, k_n)
+    return dict(_protocol_pulses(compute_spectrum(geometry_nominal), k_e, k_n))
 
 
-def _protocol_pulses(spec0: Spectrum, k_e: int, k_n: int) -> dict[str, PulseSpec]:
-    """design_protocol_pulses from the solved spectrum spec0 of the nominal chain."""
-    return {name: design_gate(spec0, GATES[name], k_e if GATES[name].species == "e" else k_n)
-            for name in PROTOCOL_ORDER if name != "relax"}
+_DESIGNS: dict[tuple[bytes, int, int], tuple[tuple[str, PulseSpec], ...]] = {}
+_MAX_DESIGNS = 64   # pulse sets kept per process; the oldest is dropped first
+
+
+def _protocol_pulses(spec0: Spectrum, k_e: int, k_n: int) -> tuple[tuple[str, PulseSpec], ...]:
+    """design_protocol_pulses' (name, pulse) pairs from the solved nominal spectrum spec0.
+
+    Memoized per process by (spec0's exact levels, k_e, k_n): design_gate
+    reads nothing of spec0 but its exact levels, so a pulse set is designed
+    once per distinct solved nominal spectrum. A K that design_gate refuses
+    is not stored, so it raises on every call.
+    """
+    key = (spec0.exact_energies.tobytes(), k_e, k_n)
+    pulses = _DESIGNS.get(key)
+    if pulses is None:
+        pulses = tuple((name, design_gate(spec0, GATES[name],
+                                          k_e if GATES[name].species == "e" else k_n))
+                       for name in PROTOCOL_ORDER if name != "relax")
+        if len(_DESIGNS) >= _MAX_DESIGNS:
+            del _DESIGNS[next(iter(_DESIGNS))]
+        _DESIGNS[key] = pulses
+    return pulses
 
 
 def displacement_detuning(gate: GateSpec, geometry: DeviceGeometry) -> float:
@@ -441,22 +459,25 @@ def ensemble_init(config: EnsembleConfig) -> EnsembleResult:
 def ensemble_workers(configs: Sequence[EnsembleConfig]) -> int:
     """Process-pool workers that ensemble_grid(configs) starts; 1 means no pool.
 
-    At most the largest min(threads, num_realizations) of the configs, and
-    at most one per CHAINS_PER_WORKER chains of the whole grid: a pool pays
+    At most the largest threads of the configs, at most the grid's task
+    count (the pool maps over every realization of every config), and at
+    most one per CHAINS_PER_WORKER chains of the whole grid: a pool pays
     for its start-up only from about that many chains per worker.
     """
     if not configs:
         raise ValueError("an ensemble grid needs at least one config")
-    cap = max(min(c.threads, c.num_realizations) for c in configs)
+    tasks = sum(c.num_realizations for c in configs)
     chains = sum(c.num_chains * c.num_realizations for c in configs)
-    return max(1, min(cap, chains // CHAINS_PER_WORKER))
+    return max(1, min(max(c.threads for c in configs), tasks, chains // CHAINS_PER_WORKER))
 
 
 def ensemble_grid(configs: Sequence[EnsembleConfig]) -> list[EnsembleResult]:
     """ensemble_init of every config, with all realizations in one process pool.
 
-    Each distinct geometry is solved once, in config order, and each distinct
-    (k_e, k_n, geometry) designed from it once. The grid's form tables come
+    Each distinct geometry is solved once, in config order, and each config
+    reads its pulse set from _protocol_pulses' memo, so each distinct
+    (k_e, k_n) on each solved nominal spectrum is designed once per
+    process, not once per call. The grid's form tables come
     from _form_tables before the pool starts, keyed by (geometry, pulses)
     under one support for the whole grid (every displacement if any law can
     displace an atom, else (0,)), so configs that differ only in their law
@@ -466,10 +487,9 @@ def ensemble_grid(configs: Sequence[EnsembleConfig]) -> list[EnsembleResult]:
     """
     workers = ensemble_workers(configs)   # refuses an empty grid before any solve
     spectra = {g: compute_spectrum(g) for g in dict.fromkeys(c.geometry for c in configs)}
-    designs = {(k_e, k_n, g): tuple(_protocol_pulses(spectra[g], k_e, k_n).items())
-               for k_e, k_n, g in dict.fromkeys((c.k_e, c.k_n, c.geometry) for c in configs)}
+    keys = tuple((c.geometry, _protocol_pulses(spectra[c.geometry], c.k_e, c.k_n))
+                 for c in configs)
     support = DISPLACEMENTS if any(any(LAWS[c.law]) for c in configs) else (0,)
-    keys = tuple((c.geometry, designs[c.k_e, c.k_n, c.geometry]) for c in configs)
     tasks = [(config, r, table) for config, table in zip(configs, _form_tables(keys, support))
              for r in range(config.num_realizations)]
     if workers > 1:

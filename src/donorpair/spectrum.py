@@ -250,8 +250,11 @@ def compute_spectra(geometries: Sequence[DeviceGeometry]) -> Spectrum:
     residual guard names the first geometry that failed; then each chain
     within SWAP_GUARD_BAND of the 10/12 label crossing warns, in stack
     order. (effective_params refuses equal fields; no exact level reads
-    epsilon', so only small_params refuses its pole.)
+    epsilon', so only small_params refuses its pole.) An empty stack is a
+    ValueError.
     """
+    if not geometries:
+        raise ValueError("a spectrum stack needs at least one geometry")
     rows = [effective_params(g) for g in geometries]
     params = EffectiveParams(*map(np.array, zip(*((p.b1, p.b2, p.a, p.j) for p in rows))))
     h = build_h0(params)

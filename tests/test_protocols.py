@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import itertools
 import os
 import subprocess
@@ -443,9 +444,23 @@ class TestEnsemble:
         assert ensemble_workers(grid(1000, 3, 4)) == 3        # 3000 chains
         assert ensemble_workers(grid(1000, 3, 2)) == 2        # two threads
         assert ensemble_workers(grid(500, 2, 4)) == 1         # 1000 chains in all
-        assert ensemble_workers(grid(500, 2, 4, cells=3)) == 2    # 3000 chains, 2 realizations
+        assert ensemble_workers(grid(500, 2, 4, cells=3)) == 3    # 3000 chains, 6 tasks
+        assert ensemble_workers(grid(2000, 1, 4, cells=3)) == 3   # one task per cell
         assert ensemble_workers(grid(100, 8, 8, cells=12)) == 8
         assert ensemble_workers(grid(100, 8, 1, cells=12)) == 1
+
+    def test_pool_spans_cells_of_one_realization(self, pools):
+        # the pool maps over every (cell, realization) task, so 3 cells of
+        # one realization each fill 3 workers
+        configs = [EnsembleConfig(num_chains=40, num_realizations=1, law="A", k_e=1,
+                                  k_n=k_n, seed=12, threads=threads)
+                   for threads in (3, 1) for k_n in (700, 2000, 5000)]
+        pooled = ensemble_grid(configs[:3])
+        assert pools == [{"max_workers": 3}]
+        serial = ensemble_grid(configs[3:])
+        assert len(pools) == 1
+        assert ([r.realization_means for r in pooled]
+                == [r.realization_means for r in serial])
 
     @pytest.fixture
     def solves(self, monkeypatch):
@@ -474,6 +489,7 @@ class TestEnsemble:
         monkeypatch.setattr(protocols, "pulse_propagator", counting_propagator)
         monkeypatch.setattr(protocols, "_run_realization", recording_run)
         protocols._form_tables.cache_clear()
+        protocols._DESIGNS.clear()
         return seen
 
     def test_form_tables_solved_once_per_process(self, solves):
@@ -543,33 +559,46 @@ class TestEnsemble:
         for config, result in zip(configs, grid):
             assert ensemble_init(config).realization_means == result.realization_means
 
-    def test_grid_designs_each_pulse_set_once(self, monkeypatch):
-        # one nominal solve per distinct layout of a grid, in config order, and
-        # one design per distinct (K_e, K_n, layout), whatever its laws: the
-        # CLI's default 4-K_n x 3-law grid solves 1 nominal chain, with 16 designs
-        solved, gates = [], []
+    @pytest.fixture
+    def designs(self, monkeypatch):
+        """Every nominal chain solved and every gate designed, from cold memos.
+
+        "solved" holds the geometry of each protocols.compute_spectrum call
+        and "gates" the gate name of each protocols.design_gate call, in
+        call order; the form-table and design memos start empty.
+        """
+        seen = {"solved": [], "gates": []}
 
         def counting_spectrum(geometry):
-            solved.append(geometry)
+            seen["solved"].append(geometry)
             return compute_spectrum(geometry)
 
         def counting_gate(*args):
-            gates.append(args[1].name)
+            seen["gates"].append(args[1].name)
             return design_gate(*args)
 
         monkeypatch.setattr(protocols, "compute_spectrum", counting_spectrum)
         monkeypatch.setattr(protocols, "design_gate", counting_gate)
         protocols._form_tables.cache_clear()
+        protocols._DESIGNS.clear()
+        return seen
+
+    def test_grid_designs_each_pulse_set_once(self, designs):
+        # one nominal solve per distinct layout of a grid, in config order, and
+        # one design per distinct (K_e, K_n, layout), whatever its laws: the
+        # CLI's default 4-K_n x 3-law grid solves 1 nominal chain, with 16 designs
+        solved, gates = designs["solved"], designs["gates"]
         kns = (700, 2000, 5000, 10000)
         ensemble_grid([EnsembleConfig(num_chains=10, num_realizations=1, law=law, k_e=1,
                                       k_n=k_n, seed=1)
                        for k_n in kns for law in ("A", "B", "none")])
         assert solved == [DEFAULT_GEOMETRY]
         assert len(gates) == 4 * len(kns)
-        # two layouts: each is solved and designed for itself, and each cell
-        # equals its config alone
+        # two layouts, from a cold design memo: each is solved and designed
+        # for itself, and each cell equals its config alone
         solved.clear()
         gates.clear()
+        protocols._DESIGNS.clear()
         moved = DeviceGeometry(n0=48)
         configs = [EnsembleConfig(num_chains=30, num_realizations=2, law=law, k_e=1,
                                   k_n=k_n, seed=4, geometry=geometry)
@@ -582,6 +611,38 @@ class TestEnsemble:
         for config, result in zip(configs, grid):
             assert ensemble_init(config).realization_means == result.realization_means
         assert solved == [config.geometry for config in configs]   # one solve per call
+
+    def test_designs_memoized_across_calls(self, designs):
+        # a pulse set is designed once per process for its solved nominal
+        # levels and K, while every call still solves its nominal chain
+        solved, gates = designs["solved"], designs["gates"]
+        protocol = [GATES[name].name for name in ("a", "b", "c", "d")]
+        config = EnsembleConfig(num_chains=50, num_realizations=2, law="A", k_e=1,
+                                k_n=2000, seed=3)
+        cold = ensemble_init(config)
+        warm = ensemble_init(config)
+        assert gates == protocol
+        assert solved == [DEFAULT_GEOMETRY] * 2
+        assert warm.realization_means == cold.realization_means
+        # another K_n, or another layout, is designed anew
+        ensemble_init(dataclasses.replace(config, k_n=5000))
+        ensemble_init(dataclasses.replace(config, geometry=DeviceGeometry(n0=48)))
+        assert gates == protocol * 3
+        # a K that design_gate refuses is not stored: it raises on every call
+        refused = dataclasses.replace(config, k_n=10**8)
+        for _ in range(2):
+            gates.clear()
+            with pytest.raises(ValueError, match=f"gate {protocol[1]} at K = 100000000:"):
+                ensemble_init(refused)
+            assert gates == protocol[:2]
+
+    def test_design_memo_is_bounded(self, designs, monkeypatch):
+        # the oldest pulse set is dropped first, so it is designed again
+        monkeypatch.setattr(protocols, "_MAX_DESIGNS", 2)
+        for k_n in (700, 2000, 5000, 700):
+            design_protocol_pulses(1, k_n)
+        assert len(designs["gates"]) == 4 * 4
+        assert len(protocols._DESIGNS) == 2
 
     @pytest.mark.filterwarnings("ignore::donorpair.spectrum.SwapBoundaryWarning")
     def test_form_table_rows_match_single_chain_solves(self):

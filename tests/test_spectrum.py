@@ -158,6 +158,7 @@ class TestStackedSpectrum:
             raise AssertionError("an exact path computed perturbative levels")
         monkeypatch.setattr(spectrum, "_block_energies", no_levels)
         protocols._form_tables.cache_clear()
+        protocols._DESIGNS.clear()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", SwapBoundaryWarning)
             compute_spectra(self.GEOMETRIES)
@@ -184,6 +185,10 @@ class TestStackedSpectrum:
         with warnings.catch_warnings():
             warnings.simplefilter("error", SwapBoundaryWarning)
             compute_spectra([DEFAULT_GEOMETRY, DEFAULT_GEOMETRY.displaced(2, 2)])
+
+    def test_empty_stack_rejected(self):
+        with pytest.raises(ValueError, match="at least one geometry"):
+            compute_spectra([])
 
     def test_degenerate_geometry_in_stack_is_named(self):
         # a weak field leaves no basis state dominant (1 mT; both local
