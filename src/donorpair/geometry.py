@@ -8,6 +8,7 @@ field at atom 1.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .constants import GAMMA_E, HYPERFINE_A, LATTICE_STEP_A0, TWO_PI
@@ -23,9 +24,23 @@ MAX_DISPLACEMENT = 4
 DISPLACEMENTS = range(-MAX_DISPLACEMENT, MAX_DISPLACEMENT + 1)   # every m a chain may have
 
 
+def _require_integer(name: str, value: int) -> int:
+    """`value` as an int, or a ValueError naming `name` if it is not an integer.
+
+    An integer is what operator.index accepts: NumPy integers are, 1.5 is not.
+    """
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} = {value!r} is not an integer") from None
+
+
 @dataclass(frozen=True)
 class DeviceGeometry:
-    """Chain layout: nominal separation, field gradient, and displacements."""
+    """Chain layout: nominal separation, field gradient, and displacements.
+
+    n0, m1 and m2 count lattice sites, so each must be an integer.
+    """
 
     n0: int = 47
     gradient: float = 1.3e5          # T/m
@@ -34,6 +49,8 @@ class DeviceGeometry:
     m2: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("n0", "m1", "m2"):
+            _require_integer(name, getattr(self, name))
         if not (math.isfinite(self.gradient) and math.isfinite(self.mean_field_b)):
             raise ValueError("gradient and mean field must be finite")
         if self.n0 < 1 or self.gradient <= 0 or self.mean_field_b <= 0:

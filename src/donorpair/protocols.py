@@ -26,7 +26,8 @@ import numpy as np
 
 from .dynamics import (pulse_propagator, relax_electrons,
                        relax_electrons_adjoint)
-from .geometry import DEFAULT_GEOMETRY, DISPLACEMENTS, MAX_DISPLACEMENT, DeviceGeometry
+from .geometry import (DEFAULT_GEOMETRY, DISPLACEMENTS, MAX_DISPLACEMENT, DeviceGeometry,
+                       _require_integer)
 from .pulses import (DEFAULT_K_ELECTRON, DEFAULT_K_NUCLEAR, GATES, GateSpec, PulseSpec,
                      _detuning_from, design_gate)
 from .spectrum import Spectrum, compute_spectra, compute_spectrum
@@ -274,7 +275,11 @@ def run_ee_cnot(geometry: DeviceGeometry, k_prime: int = 1) -> float:
 
 @dataclass(frozen=True)
 class EnsembleConfig:
-    """Settings of one Monte-Carlo ensemble of initialization runs on nominal geometry."""
+    """Settings of one Monte-Carlo ensemble of initialization runs on nominal geometry.
+
+    num_chains, num_realizations, seed and threads must be integers (NumPy
+    integers are); any other value is a ValueError naming the field.
+    """
 
     num_chains: int = 2000
     num_realizations: int = 8
@@ -286,6 +291,8 @@ class EnsembleConfig:
     geometry: DeviceGeometry = DEFAULT_GEOMETRY
 
     def __post_init__(self) -> None:
+        for name in ("num_chains", "num_realizations", "seed", "threads"):
+            _require_integer(name, getattr(self, name))
         if self.num_chains < 1 or self.num_realizations < 1:
             raise ValueError("chain and realization counts must be positive")
         if self.num_chains > MAX_CHAINS:

@@ -12,12 +12,12 @@ resonances, which is the error mechanism under study.
 """
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import GAMMA_E, GAMMA_N
+from .geometry import _require_integer
 from .spectrum import Spectrum, ValidityError, transition_frequency
 from . import register as reg
 
@@ -39,10 +39,7 @@ def two_pi_k_omega(delta: float, k: int) -> float:
     (from about 6.7e153), is a ValueError naming K: a pulse at a fractional
     K leaves population sin^2(pi K) / (4 K^2) on the suppressed line.
     """
-    try:
-        k = operator.index(k)
-    except TypeError:
-        raise ValueError(f"K = {k!r} is not an integer") from None
+    k = _require_integer("K", k)
     if k < 1:
         raise ValueError("K must be a positive integer")
     if delta == 0:

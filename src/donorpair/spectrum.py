@@ -6,8 +6,10 @@ H0 = gamma_e*B1*S1z + gamma_e*B2*S2z - gamma_n*B1*I1z - gamma_n*B2*I2z
 Eigenstates are labelled by their dominant basis component, not by energy
 order, so that level indices track basis kets while parameters vary.
 compute_spectra solves a stack of chains at once into one Spectrum record;
-compute_spectrum is its one-chain case. The perturbative energies treat the
-electron flip-flop blocks exactly and the hyperfine flip-flops to second
+compute_spectrum solves one chain through the same body with no stack axis
+(its params are the Python floats of effective_params), so each chain's
+record is the same bit for bit either way. The perturbative energies treat
+the electron flip-flop blocks exactly and the hyperfine flip-flops to second
 order in A; a one-chain record computes them only when they are read.
 """
 from __future__ import annotations
@@ -211,9 +213,10 @@ class Spectrum:
     """Exact level structure of one chain, or of a stack of n chains.
 
     compute_spectra gives the stack: `params` with (n,) fields and every
-    array with a leading axis of n. compute_spectrum gives one chain, whose
-    perturbative levels and smallness parameters are computed from
-    `params` each time they are read; they are defined for one chain only.
+    array with a leading axis of n. compute_spectrum gives one chain, with
+    float `params` and no stack axis; its perturbative levels and smallness
+    parameters are computed from `params` each time they are read, and are
+    defined for one chain only.
     """
 
     params: EffectiveParams
@@ -235,11 +238,12 @@ class Spectrum:
 
 
 def compute_spectrum(geometry: DeviceGeometry = DEFAULT_GEOMETRY) -> Spectrum:
-    """The one-chain record of `geometry`: compute_spectra([geometry]) without its stack axis."""
-    stack = compute_spectra([geometry])
-    p = stack.params
-    return Spectrum(EffectiveParams(p.b1[0], p.b2[0], p.a[0], p.j[0]), stack.hamiltonian[0],
-                    stack.exact_energies[0], stack.eigenvectors[0])
+    """The one-chain record of `geometry`, equal bit for bit to its row of compute_spectra.
+
+    The same body solves it with no stack axis: `params` holds the Python
+    floats of effective_params, and the arrays are (16, 16) and (16,).
+    """
+    return _solve(effective_params(geometry), (geometry,))
 
 
 def compute_spectra(geometries: Sequence[DeviceGeometry]) -> Spectrum:
@@ -256,24 +260,36 @@ def compute_spectra(geometries: Sequence[DeviceGeometry]) -> Spectrum:
     if not geometries:
         raise ValueError("a spectrum stack needs at least one geometry")
     rows = [effective_params(g) for g in geometries]
-    params = EffectiveParams(*map(np.array, zip(*((p.b1, p.b2, p.a, p.j) for p in rows))))
+    return _solve(EffectiveParams(*map(np.array, zip(*((p.b1, p.b2, p.a, p.j) for p in rows)))),
+                  geometries)
+
+
+def _solve(params: EffectiveParams, geometries: Sequence[DeviceGeometry]) -> Spectrum:
+    """The Spectrum of `params`, scalar fields for one chain or (n,) fields for n.
+
+    `geometries` are the chains the params come from, in stack order; they
+    name the chain a failed guard refuses.
+    """
     h = build_h0(params)
     try:
         energies, vectors = exact_spectrum(h)
     except ValidityError as exc:
         g = geometries[exc.entry]
         raise type(exc)(f"{exc} (displacement pair m1 = {g.m1}, m2 = {g.m2} of {g})") from None
-    margin = abs(_crossing_margin(params))
-    for i in np.flatnonzero(margin < SWAP_GUARD_BAND):
+    margin = np.atleast_1d(abs(_crossing_margin(params)))
+    for m in margin[margin < SWAP_GUARD_BAND]:
         warnings.warn(
-            f"A/2 - gamma_e*deltaB margin is {margin[i] / TWO_PI:.1f} Hz; "
+            f"A/2 - gamma_e*deltaB margin is {m / TWO_PI:.1f} Hz; "
             "labels 10/12 are near their crossing", SwapBoundaryWarning,
             stacklevel=_caller_stacklevel())
     return Spectrum(params, h, energies, vectors)
 
 
-def transition_frequency(spec: Spectrum, p: int, q: int) -> float:
-    """Signed transition frequency E_q - E_p from the exact labelled energies."""
+def transition_frequency(spec: Spectrum, p: int, q: int) -> float | np.ndarray:
+    """Signed transition frequency E_q - E_p from the exact labelled energies.
+
+    One value for one chain, or an (n,) array, one per chain, for a stack.
+    """
     if p == q:
         raise ValueError("p and q must differ")
-    return spec.exact_energies[q] - spec.exact_energies[p]
+    return spec.exact_energies[..., q] - spec.exact_energies[..., p]

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -76,6 +77,24 @@ def test_geometry_validation():
         DeviceGeometry(n0=1, m1=4, m2=-4)   # atoms cross
     with pytest.raises(ValueError):
         DeviceGeometry(gradient=-1.0)
+
+
+@pytest.mark.parametrize("make, field", [
+    (lambda: DeviceGeometry(n0=47.5), "n0"),
+    (lambda: DeviceGeometry(n0="47"), "n0"),
+    (lambda: DEFAULT_GEOMETRY.displaced(m1=0.5), "m1"),
+    (lambda: DEFAULT_GEOMETRY.displaced(m2=-1.0), "m2"),
+])
+def test_site_counts_must_be_integers(make, field):
+    # n0, m1 and m2 count lattice sites: an off-lattice chain is refused, not solved
+    with pytest.raises(ValueError, match=f"^{field} = .* is not an integer$"):
+        make()
+
+
+def test_numpy_integer_site_counts_accepted():
+    geometry = DeviceGeometry(n0=np.int64(47), m1=np.int8(-1), m2=np.int32(2))
+    assert geometry.separation_sites == 50
+    assert effective_params(geometry) == effective_params(DEFAULT_GEOMETRY.displaced(-1, 2))
 
 
 @pytest.mark.parametrize("field", ["gradient", "mean_field_b"])

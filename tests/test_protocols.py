@@ -2,6 +2,7 @@ import concurrent.futures
 import dataclasses
 import itertools
 import os
+import re
 import subprocess
 import sys
 
@@ -732,6 +733,21 @@ class TestEnsemble:
         assert EnsembleConfig(num_chains=2**32).num_chains == 2**32
         with pytest.raises(ValueError, match="num_chains must be at most"):
             EnsembleConfig(num_chains=2**32 + 1)
+
+    @pytest.mark.parametrize("field", ["num_chains", "num_realizations", "seed", "threads"])
+    def test_config_counts_must_be_integers(self, field):
+        # refused at construction, before any form table is solved
+        for value in (2.5, 1.0, "2", None):
+            with pytest.raises(ValueError, match=f"^{field} = {re.escape(repr(value))} "
+                                                 f"is not an integer$"):
+                EnsembleConfig(**{field: value})
+
+    def test_config_accepts_numpy_integers(self):
+        config = EnsembleConfig(num_chains=10, num_realizations=2, law="A", seed=5, threads=1)
+        numpy_config = EnsembleConfig(num_chains=np.int64(10), num_realizations=np.int32(2),
+                                      law="A", seed=np.uint8(5), threads=np.int16(1))
+        assert (ensemble_init(numpy_config).realization_means
+                == ensemble_init(config).realization_means)
 
     def test_empty_grid_rejected(self):
         for run in (ensemble_grid, ensemble_workers):

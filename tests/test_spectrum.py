@@ -1,8 +1,9 @@
+import re
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from donorpair import (DEFAULT_GEOMETRY, DegenerateLabelError, DeviceGeometry, EnsembleConfig,
                        SwapBoundaryWarning, build_h0, compute_spectra, compute_spectrum,
@@ -12,7 +13,7 @@ from donorpair import protocols, spectrum
 from donorpair.cli import main
 from donorpair.protocols import design_protocol_pulses
 from donorpair.constants import GAMMA_E as GE, GAMMA_N as GN, HYPERFINE_A, TWO_PI
-from donorpair.geometry import EffectiveParams
+from donorpair.geometry import DISPLACEMENTS, EffectiveParams
 from donorpair.spectrum import ValidityError
 from donorpair import register as reg
 
@@ -131,6 +132,33 @@ class TestStackedSpectrum:
                 assert getattr(stacked.params, field)[i] == getattr(a.params, field), (geometry, field)
             for field in ("hamiltonian", "exact_energies", "eigenvectors"):
                 assert np.array_equal(getattr(stacked, field)[i], getattr(a, field)), (geometry, field)
+
+    @pytest.mark.filterwarnings("ignore::donorpair.spectrum.SwapBoundaryWarning")
+    @given(n0=st.integers(44, 50), gradient=st.floats(1.2e5, 1.4e5),
+           field=st.floats(3.0, 3.6), m1=st.sampled_from(DISPLACEMENTS),
+           m2=st.sampled_from(DISPLACEMENTS))
+    @example(n0=44, gradient=1.4e5, field=3.0, m1=1, m2=-4)   # refused: labels 10/12 degenerate
+    @settings(deadline=None)
+    def test_one_chain_equals_its_stack_row(self, n0, gradient, field, m1, m2):
+        # one body solves both: each one-chain record is its stack row, params
+        # included, and a chain refused alone is refused by name in the stack
+        layout = DeviceGeometry(n0=n0, gradient=gradient, mean_field_b=field)
+        geometries = [layout, layout.displaced(m1, m2)]
+        alone = []
+        for geometry in geometries:
+            try:
+                alone.append(compute_spectrum(geometry))
+            except ValidityError as exc:
+                with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                    compute_spectra(geometries)
+                return
+        stack = compute_spectra(geometries)
+        for i, one in enumerate(alone):
+            for name in ("b1", "b2", "a", "j"):
+                value = getattr(one.params, name)
+                assert type(value) is float and value == getattr(stack.params, name)[i]
+            for name in ("hamiltonian", "exact_energies", "eigenvectors"):
+                assert getattr(one, name).tobytes() == getattr(stack, name)[i].tobytes(), name
 
     def test_stacked_build_equals_single_builds(self):
         params = [effective_params(g) for g in self.GEOMETRIES]
@@ -278,6 +306,20 @@ class TestTransitions:
         assert nu2 / TWO_PI / 1e6 == pytest.approx(115.6916162, rel=1e-7)
         z = default_spectrum.zeroth
         assert (z[15] - z[14]) / TWO_PI / 1e6 == pytest.approx(115.655, abs=1e-3)
+
+    @pytest.mark.parametrize("n", [3, 81])
+    def test_stack_gives_each_chain_its_frequency(self, n):
+        # levels sit on the last axis, so a stack's values are its chains' values
+        geometries = TestStackedSpectrum.GEOMETRIES[:n]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SwapBoundaryWarning)
+            stack = compute_spectra(geometries)
+            alone = [compute_spectrum(g) for g in geometries]
+        for p, q in ((13, 15), (14, 15), (15, 13), (2, 4)):
+            values = transition_frequency(stack, p, q)
+            assert values.shape == (n,)
+            assert values.tobytes() == np.array(
+                [transition_frequency(spec, p, q) for spec in alone]).tobytes()
 
     @given(p=st.integers(0, 15), q=st.integers(0, 15))
     @settings(max_examples=30)
