@@ -9,9 +9,6 @@ total z projection Fz makes the Hamiltonian exactly time independent:
 with lab-frame amplitudes psi_lab(t) = exp(+i nu Fz t) psi_rot(t). Because
 the re-entry factor is diagonal, basis-state populations computed after a
 pulse are lab-frame correct.
-
-A direct lab-frame integrator (4th-order commutator-free Magnus stepping)
-is provided as an independent cross-check of the frame construction.
 """
 from __future__ import annotations
 
@@ -21,30 +18,19 @@ from .pulses import PulseSpec
 from . import register as reg
 
 
-class StepSizeError(ValueError):
-    """Integrator step does not resolve the fastest Hamiltonian scale."""
+def rotating_hamiltonian(h0: np.ndarray, pulse: PulseSpec) -> np.ndarray:
+    """Time-independent rotating-frame Hamiltonian H0 + nu Fz + V(phi).
 
-
-def _drive_lowering(pulse: PulseSpec) -> np.ndarray:
-    """Sum of (+-Omega_s / 2) L_s over the driven spins: the drive's lowering part.
-
-    Nuclear terms carry a minus sign (opposite gyromagnetic sign), and
-    Omega_s is the species Rabi frequency of the shared field (omega_e or omega_n).
+    Each driven spin s adds (+-Omega_s / 2) L_s e^{-i phi} + h.c. to V(phi),
+    with L_s its lowering operator and Omega_s the species Rabi frequency of
+    the shared field (omega_e or omega_n). Nuclear terms carry the minus
+    sign (opposite gyromagnetic sign).
     """
     lower = np.zeros((reg.DIM, reg.DIM), dtype=complex)
     for spin in pulse.drive_spins:
         sign, omega = (1.0, pulse.omega_e) if spin.startswith("e") else (-1.0, pulse.omega_n)
         lower += sign * 0.5 * omega * reg.LOWER[spin]
-    return lower
-
-
-def rotating_hamiltonian(h0: np.ndarray, pulse: PulseSpec) -> np.ndarray:
-    """Time-independent rotating-frame Hamiltonian H0 + nu Fz + V(phi).
-
-    Each driven spin adds (Omega_s / 2) L_s e^{-i phi} + h.c. to V(phi)
-    (see _drive_lowering for the signs).
-    """
-    v = _drive_lowering(pulse) * np.exp(-1j * pulse.phi)
+    v = lower * np.exp(-1j * pulse.phi)
     return h0 + pulse.nu * np.diag(reg.FZ_DIAG) + (v + v.conj().T)
 
 
@@ -94,45 +80,3 @@ def relax_electrons_adjoint(obs: np.ndarray) -> np.ndarray:
     out[..., :, _E_ALL, :, :, _E_ALL, :] = t[..., :, _E_GROUND, :, :, _E_GROUND, :]
     return out.reshape(obs.shape)
 
-
-# -- lab-frame reference integrator -----------------------------------------
-
-_C1 = 0.5 - np.sqrt(3.0) / 6.0
-_C2 = 0.5 + np.sqrt(3.0) / 6.0
-_A1 = 0.25 + np.sqrt(3.0) / 6.0
-_A2 = 0.25 - np.sqrt(3.0) / 6.0
-
-
-def _expmh(h: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(-1j * w)) @ v.conj().T
-
-
-def integrate_lab_frame(state: np.ndarray, h0: np.ndarray, pulse: PulseSpec,
-                        dt: float) -> np.ndarray:
-    """Directly integrate i dpsi/dt = (H0 + V(t)) psi over one pulse.
-
-    Commutator-free 4th-order Magnus stepping with exactly unitary steps.
-    dt must resolve the fastest scale: dt * max|H| <= 0.05.
-    """
-    lower = _drive_lowering(pulse)
-    drive_amp = np.max(np.abs(lower))
-    h_scale = np.max(np.abs(h0)) + 2.0 * drive_amp
-    if dt * h_scale > 0.05:
-        raise StepSizeError(
-            f"dt*max|H| = {dt * h_scale:.3g} exceeds 0.05; decrease dt")
-
-    def h_lab(t: float) -> np.ndarray:
-        phase = np.exp(-1j * (pulse.nu * t + pulse.phi))
-        return h0 + phase * lower + np.conj(phase) * lower.conj().T
-
-    nsteps = max(1, int(np.ceil(pulse.tau / dt)))
-    step = pulse.tau / nsteps
-    psi = state.astype(complex).copy()
-    for k in range(nsteps):
-        t = k * step
-        h1 = h_lab(t + _C1 * step)
-        h2 = h_lab(t + _C2 * step)
-        psi = _expmh(step * (_A2 * h1 + _A1 * h2)) @ (
-            _expmh(step * (_A1 * h1 + _A2 * h2)) @ psi)
-    return psi

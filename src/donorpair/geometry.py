@@ -35,11 +35,29 @@ def _require_integer(name: str, value: int) -> int:
         raise ValueError(f"{name} = {value!r} is not an integer") from None
 
 
+def _require_finite(name: str, value: float) -> None:
+    """A ValueError naming `name` unless `value` is a finite real number.
+
+    A real number is what math.isfinite accepts: ints, floats and NumPy
+    reals are; a str, None or a Python complex is not. An int beyond the
+    float range is not finite.
+    """
+    try:
+        finite = math.isfinite(value)
+    except TypeError:
+        raise ValueError(f"{name} = {value!r} is not a real number") from None
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ValueError(f"{name} = {value!r} is not finite")
+
+
 @dataclass(frozen=True)
 class DeviceGeometry:
     """Chain layout: nominal separation, field gradient, and displacements.
 
-    n0, m1 and m2 count lattice sites, so each must be an integer.
+    n0, m1 and m2 count lattice sites, so each must be an integer;
+    gradient and mean_field_b must be finite real numbers.
     """
 
     n0: int = 47
@@ -51,8 +69,8 @@ class DeviceGeometry:
     def __post_init__(self) -> None:
         for name in ("n0", "m1", "m2"):
             _require_integer(name, getattr(self, name))
-        if not (math.isfinite(self.gradient) and math.isfinite(self.mean_field_b)):
-            raise ValueError("gradient and mean field must be finite")
+        for name in ("gradient", "mean_field_b"):
+            _require_finite(name, getattr(self, name))
         if self.n0 < 1 or self.gradient <= 0 or self.mean_field_b <= 0:
             raise ValueError("n0, gradient and mean field must be positive")
         if abs(self.m1) > MAX_DISPLACEMENT or abs(self.m2) > MAX_DISPLACEMENT:

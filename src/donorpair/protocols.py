@@ -277,8 +277,11 @@ def run_ee_cnot(geometry: DeviceGeometry, k_prime: int = 1) -> float:
 class EnsembleConfig:
     """Settings of one Monte-Carlo ensemble of initialization runs on nominal geometry.
 
-    num_chains, num_realizations, seed and threads must be integers (NumPy
-    integers are); any other value is a ValueError naming the field.
+    num_chains, num_realizations, k_e, k_n, seed and threads must be
+    integers (NumPy integers are), and k_e and k_n at least 1; any other
+    value is a ValueError naming the field, raised before anything is
+    solved. A K too large for the 2piK condition is refused when the pulses
+    are designed.
     """
 
     num_chains: int = 2000
@@ -291,10 +294,13 @@ class EnsembleConfig:
     geometry: DeviceGeometry = DEFAULT_GEOMETRY
 
     def __post_init__(self) -> None:
-        for name in ("num_chains", "num_realizations", "seed", "threads"):
+        for name in ("num_chains", "num_realizations", "k_e", "k_n", "seed", "threads"):
             _require_integer(name, getattr(self, name))
         if self.num_chains < 1 or self.num_realizations < 1:
             raise ValueError("chain and realization counts must be positive")
+        for name in ("k_e", "k_n"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} = {getattr(self, name)!r} is not a positive integer")
         if self.num_chains > MAX_CHAINS:
             raise ValueError(f"num_chains must be at most 2**32 = {MAX_CHAINS}")
         if self.law not in LAW_CODES:
@@ -376,10 +382,13 @@ def _form_tables(keys: tuple[tuple[DeviceGeometry, tuple[tuple[str, PulseSpec], 
     other rows are NaN. Each distinct layout's support pairs are solved in
     one compute_spectra stack, and each distinct pulse of that layout is
     propagated once over that stack, so pulse sets of one layout share
-    their propagators (gates a and c do not depend on K_n). Each distinct
-    key's table then comes from one _protocol_forms stack. The 8 most
-    recently used grids are memoized, so a repeated grid solves nothing; a
-    grid that only partly overlaps a memoized one is solved whole.
+    their propagators (gates a and c do not depend on K_n). The layout's
+    distinct keys are then built in order, each from one _protocol_forms
+    stack: a pulse is propagated when the first of them reads it and
+    dropped after the last, so memory does not grow with the K_n count.
+    The 8 most recently used grids are memoized, so a repeated grid solves
+    nothing; a grid that only partly overlaps a memoized one is solved
+    whole.
     """
     pairs = list(itertools.product(support, support))
     rows = [_pair_index(m1, m2) for m1, m2 in pairs]
@@ -387,14 +396,18 @@ def _form_tables(keys: tuple[tuple[DeviceGeometry, tuple[tuple[str, PulseSpec], 
     for geometry in dict.fromkeys(g for g, _ in keys):
         spectra = compute_spectra([geometry.displaced(m1, m2) for m1, m2 in pairs])
         layout = [key for key in dict.fromkeys(keys) if key[0] == geometry]
-        propagators = {pulse: pulse_propagator(spectra.hamiltonian, pulse)
-                       for pulse in dict.fromkeys(p for _, pulses in layout for _, p in pulses)}
-        for key in layout:
+        last_reader = {p: i for i, (_, pulses) in enumerate(layout) for _, p in pulses}
+        propagators = {}
+        for i, key in enumerate(layout):
+            for _, p in key[1]:
+                if p not in propagators:
+                    propagators[p] = pulse_propagator(spectra.hamiltonian, p)
             table = np.full((len(DISPLACEMENTS) ** 2, 16), np.nan)
             table[rows] = _form_coefficients(_protocol_forms(
                 spectra.eigenvectors, {name: propagators[p] for name, p in key[1]}))
             table.flags.writeable = False
             tables[key] = table
+            propagators = {p: u for p, u in propagators.items() if last_reader[p] > i}
     return tuple(tables[key] for key in keys)
 
 

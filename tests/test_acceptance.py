@@ -16,7 +16,7 @@ from donorpair import protocols
 from donorpair import register as reg
 from donorpair import (DEFAULT_GEOMETRY, GATES,
                        displacement_detuning, error_estimate,
-                       design_values, integrate_lab_frame, j_for_sites, kn_window,
+                       design_values, j_for_sites, kn_window,
                        pulse_propagator, rabi_probability,
                        run_ee_cnot, sweep_gate_error, transition_frequency,
                        two_pi_k_omega)
@@ -26,6 +26,7 @@ from donorpair.geometry import EffectiveParams, effective_params, field_step
 from donorpair.protocols import EnsembleConfig, ensemble_init
 from donorpair.pulses import PulseSpec
 from donorpair.spectrum import build_h0, exact_spectrum, perturbative_spectrum
+from oracles import integrate_lab_frame
 
 
 REFERENCE_TABLE = {40: 33.75, 41: 22.58, 42: 15.09, 43: 10.07, 44: 6.71,

@@ -515,6 +515,14 @@ class TestEnsemble:
         assert out == ""
         assert "threads must be positive" in err
 
+    @pytest.mark.parametrize("option, field", [("--Kn", "k_n"), ("--K", "k_e")])
+    def test_k_below_one_refused_before_any_solve(self, option, field, monkeypatch, capsys):
+        solved = count_solves(monkeypatch)
+        code, out, err = run_cli(["ensemble", "--chains", "4", "--realizations", "1",
+                                  "--law", "none", option, "0"], capsys)
+        assert (code, out, solved) == (3, "", [])
+        assert err == f"error: {field} = 0 is not a positive integer\n"
+
     def test_chain_limit_rejected(self, monkeypatch, capsys):
         def no_run(configs):
             raise AssertionError("chains ran before the limit was checked")

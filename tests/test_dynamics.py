@@ -2,15 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from donorpair import (DEFAULT_GEOMETRY, GATES, StepSizeError, build_h0,
-                       compute_spectra, design_gate, effective_params, integrate_lab_frame,
-                       pulse_propagator, rabi_probability, relax_electrons,
+from donorpair import (DEFAULT_GEOMETRY, GATES, build_h0, compute_spectra, design_gate,
+                       effective_params, pulse_propagator, rabi_probability, relax_electrons,
                        rotating_hamiltonian)
-from donorpair.constants import GAMMA_E as GE, TWO_PI
+from donorpair.constants import GAMMA_E as GE, GAMMA_N as GN, TWO_PI
 from donorpair.dynamics import relax_electrons_adjoint
 from donorpair.geometry import EffectiveParams
 from donorpair.pulses import PulseSpec
 from donorpair import register as reg
+from oracles import StepSizeError, integrate_lab_frame
 
 
 E1_FLIPPED = 2   # |0010>: basis state 0 with electron 1 flipped
@@ -226,6 +226,21 @@ class TestLabFrameIntegrator:
         psi = integrate_lab_frame(psi0, h0, pulse, dt=pulse.tau / 4000)
         assert np.linalg.norm(psi - ref) <= 1e-6
         assert abs(np.linalg.norm(psi) - 1.0) <= 1e-8
+
+    def test_nuclear_drive_agrees_with_rotating_frame(self):
+        # the drive's nuclear sign, which no electron pulse reads
+        h0, _ = self._setup()
+        from donorpair.spectrum import exact_spectrum
+        energies, _ = exact_spectrum(h0)
+        omega = TWO_PI * 2e6
+        pulse = PulseSpec(nu=energies[14] - energies[15], phi=0.3, b1_amplitude=omega / GN,
+                          tau=np.pi / omega, drive_spins=("n1", "n2"))
+        rng = np.random.default_rng(6)
+        z = rng.normal(size=16) + 1j * rng.normal(size=16)
+        psi0 = z / np.linalg.norm(z)
+        ref = pulse_propagator(h0, pulse) @ psi0
+        psi = integrate_lab_frame(psi0, h0, pulse, dt=pulse.tau / 4000)
+        assert np.linalg.norm(psi - ref) <= 1e-6
 
     def test_zero_drive_matches_static_evolution(self):
         h0, pulse = self._setup()

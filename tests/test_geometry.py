@@ -98,7 +98,8 @@ def test_numpy_integer_site_counts_accepted():
 
 
 @pytest.mark.parametrize("field", ["gradient", "mean_field_b"])
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 10**400],
+                         ids=["nan", "inf", "-inf", "1e400"])
 def test_non_finite_field_rejected(field, value):
     with pytest.raises(ValueError, match="finite"):
         DeviceGeometry(**{field: value})

@@ -21,8 +21,8 @@ EXPORTS = {
     "pulses": ["GATES", "GateSpec", "PulseSpec", "design_gate", "design_values",
                "error_estimate", "kn_window", "pulse_duration", "rabi_probability",
                "two_pi_k_omega"],
-    "dynamics": ["StepSizeError", "integrate_lab_frame", "pulse_propagator", "relax_electrons",
-                 "relax_electrons_adjoint", "rotating_hamiltonian"],
+    "dynamics": ["pulse_propagator", "relax_electrons", "relax_electrons_adjoint",
+                 "rotating_hamiltonian"],
     "protocols": ["EnsembleConfig", "EnsembleResult", "ProtocolRun", "displacement_detuning",
                   "ensemble_grid", "ensemble_init", "ensemble_workers", "protocol_form",
                   "run_ee_cnot", "run_initialization", "sweep_gate_error"],

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -560,6 +561,22 @@ class TestEnsemble:
         for config, result in zip(configs, grid):
             assert ensemble_init(config).realization_means == result.realization_means
 
+    def test_form_table_memory_does_not_grow_with_kn(self):
+        # 40 geometric K_n from 100 to 40,000 under laws A, B and none: each K_n's
+        # gates b and d are dropped after its table, so the peak stays near one K_n's
+        kns = np.unique(np.geomspace(100, 40_000, 40).round().astype(int))
+        configs = [EnsembleConfig(num_chains=1, num_realizations=1, law=law, k_n=k_n)
+                   for k_n in kns for law in ("A", "B", "none")]
+        _form_tables.cache_clear()   # a memo hit would measure nothing
+        tracemalloc.start()
+        try:
+            ensemble_grid(configs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(kns) == 40
+        assert peak < 8 * 2**20
+
     @pytest.fixture
     def designs(self, monkeypatch):
         """Every nominal chain solved and every gate designed, from cold memos.
@@ -733,6 +750,22 @@ class TestEnsemble:
         assert EnsembleConfig(num_chains=2**32).num_chains == 2**32
         with pytest.raises(ValueError, match="num_chains must be at most"):
             EnsembleConfig(num_chains=2**32 + 1)
+
+    @given(refused=st.one_of(
+               st.tuples(st.just(EnsembleConfig), st.sampled_from(["k_e", "k_n"]),
+                         st.one_of(st.integers(max_value=0), st.floats(), st.text(max_size=3),
+                                   st.none(), st.complex_numbers())),
+               st.tuples(st.just(DeviceGeometry), st.sampled_from(["gradient", "mean_field_b"]),
+                         st.one_of(st.text(max_size=3), st.none(), st.complex_numbers()))),
+           accepted=st.tuples(st.sampled_from(["k_e", "k_n"]), st.integers(min_value=1)))
+    def test_k_and_geometry_fields_checked_at_construction(self, refused, accepted):
+        # a K that is not a positive integer, or a field that is not a real number,
+        # is refused by name when the config or geometry is made, before any solve
+        make, field, value = refused
+        with pytest.raises(ValueError, match=f"^{field} = "):
+            make(**{field: value})
+        field, k = accepted
+        assert getattr(EnsembleConfig(**{field: k}), field) == k
 
     @pytest.mark.parametrize("field", ["num_chains", "num_realizations", "seed", "threads"])
     def test_config_counts_must_be_integers(self, field):
